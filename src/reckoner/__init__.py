@@ -45,8 +45,6 @@ from .models import (  # noqa: F401
     bce,
     blend,
     lr_fit,
-    noise_apply,
-    score,
 )
 from .confidence import (  # noqa: F401
     BucketReport,
@@ -63,7 +61,6 @@ from .pipeline import (  # noqa: F401
     TrainConfig,
     erm_baseline,
     initialize,
-    knowledge_share,
     predict,
     pseudo_learning_cycle,
     refinement_step,

@@ -1,5 +1,12 @@
 """Versioned JSON checkpoints.
 
+A checkpoint is a serving artifact: it holds what ``predict`` reads (the
+high-confidence classifier and the noise wrapper) plus the config,
+standardization and schema, not the training-only state, so it is no
+resume point. Version 1 also stored the low-confidence classifier, its
+snapshot, the identifier and a copy of the seed; its keys are a superset
+of version 2's, so one reader loads both.
+
 Parameter values are serialized with Python's shortest-exact float repr, so
 a reloaded model reproduces scores bit-for-bit.
 """
@@ -14,16 +21,11 @@ import numpy as np
 
 from .data import Schema
 from .errors import ConfigError
-from .models import (
-    FeedForwardClassifier,
-    LinearClassifier,
-    ModelParams,
-    NoiseWrapper,
-    ParamLayout,
-)
+from .models import FeedForwardClassifier, ModelParams, NoiseWrapper, ParamLayout
 from .pipeline import ReckonerModel, TrainConfig
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def _params_dict(params: ModelParams) -> dict:
@@ -47,19 +49,15 @@ def checkpoint_dict(model: ReckonerModel, schema: Schema,
         "kind": "reckoner",
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
         "m": model.m,
         "models": {
             "high": _params_dict(model.high.params),
-            "low": _params_dict(model.low.params),
-            "identifier": _params_dict(model.identifier.params),
             "noise": {
                 **_params_dict(model.noise.params),
                 "eta": model.noise.eta.tolist(),
                 "hidden": model.noise.hidden,
             },
         },
-        "low_snapshot": model.low_snapshot.values.tolist(),
         "standardize": {"mean": mean.tolist(), "std": std.tolist()},
         "schema": schema.to_dict(),
         "manifest_sha256": manifest_sha256,
@@ -84,35 +82,43 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
+    """Read a version 1 or 2 checkpoint; any malformed one is a ConfigError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version not in READABLE_VERSIONS:
+        raise ConfigError(f"unsupported checkpoint version {version!r}")
+    try:
+        return _from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
+
+
+def _from_doc(doc: dict) -> LoadedCheckpoint:
     cfg = TrainConfig.from_dict(doc["config"])
     m = int(doc["m"])
-    high_params = _params_from_dict(doc["models"]["high"])
-    low_params = _params_from_dict(doc["models"]["low"])
-    ident_params = _params_from_dict(doc["models"]["identifier"])
+    high = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2,
+                                 _params_from_dict(doc["models"]["high"]))
     noise_doc = doc["models"]["noise"]
-    noise_params = _params_from_dict(noise_doc)
-
-    high = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2, high_params)
-    low = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2, low_params)
-    identifier = LinearClassifier(m, ident_params)
     noise = NoiseWrapper(m, int(noise_doc["hidden"]),
                          np.asarray(noise_doc["eta"], dtype=np.float64),
-                         noise_params)
-    snapshot = ModelParams(low_params.layout,
-                           np.asarray(doc["low_snapshot"], dtype=np.float64))
-    model = ReckonerModel(high, low, noise, identifier, cfg, snapshot)
+                         _params_from_dict(noise_doc))
+    schema = Schema.from_dict(doc["schema"])
+    mean = np.asarray(doc["standardize"]["mean"], dtype=np.float64)
+    std = np.asarray(doc["standardize"]["std"], dtype=np.float64)
+    if schema.m != m or mean.shape != (m,) or std.shape != (m,):
+        raise ValueError(f"schema or standardization does not match width m={m}")
+    # The low classifier is training state and is not stored: like the
+    # optimizer moments, it comes back freshly zeroed.
+    low = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2)
     return LoadedCheckpoint(
-        model=model,
-        schema=Schema.from_dict(doc["schema"]),
-        mean=np.asarray(doc["standardize"]["mean"], dtype=np.float64),
-        std=np.asarray(doc["standardize"]["std"], dtype=np.float64),
+        model=ReckonerModel(high, low, noise, cfg),
+        schema=schema,
+        mean=mean,
+        std=std,
         manifest_sha256=doc.get("manifest_sha256"),
     )

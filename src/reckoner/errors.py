@@ -17,5 +17,8 @@ class NumericError(ReckonerError):
     """Non-finite loss, gradient, or update encountered during training."""
 
 
-class UndefinedRateError(ReckonerError):
-    """A confusion-matrix rate was requested but its denominator is zero."""
+class UndefinedRateError(DataError):
+    """A confusion-matrix rate was requested but its denominator is zero.
+
+    A data error: the inputs lack the rows the rate needs (the CLI exits 2).
+    """

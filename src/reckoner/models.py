@@ -348,29 +348,16 @@ class NoiseWrapper:
         return grad.values
 
 
-def noise_apply(wrapper: NoiseWrapper, x: np.ndarray) -> np.ndarray:
-    return wrapper.apply(x)
-
-
-def score(model: LinearClassifier | FeedForwardClassifier, x: np.ndarray):
-    return model.score(x)
-
-
 def predict_labels(scores: np.ndarray) -> np.ndarray:
     """Threshold probabilities at 0.5, ties going to the positive class."""
     return (np.asarray(scores) >= 0.5).astype(np.int64)
 
 
-def lr_fit(train, epochs: int, learning_rate: float, seed: int = 0,
-           method: str = "adam") -> LinearClassifier:
-    """Fit logistic regression with full-batch updates from zero init.
+def lr_fit(train, epochs: int, learning_rate: float) -> LinearClassifier:
+    """Fit logistic regression with full-batch Adam updates from zero init.
 
-    ``method`` selects plain gradient descent or Adam. The seed is accepted
-    for interface uniformity; full-batch training from zero init is already
-    deterministic.
+    Deterministic: there is no sampling and no random initialization.
     """
-    if method not in ("gd", "adam"):
-        raise ConfigError(f"unknown lr_fit method {method!r}")
     if train.n == 0:
         raise ConfigError("cannot fit on an empty dataset")
     x = train.x
@@ -382,8 +369,5 @@ def lr_fit(train, epochs: int, learning_rate: float, seed: int = 0,
         loss = bce(model.score(x), y)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss in lr_fit (learning rate too large?)")
-        if method == "adam":
-            adam_step(model.params, grad, state)
-        else:
-            model.params.values -= learning_rate * grad
+        adam_step(model.params, grad, state)
     return model

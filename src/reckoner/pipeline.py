@@ -12,6 +12,7 @@ back to its initialization snapshot.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,6 @@ from .metrics import accuracy, demographic_parity, equalized_odds, largest_pair
 from .models import (
     AdamState,
     FeedForwardClassifier,
-    LinearClassifier,
     ModelParams,
     NoiseWrapper,
     adam_step,
@@ -91,26 +91,7 @@ class TrainConfig:
         return int(self.init_fraction * self.total_iterations)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "learning_rate": self.learning_rate,
-            "total_iterations": self.total_iterations,
-            "init_fraction": self.init_fraction,
-            "pseudo_iters": self.pseudo_iters,
-            "confidence_threshold": self.confidence_threshold,
-            "batch_size": self.batch_size,
-            "hidden1": self.hidden1,
-            "hidden2": self.hidden2,
-            "noise_hidden": self.noise_hidden,
-            "seed": self.seed,
-            "use_noise": self.use_noise,
-            "use_pseudo_learning": self.use_pseudo_learning,
-            "low_conf_sees_noise": self.low_conf_sees_noise,
-            "pseudo_label_kind": self.pseudo_label_kind,
-            "pseudo_cadence": self.pseudo_cadence,
-            "identifier_epochs": self.identifier_epochs,
-            "identifier_lr": self.identifier_lr,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -131,7 +112,6 @@ class TrainConfig:
 class PseudoLearnState:
     """Outcome of one pseudo-learning cycle of the low-confidence classifier."""
 
-    low_snapshot: ModelParams
     k: int
     best_low: ModelParams
     losses: tuple[float, ...]
@@ -175,18 +155,17 @@ _SEED_STREAM_REFINE = 6
 class ReckonerModel:
     """Dual classifiers plus noise wrapper and their optimizer states.
 
-    Prediction uses the high-confidence classifier only.
+    Prediction uses the high-confidence classifier only. The low classifier
+    rolls back to ``low_snapshot``, taken here from its current weights.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
-                 noise: NoiseWrapper, identifier: LinearClassifier,
-                 config: TrainConfig, low_snapshot: ModelParams):
+                 noise: NoiseWrapper, config: TrainConfig):
         self.high = high
         self.low = low
         self.noise = noise
-        self.identifier = identifier
         self.config = config
-        self.low_snapshot = low_snapshot
+        self.low_snapshot = low.params.snapshot()
         lr = config.learning_rate
         self.high_state = AdamState.zeros(high.params.layout.size, lr=lr)
         self.low_state = AdamState.zeros(low.params.layout.size, lr=lr)
@@ -238,7 +217,7 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
         raise DataError("training set is empty")
     m = train.m
     identifier = lr_fit(train, epochs=cfg.identifier_epochs,
-                        learning_rate=cfg.identifier_lr, seed=cfg.seed)
+                        learning_rate=cfg.identifier_lr)
     split = split_by_confidence(train, identifier, cfg.confidence_threshold)
     if split.high_empty or split.low_empty:
         which = "high" if split.high_empty else "low"
@@ -257,7 +236,7 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     noise_hidden = cfg.noise_hidden if cfg.noise_hidden is not None else m
     noise = NoiseWrapper.initialized(m, noise_hidden, cfg.seed + _SEED_NOISE)
 
-    model = ReckonerModel(high, low, noise, identifier, cfg, low.params.snapshot())
+    model = ReckonerModel(high, low, noise, cfg)
     steps = cfg.init_steps
     model.high_step_count += _init_phase(
         high, model.high_state, high_init, steps, cfg.batch_size,
@@ -303,17 +282,7 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray) -> PseudoLearnSta
             best_k = step
             best_params = model.low.params.snapshot()
     assert best_params is not None
-    return PseudoLearnState(
-        low_snapshot=model.low_snapshot,
-        k=best_k,
-        best_low=best_params,
-        losses=tuple(losses),
-    )
-
-
-def knowledge_share(high: ModelParams, best_low: ModelParams, alpha: float) -> ModelParams:
-    """Convex blend of high-confidence and best pseudo-learned low weights."""
-    return blend(high, best_low, alpha)
+    return PseudoLearnState(k=best_k, best_low=best_params, losses=tuple(losses))
 
 
 def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
@@ -335,8 +304,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     log: dict = {}
     if run_pseudo:
         state = pseudo_learning_cycle(model, x)
-        blended = knowledge_share(model.high.params, state.best_low, cfg.alpha)
-        model.high.params.restore(blended)
+        model.high.params.restore(blend(model.high.params, state.best_low, cfg.alpha))
         log["k"] = state.k
         log["pseudo_loss"] = state.losses[state.k - 1]
 
@@ -439,12 +407,6 @@ def erm_baseline(train_set: Dataset, cfg: TrainConfig, *,
     state = AdamState.zeros(model.params.layout.size, lr=cfg.learning_rate)
     taken = _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
                         cfg.seed + _SEED_STREAM_HIGH, on_high_step)
-    stream = _BatchStream(train_set.n, cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE)
-    y = train_set.y.astype(np.float64)
-    for i in range(cfg.total_iterations - taken):
-        idx = next(stream)
-        grad = model.backward(train_set.x[idx], y[idx])
-        adam_step(model.params, grad, state)
-        if on_high_step is not None:
-            on_high_step(taken + i, model.params.values.copy())
+    _init_phase(model, state, train_set, cfg.total_iterations - taken, cfg.batch_size,
+                cfg.seed + _SEED_STREAM_REFINE, on_high_step, step_base=taken)
     return model

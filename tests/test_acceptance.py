@@ -37,7 +37,6 @@ from reckoner.models import (
     bce,
     blend,
     lr_fit,
-    noise_apply,
     predict_labels,
 )
 from reckoner.pipeline import (
@@ -190,10 +189,10 @@ def test_c3_noise_bound_and_zero_identity(report):
         scale = rng.choice([0.1, 1.0, 10.0, 100.0])
         wrap.params.values += scale * rng.standard_normal(wrap.params.values.size)
         # zero input measures the perturbation itself without addition rounding
-        worst = max(worst, float(np.abs(noise_apply(wrap, zero)).max()))
+        worst = max(worst, float(np.abs(wrap.apply(zero)).max()))
     zero_wrap = NoiseWrapper(6, 6, eta=rng.standard_normal(6))
     x = rng.standard_normal((50, 6))
-    exact = np.array_equal(noise_apply(zero_wrap, x), x)
+    exact = np.array_equal(zero_wrap.apply(x), x)
     ok = worst < 1.0 and exact
     report("C3 noise-bound-and-zero-identity", ok,
            f"1000 states, max |perturbation| {worst:.17g}, zero-wrapper exact={exact}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,14 +44,33 @@ class TestCheckpointRoundtrip:
         assert loaded.mean.shape == (model.m,)
         assert loaded.std.shape == (model.m,)
 
-    def test_low_snapshot_survives(self, trained):
-        model, _, _, path = trained
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.model.low_snapshot.values,
-                                      model.low_snapshot.values)
+    def test_v2_holds_exactly_the_serving_keys(self, trained):
+        _, _, _, path = trained
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert set(doc) == {"format_version", "kind", "config", "config_hash", "m",
+                            "models", "standardize", "schema", "manifest_sha256"}
+        assert set(doc["models"]) == {"high", "noise"}
+
+    def test_v1_document_loads_and_predicts_bit_identically(self, trained, tmp_path):
+        model, _, te, path = trained
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        doc["seed"] = model.config.seed
+        doc["models"]["low"] = {"layout": doc["models"]["high"]["layout"],
+                                "values": model.low.params.values.tolist()}
+        doc["models"]["identifier"] = {
+            "layout": {"segments": [["w", [model.m]], ["b", [1]]]},
+            "values": [0.0] * (model.m + 1),
+        }
+        doc["low_snapshot"] = model.low_snapshot.values.tolist()
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(doc))
+        loaded = load_checkpoint(v1)
+        np.testing.assert_array_equal(predict(loaded.model, te.x)[1],
+                                      predict(model, te.x)[1])
 
     def test_version_mismatch_rejected(self, trained, tmp_path):
-        import json
         _, _, _, path = trained
         doc = json.loads(path.read_text())
         doc["format_version"] = 99

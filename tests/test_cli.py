@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reckoner
 from reckoner.cli import main
 
 SYNTH_CFG = {
@@ -30,6 +34,21 @@ TRAIN_CFG = {
     "split": {"train_fraction": 0.6, "valid_fraction": 0.2,
               "test_fraction": 0.2, "seed": 1},
 }
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, so its whole stderr can be checked."""
+    src = Path(reckoner.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "reckoner.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_clean_failure(proc: subprocess.CompletedProcess, code: int) -> None:
+    """Exit ``code`` with exactly one ``error kind=`` line and no traceback."""
+    assert proc.returncode == code, proc.stderr
+    assert sum("error kind=" in line for line in proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture
@@ -179,6 +198,35 @@ class TestAudit:
 
     def test_missing_inputs_exit_1(self, tmp_path):
         assert main(["audit", "--out", str(tmp_path / "a")]) == 1
+
+    def test_undefined_group_rate_exits_2(self, tmp_path):
+        # Group 1 has no positive labels, so its TPR (and EOdds) is undefined.
+        rows = [(1, 1, 0), (0, 0, 0), (1, 0, 1), (0, 0, 1)]
+        preds = tmp_path / "p.csv"
+        self.write_predictions(preds, rows)
+        proc = run_cli("audit", "--predictions", preds, "--out", tmp_path / "audit")
+        assert_clean_failure(proc, 2)
+        assert "error kind=data exit=2" in proc.stderr
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.pop("models"),
+        lambda doc: doc["models"]["high"]["values"].pop(),
+        lambda doc: doc["models"]["noise"]["layout"]["segments"].pop(),
+        lambda doc: doc["standardize"]["mean"].pop(),
+    ], ids=["no-models", "short-high-values", "short-noise-layout", "short-mean"])
+    def test_malformed_checkpoint_exits_1(self, workdir, corrupt):
+        tmp_path, train_cfg, data = workdir
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(train_cfg), "--data", str(data),
+                     "--out", str(run)]) == 0
+        doc = json.loads((run / "checkpoint.json").read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("audit", "--checkpoint", bad, "--data", data,
+                       "--out", tmp_path / "audit")
+        assert_clean_failure(proc, 1)
+        assert "error kind=config exit=1" in proc.stderr
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from reckoner.pipeline import (
     TrainConfig,
     erm_baseline,
     initialize,
-    knowledge_share,
     predict,
     pseudo_learning_cycle,
     refinement_step,
@@ -142,27 +141,6 @@ class TestPseudoLearningCycle:
             assert move <= 10 * cfg.pseudo_iters * lr
             moves.append(move)
         assert moves[1] < moves[0]
-
-
-class TestKnowledgeShare:
-    def test_alpha_one_is_neutral(self):
-        tr, _, _ = small_sets()
-        model = initialize(tr, TrainConfig(seed=8, **FAST))
-        out = knowledge_share(model.high.params, model.low.params, 1.0)
-        np.testing.assert_array_equal(out.values, model.high.params.values)
-
-    def test_alpha_zero_returns_low(self):
-        tr, _, _ = small_sets()
-        model = initialize(tr, TrainConfig(seed=8, **FAST))
-        out = knowledge_share(model.high.params, model.low.params, 0.0)
-        np.testing.assert_array_equal(out.values, model.low.params.values)
-
-    def test_hand_arithmetic(self):
-        from reckoner.models import ModelParams, ParamLayout
-        layout = ParamLayout((("w", (1,)),))
-        high = ModelParams(layout, np.array([1.0]))
-        low = ModelParams(layout, np.array([0.0]))
-        assert knowledge_share(high, low, 0.9).values[0] == pytest.approx(0.9)
 
 
 class TestRefinementStep:
