@@ -90,7 +90,11 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec, dict]:
 
 def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
                   data_path: Path, out_dir: Path) -> dict:
-    """Shared train flow for cmd_train and sweep points; returns summary."""
+    """Shared train flow for cmd_train and sweep points; returns summary.
+
+    Every artifact is written after the run has succeeded, the manifest
+    last, so a failed run leaves no manifest behind.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     full = load_csv(data_path, schema)
     tr, va, te = split_dataset(full, split)
@@ -110,9 +114,11 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
         },
     }
     manifest_hash = sha256_of_obj(manifest)
-    _write_json(out_dir / "manifest.json", manifest)
 
     model = train(tr, va, cfg)
+    preds, _ = predict(model, te.x)
+    report = fairness_report(preds, te.y, te.s)
+
     save_checkpoint(out_dir / "checkpoint.json", model, schema, mean, std,
                     manifest_sha256=manifest_hash)
 
@@ -121,11 +127,9 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
             line = {k: (round_float(v) if isinstance(v, float) else v)
                     for k, v in entry.items()}
             fh.write(json.dumps(line, sort_keys=True) + "\n")
-
-    preds, _ = predict(model, te.x)
-    report = fairness_report(preds, te.y, te.s)
-    report_doc = {"manifest_sha256": manifest_hash, **report.to_dict()}
-    _write_json(out_dir / "fairness_report.json", report_doc)
+    _write_json(out_dir / "fairness_report.json",
+                {"manifest_sha256": manifest_hash, **report.to_dict()})
+    _write_json(out_dir / "manifest.json", manifest)
     log.info("train run complete: %s", out_dir)
     return {
         "accuracy": report.accuracy,
@@ -171,6 +175,10 @@ def _load_predictions_csv(path: Path):
 
 
 def cmd_audit(args) -> int:
+    """Score or read predictions, then write every report, the manifest last,
+    so a failed audit leaves no manifest behind."""
+    if args.histogram_feature and not args.checkpoint:
+        raise ConfigError("--histogram-feature requires --checkpoint mode")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
@@ -199,12 +207,9 @@ def cmd_audit(args) -> int:
     manifest = {"tool_version": __version__, "mode": "audit", "source": source,
                 "bucket_thresholds": list(spec.thresholds)}
     manifest_hash = sha256_of_obj(manifest)
-    _write_json(out_dir / "audit_manifest.json", manifest)
 
     report = fairness_report(preds, labels, groups)
-    _write_json(out_dir / "fairness_report.json",
-                {"manifest_sha256": manifest_hash, **report.to_dict()})
-
+    bucket = hist = None
     if conf is not None:
         g_i, g_j = report.pair
         holder = dataset if dataset is not None else Dataset(
@@ -212,19 +217,22 @@ def cmd_audit(args) -> int:
             schema=_surrogate_schema(),
         )
         bucket = bucket_analysis(holder, preds, conf, spec, g_i, g_j)
+    if args.histogram_feature:
+        hist = feature_histograms(dataset, conf, spec, args.histogram_feature,
+                                  bins=args.bins)
+
+    _write_json(out_dir / "fairness_report.json",
+                {"manifest_sha256": manifest_hash, **report.to_dict()})
+    if bucket is not None:
         _write_csv(out_dir / "bucket_report.csv", bucket.to_csv_rows())
         _write_json(out_dir / "bucket_report.json",
                     {"manifest_sha256": manifest_hash, **bucket.to_dict()})
-
-    if args.histogram_feature:
-        if dataset is None or conf is None:
-            raise ConfigError("--histogram-feature requires --checkpoint mode")
-        hist = feature_histograms(dataset, conf, spec, args.histogram_feature,
-                                  bins=args.bins)
+    if hist is not None:
         _write_csv(out_dir / f"histogram_{args.histogram_feature}.csv",
                    hist.to_csv_rows())
         _write_json(out_dir / f"histogram_{args.histogram_feature}.json",
                     {"manifest_sha256": manifest_hash, **hist.to_dict()})
+    _write_json(out_dir / "audit_manifest.json", manifest)
     log.info("audit complete: %s", out_dir)
     return 0
 

@@ -8,7 +8,9 @@ snapshot/restore and elementwise blending are cheap and bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,21 +46,28 @@ def bce(p, y) -> float:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Named segments of a flat parameter vector."""
+    """Named segments of a flat parameter vector.
+
+    ``size`` and ``table`` are worked out once per layout and cached; they
+    take no part in equality or hashing.
+    """
 
     segments: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
-    def size(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.segments)
-
-    def offsets(self) -> dict[str, tuple[int, tuple[int, ...]]]:
-        out: dict[str, tuple[int, tuple[int, ...]]] = {}
+    @cached_property
+    def table(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, end, shape) of each segment, in order."""
+        out = []
         pos = 0
         for name, shape in self.segments:
-            out[name] = (pos, shape)
-            pos += int(np.prod(shape))
-        return out
+            end = pos + math.prod(shape)
+            out.append((name, pos, end, shape))
+            pos = end
+        return tuple(out)
+
+    @cached_property
+    def size(self) -> int:
+        return sum(math.prod(shape) for _, shape in self.segments)
 
     def to_dict(self) -> dict:
         return {"segments": [[name, list(shape)] for name, shape in self.segments]}
@@ -82,8 +91,8 @@ class ModelParams:
             raise ValueError(f"expected {layout.size} values, got shape {values.shape}")
         self.values = values
         self._views = {
-            name: self.values[off : off + int(np.prod(shape))].reshape(shape)
-            for name, (off, shape) in layout.offsets().items()
+            name: values[start:end].reshape(shape)
+            for name, start, end, shape in layout.table
         }
 
     def view(self, name: str) -> np.ndarray:
@@ -197,17 +206,19 @@ class LinearClassifier:
         p = sigmoid(xb @ self.w + self.b[0])
         return float(p[0]) if np.asarray(x).ndim == 1 else p
 
-    def backward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of mean BCE with respect to the flat parameters."""
+    def backward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of mean BCE with respect to the flat parameters, and the
+        probabilities of the forward pass it was taken at."""
         xb = _as_batch(x, self.m)
         y = np.asarray(y, dtype=np.float64)
-        r = (sigmoid(xb @ self.w + self.b[0]) - y) / xb.shape[0]
+        prob = sigmoid(xb @ self.w + self.b[0])
+        r = (prob - y) / xb.shape[0]
         grad = np.empty(self.params.layout.size, dtype=np.float64)
         grad[: self.m] = xb.T @ r
         grad[self.m] = r.sum()
         if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in LinearClassifier.backward")
-        return grad
+        return grad, prob
 
 
 class FeedForwardClassifier:
@@ -253,8 +264,9 @@ class FeedForwardClassifier:
 
     def backward(
         self, x: np.ndarray, y: np.ndarray, return_input_grad: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Exact gradient of mean BCE; optionally also d(loss)/d(input rows)."""
+    ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact gradient of mean BCE and the output probabilities of the
+        forward pass it was taken at; optionally also d(loss)/d(input rows)."""
         xb = _as_batch(x, self.m)
         y = np.asarray(y, dtype=np.float64)
         p = self.params
@@ -275,8 +287,8 @@ class FeedForwardClassifier:
         if not np.isfinite(grad.values).all():
             raise NumericError("non-finite gradient in FeedForwardClassifier.backward")
         if return_input_grad:
-            return grad.values, dz1 @ p.view("W1").T
-        return grad.values
+            return grad.values, prob, dz1 @ p.view("W1").T
+        return grad.values, prob
 
 
 class NoiseWrapper:
@@ -365,8 +377,8 @@ def lr_fit(train, epochs: int, learning_rate: float) -> LinearClassifier:
     model = LinearClassifier(train.m)
     state = AdamState.zeros(model.params.layout.size, lr=learning_rate)
     for _ in range(epochs):
-        grad = model.backward(x, y)
-        loss = bce(model.score(x), y)
+        grad, prob = model.backward(x, y)
+        loss = bce(prob, y)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss in lr_fit (learning rate too large?)")
         adam_step(model.params, grad, state)

@@ -118,7 +118,12 @@ class PseudoLearnState:
 
 
 class _BatchStream:
-    """Seeded infinite mini-batch index stream; reshuffles every epoch."""
+    """Seeded infinite mini-batch index stream; reshuffles every epoch.
+
+    Each epoch's permutation is cut into consecutive batches (the last may be
+    short); a cursor walks them and the next permutation is drawn once it
+    passes the end.
+    """
 
     def __init__(self, n: int, batch_size: int, seed: int):
         if n < 1:
@@ -126,19 +131,19 @@ class _BatchStream:
         self.n = n
         self.batch_size = min(batch_size, n)
         self.rng = np.random.default_rng(seed)
-        self._queue: list[np.ndarray] = []
+        self._perm = np.empty(0, dtype=np.int64)
+        self._pos = n
 
     def __iter__(self):
         return self
 
     def __next__(self) -> np.ndarray:
-        if not self._queue:
-            perm = self.rng.permutation(self.n)
-            self._queue = [
-                perm[i : i + self.batch_size]
-                for i in range(0, self.n, self.batch_size)
-            ]
-        return self._queue.pop(0)
+        if self._pos >= self.n:
+            self._perm = self.rng.permutation(self.n)
+            self._pos = 0
+        start = self._pos
+        self._pos += self.batch_size
+        return self._perm[start : self._pos]
 
 
 # Deterministic sub-seed roles derived from TrainConfig.seed. The ERM
@@ -180,10 +185,12 @@ class ReckonerModel:
     def high_input(self, x: np.ndarray) -> np.ndarray:
         return self.noise.apply(x) if self.config.use_noise else np.asarray(x, float)
 
-    def low_input(self, x: np.ndarray) -> np.ndarray:
-        if self.config.low_conf_sees_noise:
-            return self.noise.apply(x)
-        return np.asarray(x, dtype=np.float64)
+    def low_input(self, x: np.ndarray, x_high: np.ndarray) -> np.ndarray:
+        """The low classifier's view of ``x``; ``x_high`` is ``high_input(x)``
+        at the current noise parameters, reused rather than recomputed."""
+        if not self.config.low_conf_sees_noise:
+            return np.asarray(x, dtype=np.float64)
+        return x_high if self.config.use_noise else self.noise.apply(x)
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
@@ -196,7 +203,7 @@ def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
     y = d.y.astype(np.float64)
     for i in range(steps):
         idx = next(stream)
-        grad = model.backward(d.x[idx], y[idx])
+        grad, _ = model.backward(d.x[idx], y[idx])
         adam_step(model.params, grad, state)
         if on_step is not None:
             on_step(step_base + i, model.params.values.copy())
@@ -251,29 +258,39 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     return model
 
 
-def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray) -> PseudoLearnState:
+def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
+                          x_high: np.ndarray) -> PseudoLearnState:
     """Train the low-confidence classifier on high-confidence pseudo-labels.
 
-    Ground-truth labels are not an input. The cycle assumes the low
-    classifier sits at its snapshot (the rollback invariant) and leaves it
-    at the final step's parameters; the caller rolls it back.
+    ``x_high`` is ``model.high_input(x)``. Ground-truth labels are not an
+    input. The cycle assumes the low classifier sits at its snapshot (the
+    rollback invariant) and leaves it at the final step's parameters; the
+    caller rolls it back.
+
+    The loss after step k is read from the forward pass of step k+1's
+    gradient, which runs at the same parameters on the same input, so only
+    the last step needs a forward pass of its own.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float64)
-    p_high = model.high.score(model.high_input(x))
+    p_high = model.high.score(x_high)
     if cfg.pseudo_label_kind == "hard":
         y_tilde = predict_labels(p_high).astype(np.float64)
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
-    x_low = model.low_input(x)
+    x_low = model.low_input(x, x_high)
     losses: list[float] = []
     best_loss = math.inf
     best_k = 1
     best_params: ModelParams | None = None
+    grad, _ = model.low.backward(x_low, y_tilde)
     for step in range(1, cfg.pseudo_iters + 1):
-        grad = model.low.backward(x_low, y_tilde)
         adam_step(model.low.params, grad, model.low_state)
-        loss = bce(model.low.score(x_low), y_tilde)
+        if step < cfg.pseudo_iters:
+            grad, prob = model.low.backward(x_low, y_tilde)
+        else:
+            prob = model.low.score(x_low)
+        loss = bce(prob, y_tilde)
         if not np.isfinite(loss):
             raise NumericError("non-finite pseudo-learning loss")
         losses.append(loss)
@@ -292,7 +309,8 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     Order: pseudo-learning and knowledge sharing form the temporary weights,
     the high classifier (and noise wrapper) take one Adam step on ground
     truth from there, then the low classifier rolls back to its snapshot
-    with a fresh optimizer.
+    with a fresh optimizer. The noisy input is computed once: the blend
+    changes only the high classifier, so it is the same before and after.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float64)
@@ -301,25 +319,24 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         raise DataError("empty batch")
     if run_pseudo is None:
         run_pseudo = cfg.use_pseudo_learning
+    x_high = model.high_input(x)
     log: dict = {}
     if run_pseudo:
-        state = pseudo_learning_cycle(model, x)
+        state = pseudo_learning_cycle(model, x, x_high)
         model.high.params.restore(blend(model.high.params, state.best_low, cfg.alpha))
         log["k"] = state.k
         log["pseudo_loss"] = state.losses[state.k - 1]
 
-    x_in = model.high_input(x)
-    loss = bce(model.high.score(x_in), y)
+    if cfg.use_noise:
+        grad_high, prob, d_input = model.high.backward(x_high, y, return_input_grad=True)
+    else:
+        grad_high, prob = model.high.backward(x_high, y)
+    loss = bce(prob, y)
     if not np.isfinite(loss):
         raise NumericError("non-finite refinement loss")
+    adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
-        grad_high, d_input = model.high.backward(x_in, y, return_input_grad=True)
-        grad_noise = model.noise.backward(d_input)
-        adam_step(model.high.params, grad_high, model.high_state)
-        adam_step(model.noise.params, grad_noise, model.noise_state)
-    else:
-        grad_high = model.high.backward(x_in, y)
-        adam_step(model.high.params, grad_high, model.high_state)
+        adam_step(model.noise.params, model.noise.backward(d_input), model.noise_state)
     model.high_step_count += 1
 
     if run_pseudo:

@@ -36,6 +36,20 @@ TRAIN_CFG = {
 }
 
 
+# The train config of acceptance test C9 (end-to-end determinism).
+C9_SYNTH_CFG = {"n": 1200, "m_numeric": 4, "flip_rate_g1": 0.25, "seed": 21}
+C9_TRAIN_CFG = {
+    "train": {"total_iterations": 150, "batch_size": 64, "hidden1": 16,
+              "hidden2": 8, "identifier_epochs": 60, "learning_rate": 0.005,
+              "seed": 2},
+    "schema": {"columns": [{"name": f"f{i}", "kind": "numeric"} for i in range(4)]
+               + [{"name": "y", "kind": "label"}, {"name": "s", "kind": "sensitive"}],
+               "hash_buckets": 8},
+    "split": {"train_fraction": 0.7, "valid_fraction": 0.15,
+              "test_fraction": 0.15, "seed": 3},
+}
+
+
 def run_cli(*args) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so its whole stderr can be checked."""
     src = Path(reckoner.__file__).resolve().parents[1]
@@ -49,6 +63,11 @@ def assert_clean_failure(proc: subprocess.CompletedProcess, code: int) -> None:
     assert proc.returncode == code, proc.stderr
     assert sum("error kind=" in line for line in proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def assert_no_manifest(out: Path) -> None:
+    """A failed run leaves no manifest for reports it never wrote."""
+    assert not list(out.glob("*manifest.json"))
 
 
 @pytest.fixture
@@ -145,6 +164,20 @@ class TestTrain:
             assert main(["train", "--config", str(bad), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 3
 
+    def test_divergent_c9_config_exits_3_cleanly(self, tmp_path):
+        synth_cfg = tmp_path / "synth.json"
+        synth_cfg.write_text(json.dumps(C9_SYNTH_CFG))
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
+        doc = dict(C9_TRAIN_CFG, train=dict(C9_TRAIN_CFG["train"], learning_rate=1e300))
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        proc = run_cli("train", "--config", cfg, "--data", data, "--out", out)
+        assert_clean_failure(proc, 3)
+        assert "error kind=numeric exit=3" in proc.stderr
+        assert_no_manifest(out)
+
 
 class TestAudit:
     def write_predictions(self, path, rows, with_score=False):
@@ -207,6 +240,17 @@ class TestAudit:
         proc = run_cli("audit", "--predictions", preds, "--out", tmp_path / "audit")
         assert_clean_failure(proc, 2)
         assert "error kind=data exit=2" in proc.stderr
+        assert_no_manifest(tmp_path / "audit")
+
+    def test_histogram_without_checkpoint_exits_1(self, tmp_path):
+        rows = [(1, 1, 0, 0.9), (0, 0, 0, 0.7), (1, 1, 1, 0.55), (0, 0, 1, 0.8)]
+        preds = tmp_path / "p.csv"
+        self.write_predictions(preds, rows, with_score=True)
+        proc = run_cli("audit", "--predictions", preds, "--out", tmp_path / "audit",
+                       "--histogram-feature", "f0")
+        assert_clean_failure(proc, 1)
+        assert "error kind=config exit=1" in proc.stderr
+        assert_no_manifest(tmp_path / "audit")
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.pop("models"),

@@ -177,7 +177,7 @@ class TestSnapshotRestore:
         snap = net.params.snapshot()
         state = AdamState.zeros(net.params.layout.size, lr=0.05)
         for _ in range(3):
-            adam_step(net.params, net.backward(d.x, d.y.astype(float)), state)
+            adam_step(net.params, net.backward(d.x, d.y.astype(float))[0], state)
         assert not np.array_equal(net.params.values, snap.values)
         net.params.restore(snap)
         np.testing.assert_array_equal(net.params.values, snap.values)
@@ -246,7 +246,7 @@ class TestGradients:
         net.params.values += 0.1 * rng.standard_normal(net.params.values.size)
         x = rng.standard_normal((8, 5))
         y = rng.integers(0, 2, 8).astype(float)
-        analytic = net.backward(x, y)
+        analytic, _ = net.backward(x, y)
         numeric = central_difference(lambda: bce(net.score(x), y), net.params.values)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -256,7 +256,7 @@ class TestGradients:
         lin.params.values[:] = rng.standard_normal(7)
         x = rng.standard_normal((10, 6))
         y = rng.integers(0, 2, 10).astype(float)
-        analytic = lin.backward(x, y)
+        analytic, _ = lin.backward(x, y)
         numeric = central_difference(lambda: bce(lin.score(x), y), lin.params.values)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -271,7 +271,7 @@ class TestGradients:
         def loss():
             return bce(net.score(wrap.apply(x)), y)
 
-        _, d_input = net.backward(wrap.apply(x), y, return_input_grad=True)
+        _, _, d_input = net.backward(wrap.apply(x), y, return_input_grad=True)
         analytic = wrap.backward(d_input)
         numeric = central_difference(loss, wrap.params.values)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -279,7 +279,7 @@ class TestGradients:
     def test_gradient_vanishes_at_convex_optimum(self):
         d = dataset_1d([-2.0, -1.0, 1.0, 2.0], [0, 1, 0, 1])
         model = lr_fit(d, epochs=2000, learning_rate=0.05)
-        grad = model.backward(d.x, d.y.astype(float))
+        grad, _ = model.backward(d.x, d.y.astype(float))
         assert np.linalg.norm(grad) < 1e-6
 
     def test_duplicated_rows_leave_mean_gradient_unchanged(self):
@@ -287,8 +287,8 @@ class TestGradients:
         net = FeedForwardClassifier.initialized(3, 4, 2, seed=19)
         x = rng.standard_normal((5, 3))
         y = rng.integers(0, 2, 5).astype(float)
-        g1 = net.backward(x, y)
-        g2 = net.backward(np.vstack([x, x]), np.concatenate([y, y]))
+        g1, _ = net.backward(x, y)
+        g2, _ = net.backward(np.vstack([x, x]), np.concatenate([y, y]))
         np.testing.assert_allclose(g1, g2, atol=1e-15)
 
 
@@ -331,7 +331,7 @@ class TestDeterminism:
             net = FeedForwardClassifier.initialized(3, 8, 4, seed=42)
             state = AdamState.zeros(net.params.layout.size, lr=0.01)
             for _ in range(25):
-                adam_step(net.params, net.backward(x, y), state)
+                adam_step(net.params, net.backward(x, y)[0], state)
             return net.params.values
 
         np.testing.assert_array_equal(run(), run())

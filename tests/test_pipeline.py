@@ -1,12 +1,22 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from conftest import make_separable
+from reckoner import pipeline
 from reckoner.data import SplitSpec, SynthConfig, split_dataset, standardize, synth_biased
-from reckoner.errors import ConfigError, DataError
-from reckoner.models import AdamState, LinearClassifier, predict_labels
+from reckoner.errors import ConfigError, DataError, NumericError
+from reckoner.models import (
+    AdamState,
+    FeedForwardClassifier,
+    LinearClassifier,
+    adam_step,
+    bce,
+    blend,
+    predict_labels,
+)
 from reckoner.pipeline import (
     PseudoLearnState,
     TrainConfig,
@@ -20,6 +30,11 @@ from reckoner.pipeline import (
 
 FAST = dict(total_iterations=100, batch_size=32, identifier_epochs=50,
             hidden1=8, hidden2=4, learning_rate=0.01)
+
+
+def cycle(model, x):
+    """One pseudo-learning cycle on ``x`` at the model's current noisy input."""
+    return pseudo_learning_cycle(model, x, model.high_input(x))
 
 
 def small_sets(seed=0, n=300):
@@ -99,13 +114,13 @@ class TestInitialize:
 class TestPseudoLearningCycle:
     def test_never_sees_ground_truth(self):
         params = inspect.signature(pseudo_learning_cycle).parameters
-        assert list(params) == ["model", "x"]
+        assert list(params) == ["model", "x", "x_high"]
 
     def test_k_in_range(self):
         tr, _, _ = small_sets()
         cfg = TrainConfig(seed=5, **FAST)
         model = initialize(tr, cfg)
-        state = pseudo_learning_cycle(model, tr.x[:32])
+        state = cycle(model, tr.x[:32])
         assert 1 <= state.k <= cfg.pseudo_iters
         assert len(state.losses) == cfg.pseudo_iters
         # cleanup contract: caller rolls back
@@ -123,7 +138,7 @@ class TestPseudoLearningCycle:
         model.low_state = AdamState.zeros(model.low.params.layout.size,
                                           lr=cfg.learning_rate)
         model.low_snapshot = model.low.params.snapshot()
-        state = pseudo_learning_cycle(model, tr.x[:64])
+        state = cycle(model, tr.x[:64])
         assert state.losses[0] > state.losses[1] > state.losses[2]
         assert state.k == 3
 
@@ -135,7 +150,7 @@ class TestPseudoLearningCycle:
             cfg = TrainConfig(seed=7, learning_rate=lr, **base)
             model = initialize(tr, cfg)
             before = model.low.params.values.copy()
-            pseudo_learning_cycle(model, tr.x[:32])
+            cycle(model, tr.x[:32])
             move = np.abs(model.low.params.values - before).max()
             # Adam per-step displacement is O(learning rate).
             assert move <= 10 * cfg.pseudo_iters * lr
@@ -263,8 +278,8 @@ class TestConfigFlags:
         base = {k: v for k, v in FAST.items()}
         hard_cfg = TrainConfig(seed=21, pseudo_label_kind="hard", **base)
         soft_cfg = TrainConfig(seed=21, pseudo_label_kind="soft", **base)
-        hard_state = pseudo_learning_cycle(initialize(tr, hard_cfg), tr.x[:32])
-        soft_state = pseudo_learning_cycle(initialize(tr, soft_cfg), tr.x[:32])
+        hard_state = cycle(initialize(tr, hard_cfg), tr.x[:32])
+        soft_state = cycle(initialize(tr, soft_cfg), tr.x[:32])
         # same seeds, same batch: only the label kind differs, so the loss
         # trajectories must diverge (soft targets are not 0/1)
         assert hard_state.losses != soft_state.losses
@@ -278,7 +293,7 @@ class TestConfigFlags:
             model = initialize(tr, cfg)
             # ensure a live perturbation (the ReLU layer can be dead at init)
             model.noise.params.view("c2")[:] = 0.3
-            states.append(pseudo_learning_cycle(model, tr.x[:32]))
+            states.append(cycle(model, tr.x[:32]))
         assert states[0].losses != states[1].losses
 
     def test_epoch_cadence_runs_pseudo_once_per_epoch(self):
@@ -304,3 +319,147 @@ class TestErmBaseline:
         model = erm_baseline(tr, cfg)
         preds = predict_labels(np.asarray(model.score(te.x)))
         assert (preds == te.y).mean() >= 0.95
+
+
+# Reference refinement step with one forward pass per loss: nine FFN forward
+# passes per step (the pseudo-labels, a backward and a score per
+# pseudo-learning step, a score and a backward for the high classifier) and
+# a fresh noisy input for each use. ``pipeline.refinement_step`` must match
+# it bit for bit.
+
+def ref_low_input(model, x):
+    if model.config.low_conf_sees_noise:
+        return model.noise.apply(x)
+    return np.asarray(x, dtype=np.float64)
+
+
+def ref_pseudo_learning_cycle(model, x):
+    cfg = model.config
+    x = np.asarray(x, dtype=np.float64)
+    p_high = model.high.score(model.high_input(x))
+    if cfg.pseudo_label_kind == "hard":
+        y_tilde = predict_labels(p_high).astype(np.float64)
+    else:
+        y_tilde = np.asarray(p_high, dtype=np.float64)
+    x_low = ref_low_input(model, x)
+    losses = []
+    best_loss = math.inf
+    best_k = 1
+    best_params = None
+    for step in range(1, cfg.pseudo_iters + 1):
+        grad, _ = model.low.backward(x_low, y_tilde)
+        adam_step(model.low.params, grad, model.low_state)
+        loss = bce(model.low.score(x_low), y_tilde)
+        if not np.isfinite(loss):
+            raise NumericError("non-finite pseudo-learning loss")
+        losses.append(loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_k = step
+            best_params = model.low.params.snapshot()
+    assert best_params is not None
+    return PseudoLearnState(k=best_k, best_low=best_params, losses=tuple(losses))
+
+
+def ref_refinement_step(model, x, y, run_pseudo=None):
+    cfg = model.config
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise DataError("empty batch")
+    if run_pseudo is None:
+        run_pseudo = cfg.use_pseudo_learning
+    log = {}
+    if run_pseudo:
+        state = ref_pseudo_learning_cycle(model, x)
+        model.high.params.restore(blend(model.high.params, state.best_low, cfg.alpha))
+        log["k"] = state.k
+        log["pseudo_loss"] = state.losses[state.k - 1]
+
+    x_in = model.high_input(x)
+    loss = bce(model.high.score(x_in), y)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite refinement loss")
+    if cfg.use_noise:
+        grad_high, _, d_input = model.high.backward(x_in, y, return_input_grad=True)
+        grad_noise = model.noise.backward(d_input)
+        adam_step(model.high.params, grad_high, model.high_state)
+        adam_step(model.noise.params, grad_noise, model.noise_state)
+    else:
+        grad_high, _ = model.high.backward(x_in, y)
+        adam_step(model.high.params, grad_high, model.high_state)
+    model.high_step_count += 1
+
+    if run_pseudo:
+        model.low.params.restore(model.low_snapshot)
+        model.low_state.reset()
+    log["loss"] = loss
+    return log
+
+
+def assert_same_state(a, b):
+    for name in ("high", "low", "noise"):
+        assert np.array_equal(getattr(a, name).params.values,
+                              getattr(b, name).params.values), name
+        sa, sb = getattr(a, f"{name}_state"), getattr(b, f"{name}_state")
+        assert np.array_equal(sa.m, sb.m) and np.array_equal(sa.v, sb.v), name
+        assert sa.t == sb.t, name
+    assert a.high_step_count == b.high_step_count
+
+
+EQUIVALENCE_CONFIGS = {
+    "default": {},
+    "no-noise": dict(use_noise=False),
+    "soft-labels": dict(pseudo_label_kind="soft"),
+    "low-sees-noise": dict(low_conf_sees_noise=True),
+    "low-sees-untrained-noise": dict(low_conf_sees_noise=True, use_noise=False),
+    "one-pseudo-iter": dict(pseudo_iters=1),
+    "five-pseudo-iters": dict(pseudo_iters=5),
+    "alpha-one": dict(alpha=1.0),
+}
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("overrides", EQUIVALENCE_CONFIGS.values(),
+                             ids=EQUIVALENCE_CONFIGS.keys())
+    def test_refinement_steps_match_reference(self, overrides):
+        tr, _, _ = small_sets(seed=19)
+        cfg = TrainConfig(seed=24, **FAST, **overrides)
+        ref, new = initialize(tr, cfg), initialize(tr, cfg)
+        for model in (ref, new):
+            # a live perturbation, so the noisy input differs from x
+            model.noise.params.view("c2")[:] = 0.3
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            idx = rng.integers(0, tr.n, 32)
+            expected = ref_refinement_step(ref, tr.x[idx], tr.y[idx])
+            assert refinement_step(new, tr.x[idx], tr.y[idx]) == expected
+            assert_same_state(ref, new)
+
+    @pytest.mark.parametrize("cadence", ["batch", "epoch"])
+    def test_train_matches_reference(self, cadence, monkeypatch):
+        tr, va, _ = small_sets(seed=20)
+        cfg = TrainConfig(seed=25, pseudo_cadence=cadence, **FAST)
+        new = train(tr, va, cfg)
+        monkeypatch.setattr(pipeline, "refinement_step", ref_refinement_step)
+        ref = train(tr, va, cfg)
+        assert_same_state(ref, new)
+        assert ref.history == new.history
+
+    def test_forward_passes_per_step(self, monkeypatch):
+        tr, _, _ = small_sets(seed=21)
+        cfg = TrainConfig(seed=26, **FAST)
+        model = initialize(tr, cfg)
+        calls = []
+        for name in ("score", "backward"):
+            method = getattr(FeedForwardClassifier, name)
+
+            def counted(self, *args, _method=method, **kwargs):
+                calls.append(_method)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(FeedForwardClassifier, name, counted)
+        refinement_step(model, tr.x[:32], tr.y[:32])
+        # pseudo-labels, pseudo_iters low forwards, the last pseudo loss and
+        # the high classifier's backward
+        assert len(calls) == cfg.pseudo_iters + 3 == 6
