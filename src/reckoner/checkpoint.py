@@ -13,7 +13,6 @@ a reloaded model reproduces scores bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .data import Schema
 from .errors import ConfigError
 from .models import FeedForwardClassifier, ModelParams, NoiseWrapper, ParamLayout
 from .pipeline import ReckonerModel, TrainConfig
+from .serial import read_json, write_json
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -67,9 +67,7 @@ def checkpoint_dict(model: ReckonerModel, schema: Schema,
 def save_checkpoint(path: str | Path, model: ReckonerModel, schema: Schema,
                     mean: np.ndarray, std: np.ndarray,
                     manifest_sha256: str | None = None) -> None:
-    doc = checkpoint_dict(model, schema, mean, std, manifest_sha256)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+    write_json(path, checkpoint_dict(model, schema, mean, std, manifest_sha256))
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,7 @@ class LoadedCheckpoint:
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Read a version 1 or 2 checkpoint; any malformed one is a ConfigError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in READABLE_VERSIONS:
         raise ConfigError(f"unsupported checkpoint version {version!r}")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
-import json
 import logging
 import os
 import sys
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .confidence import BucketSpec, bucket_analysis, confidence_of, feature_histograms
+from .confidence import BucketSpec, bucket_analysis, feature_histograms
 from .data import (
     ColumnSpec,
     Dataset,
@@ -28,14 +28,22 @@ from .data import (
     SynthConfig,
     apply_standardization,
     load_csv,
+    read_csv_rows,
     split_dataset,
     standardize,
     synth_biased,
 )
 from .errors import ConfigError, DataError, NumericError, ReckonerError
-from .metrics import fairness_report, largest_pair
+from .metrics import fairness_report
 from .pipeline import TrainConfig, predict, train
-from .serial import round_float, sha256_hex, sha256_of_obj
+from .serial import (
+    read_json,
+    round_float,
+    sha256_hex,
+    sha256_of_obj,
+    write_json,
+    write_jsonl,
+)
 
 log = logging.getLogger("reckoner")
 
@@ -49,36 +57,22 @@ def _setup_logging() -> None:
     logging.basicConfig(level=chosen, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_json(path: str | Path, what: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"missing {what} file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {what} file {path}: {exc}") from exc
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec, dict]:
-    doc = _read_json(args.config, "config")
+    doc = read_json(args.config, "config")
     if not isinstance(doc, dict) or "train" not in doc or "schema" not in doc:
         raise ConfigError("config must be a JSON object with 'train' and 'schema' keys")
-    cfg_dict = dict(doc["train"])
+    cfg = TrainConfig.from_dict(doc["train"])
     if args.seed is not None:
-        cfg_dict["seed"] = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "no_noise", False):
-        cfg_dict["use_noise"] = False
+        cfg = dataclasses.replace(cfg, use_noise=False)
     if getattr(args, "no_pseudo", False):
-        cfg_dict["use_pseudo_learning"] = False
-    cfg = TrainConfig.from_dict(cfg_dict)
+        cfg = dataclasses.replace(cfg, use_pseudo_learning=False)
     schema = Schema.from_dict(doc["schema"])
     split = SplitSpec.from_dict(doc.get(
         "split",
@@ -122,14 +116,12 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
     save_checkpoint(out_dir / "checkpoint.json", model, schema, mean, std,
                     manifest_sha256=manifest_hash)
 
-    with (out_dir / "training_log.jsonl").open("w", encoding="utf-8") as fh:
-        for entry in model.history:
-            line = {k: (round_float(v) if isinstance(v, float) else v)
-                    for k, v in entry.items()}
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
-    _write_json(out_dir / "fairness_report.json",
-                {"manifest_sha256": manifest_hash, **report.to_dict()})
-    _write_json(out_dir / "manifest.json", manifest)
+    write_jsonl(out_dir / "training_log.jsonl",
+                [{k: (round_float(v) if isinstance(v, float) else v)
+                  for k, v in entry.items()} for entry in model.history])
+    write_json(out_dir / "fairness_report.json",
+               {"manifest_sha256": manifest_hash, **report.to_dict()})
+    write_json(out_dir / "manifest.json", manifest)
     log.info("train run complete: %s", out_dir)
     return {
         "accuracy": report.accuracy,
@@ -146,28 +138,22 @@ def cmd_train(args) -> int:
 
 
 def _load_predictions_csv(path: Path):
-    if not path.exists():
-        raise DataError(f"missing predictions file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"empty predictions file: {path}")
-        need = {"pred", "label", "group"}
-        if not need <= set(reader.fieldnames):
-            raise DataError(
-                f"predictions file needs columns {sorted(need)}, got {reader.fieldnames}"
-            )
-        has_score = "score" in reader.fieldnames
-        preds, labels, groups, scores = [], [], [], []
-        for row in reader:
-            try:
-                preds.append(int(float(row["pred"])))
-                labels.append(int(float(row["label"])))
-                groups.append(int(float(row["group"])))
-                if has_score:
-                    scores.append(float(row["score"]))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"unparseable predictions row {row!r}") from exc
+    header, rows = read_csv_rows(path, "predictions file")
+    need = {"pred", "label", "group"}
+    if not need <= set(header):
+        raise DataError(f"predictions file needs columns {sorted(need)}, got {header}")
+    col = {name: header.index(name) for name in (*need, "score") if name in header}
+    has_score = "score" in col
+    preds, labels, groups, scores = [], [], [], []
+    for row in rows:
+        try:
+            preds.append(int(float(row[col["pred"]])))
+            labels.append(int(float(row[col["label"]])))
+            groups.append(int(float(row[col["group"]])))
+            if has_score:
+                scores.append(float(row[col["score"]]))
+        except (IndexError, ValueError, OverflowError) as exc:
+            raise DataError(f"unparseable predictions row {row!r}") from exc
     if not preds:
         raise DataError(f"predictions file {path} has no rows")
     return (np.array(preds), np.array(labels), np.array(groups),
@@ -193,16 +179,15 @@ def cmd_audit(args) -> int:
         dataset = apply_standardization(raw, loaded.mean, loaded.std)
         preds, prob = predict(loaded.model, dataset.x)
         labels, groups = dataset.y, dataset.s
-        conf = np.maximum(prob, 1.0 - prob)
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "data_sha256": sha256_hex(Path(args.data).read_bytes())}
     elif args.predictions:
         preds, labels, groups, prob = _load_predictions_csv(Path(args.predictions))
-        conf = np.maximum(prob, 1.0 - prob) if prob is not None else None
         source = {"predictions": str(args.predictions),
                   "data_sha256": sha256_hex(Path(args.predictions).read_bytes())}
     else:
         raise ConfigError("audit needs either --predictions or --checkpoint with --data")
+    conf = np.maximum(prob, 1.0 - prob) if prob is not None else None
 
     manifest = {"tool_version": __version__, "mode": "audit", "source": source,
                 "bucket_thresholds": list(spec.thresholds)}
@@ -221,18 +206,18 @@ def cmd_audit(args) -> int:
         hist = feature_histograms(dataset, conf, spec, args.histogram_feature,
                                   bins=args.bins)
 
-    _write_json(out_dir / "fairness_report.json",
-                {"manifest_sha256": manifest_hash, **report.to_dict()})
+    write_json(out_dir / "fairness_report.json",
+               {"manifest_sha256": manifest_hash, **report.to_dict()})
     if bucket is not None:
         _write_csv(out_dir / "bucket_report.csv", bucket.to_csv_rows())
-        _write_json(out_dir / "bucket_report.json",
-                    {"manifest_sha256": manifest_hash, **bucket.to_dict()})
+        write_json(out_dir / "bucket_report.json",
+                   {"manifest_sha256": manifest_hash, **bucket.to_dict()})
     if hist is not None:
         _write_csv(out_dir / f"histogram_{args.histogram_feature}.csv",
                    hist.to_csv_rows())
-        _write_json(out_dir / f"histogram_{args.histogram_feature}.json",
-                    {"manifest_sha256": manifest_hash, **hist.to_dict()})
-    _write_json(out_dir / "audit_manifest.json", manifest)
+        write_json(out_dir / f"histogram_{args.histogram_feature}.json",
+                   {"manifest_sha256": manifest_hash, **hist.to_dict()})
+    write_json(out_dir / "audit_manifest.json", manifest)
     log.info("audit complete: %s", out_dir)
     return 0
 
@@ -243,7 +228,7 @@ def _surrogate_schema() -> Schema:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig.from_dict(_read_json(args.config, "synth config"))
+    cfg = SynthConfig.from_dict(read_json(args.config, "synth config"))
     d = synth_biased(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -258,12 +243,14 @@ def cmd_synth(args) -> int:
         "clean_labels": d.clean_y.tolist() if d.clean_y is not None else None,
         "csv_sha256": sha256_hex(out.read_bytes()),
     }
-    _write_json(out.with_suffix(out.suffix + ".meta.json"), sidecar)
+    write_json(out.with_suffix(out.suffix + ".meta.json"), sidecar)
     log.info("synth data written: %s", out)
     return 0
 
 
-def _sweep_grid(doc: dict) -> list[dict]:
+def _sweep_grid(doc) -> list[dict]:
+    if not isinstance(doc, dict):
+        raise ConfigError("sweep grid must be a JSON object of lists")
     unknown = set(doc) - set(SWEEPABLE)
     if unknown:
         raise ConfigError(f"unsweepable keys: {sorted(unknown)}; allowed {SWEEPABLE}")
@@ -281,7 +268,7 @@ def _sweep_grid(doc: dict) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     cfg, schema, split, _ = _resolve_train_config(args)
-    grid = _sweep_grid(_read_json(args.sweep, "sweep spec"))
+    grid = _sweep_grid(read_json(args.sweep, "sweep spec"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["point", *SWEEPABLE, "status", "accuracy", "demographic_parity",
@@ -368,16 +355,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f'error kind=config exit=1 reason="{exc}"', file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f'error kind=data exit=2 reason="{exc}"', file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f'error kind=numeric exit=3 reason="{exc}"', file=sys.stderr)
-        return 3
+        # A diverging run ends in NumericError; numpy's overflow warnings on
+        # the way there would only add lines around its one error line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ConfigError, DataError, NumericError) as exc:
+        print(f'error kind={exc.kind} exit={exc.exit_code} reason="{exc}"',
+              file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

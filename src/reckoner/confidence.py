@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, UndefinedRateError
+from .errors import ConfigError, DataError
 from .metrics import GroupRates, bias_gap, confusion, rates
 from .serial import round_float
 
@@ -167,7 +167,7 @@ def bucket_analysis(d: Dataset, preds, scores, spec: BucketSpec,
         for name in GAP_RATES:
             try:
                 gaps[name] = bias_gap(table, name, g_i, g_j)
-            except (UndefinedRateError, DataError):
+            except DataError:
                 gaps[name] = None
         counts = {g: int((d.s[mask] == g).sum()) for g in np.unique(d.s[mask])}
         entries.append(BucketEntry(

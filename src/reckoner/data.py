@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .serial import JsonConfig
 
 COLUMN_KINDS = ("numeric", "categorical", "label", "sensitive")
 
@@ -59,7 +60,7 @@ def hash_features(value: str, column_name: str, buckets: int) -> tuple[int, int]
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(JsonConfig):
     name: str
     kind: str
 
@@ -69,7 +70,7 @@ class ColumnSpec:
 
 
 @dataclass(frozen=True)
-class Schema:
+class Schema(JsonConfig):
     """Column layout of a raw table plus the hashed encoding width.
 
     Encoded feature vectors lay out the feature columns in schema order:
@@ -129,21 +130,6 @@ class Schema:
             dtype=np.int64,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "columns": [{"name": c.name, "kind": c.kind} for c in self.columns],
-            "hash_buckets": self.hash_buckets,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schema":
-        try:
-            cols = tuple(ColumnSpec(c["name"], c["kind"]) for c in d["columns"])
-            buckets = int(d.get("hash_buckets", 64))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed schema document: {exc}") from exc
-        return cls(columns=cols, hash_buckets=buckets)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -200,7 +186,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(JsonConfig):
     train_fraction: float
     valid_fraction: float
     test_fraction: float
@@ -212,30 +198,12 @@ class SplitSpec:
             raise ConfigError("split fractions must each lie in (0, 1)")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "train_fraction": self.train_fraction,
-            "valid_fraction": self.valid_fraction,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        try:
-            return cls(
-                train_fraction=float(d["train_fraction"]),
-                valid_fraction=float(d["valid_fraction"]),
-                test_fraction=float(d["test_fraction"]),
-                seed=int(d.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed split spec: {exc}") from exc
+        if self.seed < 0:
+            raise ConfigError("split seed must be non-negative")
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonConfig):
     n: int
     m_numeric: int = 6
     group_balance: float = 0.5
@@ -255,32 +223,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.signal_strength <= 0:
             raise ConfigError("signal_strength must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_numeric": self.m_numeric,
-            "group_balance": self.group_balance,
-            "flip_rate_g0": self.flip_rate_g0,
-            "flip_rate_g1": self.flip_rate_g1,
-            "signal_strength": self.signal_strength,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        try:
-            return cls(
-                n=int(d["n"]),
-                m_numeric=int(d.get("m_numeric", 6)),
-                group_balance=float(d.get("group_balance", 0.5)),
-                flip_rate_g0=float(d.get("flip_rate_g0", 0.0)),
-                flip_rate_g1=float(d.get("flip_rate_g1", 0.0)),
-                signal_strength=float(d.get("signal_strength", 2.0)),
-                seed=int(d.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed synth config: {exc}") from exc
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def synth_schema(m_numeric: int) -> Schema:
@@ -319,6 +263,24 @@ def _map_groups(raw: list[str]) -> np.ndarray:
     return np.array([ids[v] for v in raw], dtype=np.int64)
 
 
+def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list[list[str]]]:
+    """Header and nonblank rows of a UTF-8 CSV; a missing, empty or
+    unreadable file is a DataError naming ``what`` it was."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing {what}: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [r for r in reader if r]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"empty {what}: {path}")
+    return header, rows
+
+
 def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> Dataset:
     """Load and encode a CSV into a Dataset.
 
@@ -328,16 +290,7 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     a hard error unless ``impute_missing`` is set, in which case numeric gaps
     take the column mean and categorical gaps hash as their own category.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        rows = [r for r in reader if r]
+    header, rows = read_csv_rows(path)
     header = [h.strip() for h in header]
     want = [c.name for c in schema.columns]
     if sorted(header) != sorted(want):

@@ -58,14 +58,6 @@ class GroupConfusion:
     def sizes(self) -> dict[int, int]:
         return {g: c.size for g, c in self.groups.items()}
 
-    def overall(self) -> GroupCounts:
-        return GroupCounts(
-            tp=sum(c.tp for c in self.groups.values()),
-            fp=sum(c.fp for c in self.groups.values()),
-            tn=sum(c.tn for c in self.groups.values()),
-            fn=sum(c.fn for c in self.groups.values()),
-        )
-
 
 @dataclass(frozen=True)
 class GroupRates:

@@ -120,6 +120,11 @@ def blend(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:
     return ModelParams(a.layout, alpha * a.values + (1.0 - alpha) * b.values)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam optimizer state for one flat parameter vector."""
@@ -128,18 +133,11 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m=np.zeros(size, dtype=np.float64),
-            v=np.zeros(size, dtype=np.float64),
-            t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def zeros(cls, size: int, lr: float) -> "AdamState":
+        return cls(m=np.zeros(size, dtype=np.float64),
+                   v=np.zeros(size, dtype=np.float64), t=0, lr=lr)
 
     def reset(self) -> None:
         self.m[:] = 0.0
@@ -155,13 +153,13 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient in adam_step")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    update = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not np.isfinite(update).all():
         raise NumericError("non-finite update in adam_step")
     params.values -= update

@@ -12,7 +12,6 @@ back to its initialization snapshot.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -34,13 +33,13 @@ from .models import (
     lr_fit,
     predict_labels,
 )
-from .serial import sha256_of_obj
+from .serial import JsonConfig, sha256_of_obj
 
 StepHook = Callable[[int, np.ndarray], None]
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Every knob of the two-stage trainer, serialized with each report."""
 
     alpha: float = 0.9
@@ -85,24 +84,12 @@ class TrainConfig:
             raise ConfigError("pseudo_cadence must be 'batch' or 'epoch'")
         if self.identifier_lr <= 0:
             raise ConfigError("identifier_lr must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @property
     def init_steps(self) -> int:
         return int(self.init_fraction * self.total_iterations)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        try:
-            return cls(**known)
-        except TypeError as exc:
-            raise ConfigError(f"malformed train config: {exc}") from exc
 
     def config_hash(self) -> str:
         return sha256_of_obj(self.to_dict())
@@ -186,11 +173,11 @@ class ReckonerModel:
         return self.noise.apply(x) if self.config.use_noise else np.asarray(x, float)
 
     def low_input(self, x: np.ndarray, x_high: np.ndarray) -> np.ndarray:
-        """The low classifier's view of ``x``; ``x_high`` is ``high_input(x)``
-        at the current noise parameters, reused rather than recomputed."""
-        if not self.config.low_conf_sees_noise:
-            return np.asarray(x, dtype=np.float64)
-        return x_high if self.config.use_noise else self.noise.apply(x)
+        """The low classifier's view of ``x``: with ``low_conf_sees_noise``
+        it is ``x_high`` (``high_input(x)``, raw ``x`` when noise is off)."""
+        if self.config.low_conf_sees_noise:
+            return x_high
+        return np.asarray(x, dtype=np.float64)
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,

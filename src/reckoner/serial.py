@@ -1,14 +1,22 @@
-"""Deterministic serialization helpers.
+"""Deterministic serialization and the JSON document codec.
 
 Reports round-trip floats at 12 significant digits; checkpoints use Python's
-shortest-exact float repr so reloads are bit-identical.
+shortest-exact float repr so reloads are bit-identical. Every JSON document
+the package reads or writes goes through ``read_json`` and ``write_json``
+(``write_jsonl`` for the training log); config dataclasses decode through
+``JsonConfig``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
+from pathlib import Path
 from typing import Any
+
+from .errors import ConfigError
 
 
 def format_float(x: float) -> str:
@@ -32,3 +40,71 @@ def sha256_hex(data: bytes) -> str:
 
 def sha256_of_obj(obj: Any) -> str:
     return sha256_hex(canonical_dumps(obj).encode("utf-8"))
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """Parse a UTF-8 JSON file; an unreadable or malformed one is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Sorted keys, one-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
+                          encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, rows: list[dict]) -> None:
+    """One sorted-key JSON object per line."""
+    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
+                          encoding="utf-8")
+
+
+class JsonConfig:
+    """Strict JSON codec for a frozen config dataclass.
+
+    ``from_dict`` accepts only a JSON object of the dataclass's fields and
+    takes missing ones from its defaults. Each value must match its field's
+    annotation: a bool only where a bool is expected, a non-bool int where
+    an int is, ``None`` only where the annotation allows it, an int or
+    float where a float is (stored as a float), and a list of objects where
+    a ``tuple`` of ``JsonConfig`` items is (``to_dict``'s tuples read back).
+    """
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Any):
+        name = cls.__name__
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {type(doc).__name__}")
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        unknown = set(doc) - {f.name for f in fields}
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        values = {}
+        for f in fields:
+            if f.name in doc:
+                values[f.name] = _decode(name, f.name, doc[f.name], hints[f.name])
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(f"{name} is missing key {f.name!r}")
+        return cls(**values)
+
+
+def _decode(owner: str, key: str, value: Any, annotation: Any) -> Any:
+    allowed = typing.get_args(annotation) or (annotation,)
+    if typing.get_origin(annotation) is tuple and type(value) in (list, tuple):
+        return tuple(allowed[0].from_dict(item) for item in value)
+    if float in allowed and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif type(value) in allowed:
+        return value
+    want = getattr(annotation, "__name__", annotation)
+    raise ConfigError(f"{owner} key {key!r} must be {want}, got {type(value).__name__}")

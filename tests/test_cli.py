@@ -175,6 +175,7 @@ class TestTrain:
         out = tmp_path / "o"
         proc = run_cli("train", "--config", cfg, "--data", data, "--out", out)
         assert_clean_failure(proc, 3)
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]  # no numpy warnings
         assert "error kind=numeric exit=3" in proc.stderr
         assert_no_manifest(out)
 
@@ -309,3 +310,91 @@ class TestSweep:
             (ablate_out / "fairness_report.json").read_text())
         for key in ("accuracy", "demographic_parity", "equalized_odds"):
             assert sweep_report[key] == ablate_report[key]
+
+
+# Malformed input documents: each exits with its documented code and one
+# ``error kind=`` line. A case builds the argv from the tmp dir and the
+# ``workdir`` data CSV.
+
+NOT_UTF8 = b'{"train": "\xff"}'
+PREDICTIONS = "pred,label,group\n1,1,0\n0,0,0\n1,1,1\n0,0,1\n"
+
+
+def _file(path: Path, content) -> Path:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+def _dir(path: Path) -> Path:
+    path.mkdir()
+    return path
+
+
+def _train(tmp: Path, data: Path, config=None, **train) -> list:
+    doc = config if config is not None else dict(
+        TRAIN_CFG, train=dict(TRAIN_CFG["train"], **train))
+    return ["train", "--config", _file(tmp / "cfg.json", doc), "--data", data,
+            "--out", tmp / "o"]
+
+
+def _synth(tmp: Path, config) -> list:
+    return ["synth", "--config", config, "--out", tmp / "o.csv"]
+
+
+def _predictions(path: Path) -> list:
+    return ["audit", "--predictions", path, "--out", path.parent / "audit"]
+
+
+MALFORMED_INPUTS = {
+    "train-seed-float": (1, lambda t, d: _train(t, d, seed=1.5)),
+    "train-seed-negative": (1, lambda t, d: _train(t, d, seed=-5)),
+    "train-batch-size-float": (1, lambda t, d: _train(t, d, batch_size=2.5)),
+    "train-noise-hidden-float": (1, lambda t, d: _train(t, d, noise_hidden=2.5)),
+    "train-use-noise-string": (1, lambda t, d: _train(t, d, use_noise="no")),
+    "train-not-object": (1, lambda t, d: _train(t, d, dict(TRAIN_CFG, train=5))),
+    "sweep-grid-not-object": (1, lambda t, d: [
+        "sweep", "--config", _file(t / "cfg.json", TRAIN_CFG), "--data", d,
+        "--sweep", _file(t / "grid.json", 5), "--out", t / "o"]),
+    "synth-seed-negative": (1, lambda t, d: _synth(
+        t, _file(t / "s.json", dict(SYNTH_CFG, seed=-1)))),
+    "synth-typo-key": (1, lambda t, d: _synth(
+        t, _file(t / "s.json", dict(SYNTH_CFG, sed=3)))),
+    "train-config-directory": (1, lambda t, d: [
+        "train", "--config", _dir(t / "cfg.json"), "--data", d, "--out", t / "o"]),
+    "synth-config-directory": (1, lambda t, d: _synth(t, _dir(t / "s.json"))),
+    "train-config-not-utf8": (1, lambda t, d: [
+        "train", "--config", _file(t / "cfg.json", NOT_UTF8), "--data", d,
+        "--out", t / "o"]),
+    "checkpoint-not-utf8": (1, lambda t, d: [
+        "audit", "--checkpoint", _file(t / "ckpt.json", NOT_UTF8), "--data", d,
+        "--out", t / "o"]),
+    "train-data-directory": (2, lambda t, d: _train(t, _dir(t / "d.csv"))),
+    "predictions-directory": (2, lambda t, d: _predictions(_dir(t / "p.csv"))),
+    "train-data-not-utf8": (2, lambda t, d: _train(
+        t, _file(t / "d.csv", d.read_bytes() + b"\xff,\xfe\n"))),
+    "predictions-not-utf8": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", PREDICTIONS.encode() + b"\xff,1,0\n"))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_cleanly(case, workdir, capsys):
+    tmp_path, _, data = workdir
+    code, argv = case
+    args = [str(a) for a in argv(_dir(tmp_path / "case"), data)]
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert sum("error kind=" in line for line in err.splitlines()) == 1
+    assert f"exit={code} " in err
+    assert "Traceback" not in err
+
+
+def test_infinite_prediction_exits_2_cleanly(tmp_path):
+    preds = _file(tmp_path / "p.csv", PREDICTIONS + "inf,1,0\n")
+    proc = run_cli(*_predictions(preds))
+    assert_clean_failure(proc, 2)
+    assert "error kind=data exit=2" in proc.stderr

@@ -296,6 +296,19 @@ class TestConfigFlags:
             states.append(cycle(model, tr.x[:32]))
         assert states[0].losses != states[1].losses
 
+    def test_low_conf_sees_raw_input_when_noise_off(self):
+        # With the wrapper off, the high classifier's input is raw x, so
+        # low_conf_sees_noise must not reach the (untrained) wrapper.
+        tr, _, _ = small_sets(seed=17)
+        states = []
+        for sees in (True, False):
+            cfg = TrainConfig(seed=22, low_conf_sees_noise=sees, use_noise=False, **FAST)
+            model = initialize(tr, cfg)
+            model.noise.params.view("c2")[:] = 0.3
+            states.append(cycle(model, tr.x[:32]))
+        assert states[0].losses == states[1].losses
+        assert np.array_equal(states[0].best_low.values, states[1].best_low.values)
+
     def test_epoch_cadence_runs_pseudo_once_per_epoch(self):
         tr, va, _ = small_sets(seed=18)
         cfg = TrainConfig(seed=23, pseudo_cadence="epoch", **FAST)
@@ -329,7 +342,7 @@ class TestErmBaseline:
 
 def ref_low_input(model, x):
     if model.config.low_conf_sees_noise:
-        return model.noise.apply(x)
+        return model.high_input(x)
     return np.asarray(x, dtype=np.float64)
 
 
@@ -412,7 +425,7 @@ EQUIVALENCE_CONFIGS = {
     "no-noise": dict(use_noise=False),
     "soft-labels": dict(pseudo_label_kind="soft"),
     "low-sees-noise": dict(low_conf_sees_noise=True),
-    "low-sees-untrained-noise": dict(low_conf_sees_noise=True, use_noise=False),
+    "low-sees-noise-with-noise-off": dict(low_conf_sees_noise=True, use_noise=False),
     "one-pseudo-iter": dict(pseudo_iters=1),
     "five-pseudo-iters": dict(pseudo_iters=5),
     "alpha-one": dict(alpha=1.0),

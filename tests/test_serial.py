@@ -1,0 +1,127 @@
+import dataclasses
+import json
+import typing
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reckoner.data import Schema, SplitSpec, SynthConfig
+from reckoner.errors import ConfigError
+from reckoner.pipeline import TrainConfig
+from reckoner.serial import read_json, write_json
+
+VALID_DOCS = {
+    TrainConfig: {},
+    SplitSpec: {"train_fraction": 0.7, "valid_fraction": 0.15, "test_fraction": 0.15},
+    SynthConfig: {"n": 10},
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def has_annotated_types(cfg) -> bool:
+    hints = typing.get_type_hints(type(cfg))
+    return all(
+        type(getattr(cfg, f.name)) in (typing.get_args(hints[f.name]) or (hints[f.name],))
+        for f in dataclasses.fields(cfg)
+    )
+
+
+class TestReadWriteJson:
+    def test_write_format(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"b": 1, "a": [1.5, None]})
+        assert path.read_text() == '{\n "a": [\n  1.5,\n  null\n ],\n "b": 1\n}\n'
+        assert read_json(path, "test") == {"a": [1.5, None], "b": 1}
+
+    @pytest.mark.parametrize("content", [b"{not json", b'{"a": "\xff"}', b"[" * 100_000],
+                             ids=["malformed", "not-utf8", "too-deep"])
+    def test_bad_file_is_config_error(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read test file"):
+            read_json(path, "test")
+
+    def test_missing_file_and_directory_are_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError):
+            read_json(tmp_path / "missing.json", "test")
+        with pytest.raises(ConfigError):
+            read_json(tmp_path, "test")
+
+
+class TestJsonConfig:
+    @pytest.mark.parametrize("cls", list(VALID_DOCS), ids=lambda c: c.__name__)
+    def test_roundtrip(self, cls):
+        cfg = cls.from_dict(VALID_DOCS[cls])
+        assert cls.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_int_is_stored_as_float_and_hashes_alike(self):
+        as_int = TrainConfig.from_dict({"alpha": 1, "learning_rate": 1})
+        as_float = TrainConfig.from_dict({"alpha": 1.0, "learning_rate": 1.0})
+        assert type(as_int.alpha) is float and type(as_int.learning_rate) is float
+        assert as_int.config_hash() == as_float.config_hash()
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"seed": 1.5}, "'seed' must be int, got float"),
+        ({"batch_size": True}, "'batch_size' must be int, got bool"),
+        ({"use_noise": "no"}, "'use_noise' must be bool, got str"),
+        ({"use_noise": 1}, "'use_noise' must be bool, got int"),
+        ({"alpha": None}, "'alpha' must be float, got NoneType"),
+        ({"alpha": 10 ** 400}, "'alpha' must be float, got int"),
+        ({"noise_hidden": 2.5}, "'noise_hidden' must be int | None, got float"),
+        ({"turbo": True}, r"unknown TrainConfig keys: \['turbo'\]"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ])
+    def test_train_config_rejects(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig.from_dict(doc)
+
+    def test_none_where_allowed(self):
+        assert TrainConfig.from_dict({"noise_hidden": None}).noise_hidden is None
+
+    def test_missing_required_key_and_non_object(self):
+        with pytest.raises(ConfigError, match="SynthConfig is missing key 'n'"):
+            SynthConfig.from_dict({"seed": 1})
+        with pytest.raises(ConfigError, match="SplitSpec must be a JSON object, got list"):
+            SplitSpec.from_dict([0.7, 0.15, 0.15])
+
+    @pytest.mark.parametrize("cls", list(VALID_DOCS), ids=lambda c: c.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_json_value_under_any_key(self, cls, data):
+        keys = st.sampled_from([f.name for f in dataclasses.fields(cls)]) | st.text(max_size=8)
+        doc = {**VALID_DOCS[cls],
+               **data.draw(st.dictionaries(keys, json_values, max_size=3))}
+        try:
+            cfg = cls.from_dict(doc)
+        except ConfigError:
+            return
+        assert has_annotated_types(cfg)
+
+
+class TestSchemaDocument:
+    COLUMNS = [{"name": "f0", "kind": "numeric"}, {"name": "y", "kind": "label"},
+               {"name": "s", "kind": "sensitive"}]
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        {"columns": "f0"},
+        {"columns": COLUMNS, "hash_buckets": "64"},
+        {"columns": COLUMNS, "hash_buckets": 2.5},
+        {"columns": COLUMNS, "buckets": 64},
+        {"columns": [{"name": ["f0"], "kind": "numeric"}] + COLUMNS[1:]},
+        {"columns": [{"name": "f0"}] + COLUMNS[1:]},
+    ])
+    def test_malformed_is_config_error(self, doc):
+        with pytest.raises(ConfigError):
+            Schema.from_dict(doc)
+
+    def test_roundtrip(self):
+        schema = Schema.from_dict({"columns": self.COLUMNS, "hash_buckets": 8})
+        assert Schema.from_dict(schema.to_dict()) == schema
