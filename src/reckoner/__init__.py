@@ -25,8 +25,6 @@ from .errors import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     FairnessReport,
-    GroupConfusion,
-    RateTable,
     accuracy,
     bias_gap,
     confusion,

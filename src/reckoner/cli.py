@@ -19,10 +19,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .confidence import BucketSpec, bucket_analysis, feature_histograms
+from .confidence import BucketSpec, bucket_analysis, confidence_of, feature_histograms
 from .data import (
-    ColumnSpec,
-    Dataset,
     Schema,
     SplitSpec,
     SynthConfig,
@@ -37,6 +35,7 @@ from .errors import ConfigError, DataError, NumericError, ReckonerError
 from .metrics import fairness_report
 from .pipeline import TrainConfig, predict, train
 from .serial import (
+    format_float,
     read_json,
     round_float,
     sha256_hex,
@@ -62,7 +61,7 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec, dict]:
+def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
     doc = read_json(args.config, "config")
     if not isinstance(doc, dict) or "train" not in doc or "schema" not in doc:
         raise ConfigError("config must be a JSON object with 'train' and 'schema' keys")
@@ -79,7 +78,7 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec, dict]:
         {"train_fraction": 0.7, "valid_fraction": 0.15, "test_fraction": 0.15,
          "seed": cfg.seed},
     ))
-    return cfg, schema, split, doc
+    return cfg, schema, split
 
 
 def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
@@ -132,9 +131,17 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
 
 
 def cmd_train(args) -> int:
-    cfg, schema, split, _ = _resolve_train_config(args)
+    cfg, schema, split = _resolve_train_config(args)
     _run_training(cfg, schema, split, Path(args.data), Path(args.out))
     return 0
+
+
+def _integer_cell(cell: str) -> int:
+    """An integral number such as ``1`` or ``1.0``; ``0.9`` or ``inf`` is a ValueError."""
+    value = float(cell)
+    if not value.is_integer():
+        raise ValueError(f"non-integral cell {cell!r}")
+    return int(value)
 
 
 def _load_predictions_csv(path: Path):
@@ -147,12 +154,12 @@ def _load_predictions_csv(path: Path):
     preds, labels, groups, scores = [], [], [], []
     for row in rows:
         try:
-            preds.append(int(float(row[col["pred"]])))
-            labels.append(int(float(row[col["label"]])))
-            groups.append(int(float(row[col["group"]])))
+            preds.append(_integer_cell(row[col["pred"]]))
+            labels.append(_integer_cell(row[col["label"]]))
+            groups.append(_integer_cell(row[col["group"]]))
             if has_score:
                 scores.append(float(row[col["score"]]))
-        except (IndexError, ValueError, OverflowError) as exc:
+        except (IndexError, ValueError) as exc:
             raise DataError(f"unparseable predictions row {row!r}") from exc
     if not preds:
         raise DataError(f"predictions file {path} has no rows")
@@ -170,7 +177,6 @@ def cmd_audit(args) -> int:
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
         else BucketSpec()
 
-    dataset: Dataset | None = None
     if args.checkpoint:
         if not args.data:
             raise ConfigError("--checkpoint requires --data")
@@ -187,7 +193,7 @@ def cmd_audit(args) -> int:
                   "data_sha256": sha256_hex(Path(args.predictions).read_bytes())}
     else:
         raise ConfigError("audit needs either --predictions or --checkpoint with --data")
-    conf = np.maximum(prob, 1.0 - prob) if prob is not None else None
+    conf = confidence_of(prob) if prob is not None else None
 
     manifest = {"tool_version": __version__, "mode": "audit", "source": source,
                 "bucket_thresholds": list(spec.thresholds)}
@@ -196,12 +202,7 @@ def cmd_audit(args) -> int:
     report = fairness_report(preds, labels, groups)
     bucket = hist = None
     if conf is not None:
-        g_i, g_j = report.pair
-        holder = dataset if dataset is not None else Dataset(
-            x=np.zeros((len(preds), 1)), y=labels, s=groups,
-            schema=_surrogate_schema(),
-        )
-        bucket = bucket_analysis(holder, preds, conf, spec, g_i, g_j)
+        bucket = bucket_analysis(preds, labels, groups, conf, spec, *report.pair)
     if args.histogram_feature:
         hist = feature_histograms(dataset, conf, spec, args.histogram_feature,
                                   bins=args.bins)
@@ -220,11 +221,6 @@ def cmd_audit(args) -> int:
     write_json(out_dir / "audit_manifest.json", manifest)
     log.info("audit complete: %s", out_dir)
     return 0
-
-
-def _surrogate_schema() -> Schema:
-    return Schema(columns=(ColumnSpec("f0", "numeric"), ColumnSpec("y", "label"),
-                           ColumnSpec("s", "sensitive")))
 
 
 def cmd_synth(args) -> int:
@@ -267,7 +263,7 @@ def _sweep_grid(doc) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
-    cfg, schema, split, _ = _resolve_train_config(args)
+    cfg, schema, split = _resolve_train_config(args)
     grid = _sweep_grid(read_json(args.sweep, "sweep spec"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,9 +279,9 @@ def cmd_sweep(args) -> int:
             point_cfg = TrainConfig.from_dict(merged)
             summary = _run_training(point_cfg, schema, split, Path(args.data), run_dir)
             rows.append([str(i), *(_cell(values[k]) for k in SWEEPABLE), "ok",
-                         f"{summary['accuracy']:.12g}",
-                         f"{summary['demographic_parity']:.12g}",
-                         f"{summary['equalized_odds']:.12g}", ""])
+                         format_float(summary["accuracy"]),
+                         format_float(summary["demographic_parity"]),
+                         format_float(summary["equalized_odds"]), ""])
             succeeded += 1
         except ReckonerError as exc:
             log.warning("sweep point %d failed: %s", i, exc)
@@ -301,7 +297,7 @@ def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return format_float(v)
     return str(v)
 
 

@@ -10,49 +10,31 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import GroupRates, bias_gap, confusion, rates
-from .serial import round_float
+from .metrics import RATE_NAMES, RateTable, confusion, rates, signed_gaps
+from .serial import format_float, round_float
 
 GAP_RATES = ("tpr", "tnr", "fpr", "fnr")
 
 
-def confidence_of(model, x: np.ndarray) -> np.ndarray | float:
-    """max(p, 1 - p) of the model's predicted probability; always in [0.5, 1]."""
-    p = model.score(x)
-    if isinstance(p, float):
-        return max(p, 1.0 - p)
+def confidence_of(prob) -> np.ndarray:
+    """max(p, 1 - p) of predicted probabilities; always in [0.5, 1]."""
+    p = np.asarray(prob, dtype=np.float64)
     return np.maximum(p, 1.0 - p)
 
 
 @dataclass(frozen=True)
 class ConfidenceSplit:
-    threshold: float
     low: np.ndarray
     high: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def low_empty(self) -> bool:
-        return self.low.size == 0
-
-    @property
-    def high_empty(self) -> bool:
-        return self.high.size == 0
 
 
 def split_by_confidence(d: Dataset, model, threshold: float) -> ConfidenceSplit:
     """Partition rows at a confidence threshold; ties go to the high side."""
     if not (0.5 <= threshold < 1.0):
         raise ConfigError(f"confidence threshold must lie in [0.5, 1), got {threshold}")
-    scores = np.asarray(confidence_of(model, d.x), dtype=np.float64)
-    is_high = scores >= threshold
+    is_high = confidence_of(model.score(d.x)) >= threshold
     idx = np.arange(d.n, dtype=np.int64)
-    return ConfidenceSplit(
-        threshold=threshold,
-        low=idx[~is_high],
-        high=idx[is_high],
-        scores=scores,
-    )
+    return ConfidenceSplit(low=idx[~is_high], high=idx[is_high])
 
 
 @dataclass(frozen=True)
@@ -91,7 +73,7 @@ class BucketSpec:
 class BucketEntry:
     lo: float
     hi: float
-    group_rates: dict[int, GroupRates]
+    group_rates: RateTable
     group_counts: dict[int, int]
     gaps: dict[str, float | None]
 
@@ -104,9 +86,6 @@ class BucketReport:
     total: int
 
     def to_dict(self) -> dict:
-        def fmt(v):
-            return None if v is None else round_float(v)
-
         buckets = []
         for e in self.entries:
             buckets.append({
@@ -114,11 +93,10 @@ class BucketReport:
                 "hi": e.hi,
                 "counts": {str(g): c for g, c in sorted(e.group_counts.items())},
                 "rates": {
-                    str(g): {name: fmt(r.get(name)) for name in
-                             ("tpr", "tnr", "fpr", "fnr", "positive_rate")}
+                    str(g): {name: round_float(r.get(name)) for name in RATE_NAMES}
                     for g, r in sorted(e.group_rates.items())
                 },
-                "gaps": {name: fmt(e.gaps[name]) for name in GAP_RATES},
+                "gaps": {name: round_float(e.gaps[name]) for name in GAP_RATES},
             })
         return {
             "group_pair": [self.pair[0], self.pair[1]],
@@ -130,53 +108,41 @@ class BucketReport:
     def to_csv_rows(self) -> list[list[str]]:
         """One row per bucket x group x measure, plus per-bucket gap rows."""
         rows = [["bucket", "lo", "hi", "group", "measure", "value"]]
-
-        def fmt(v):
-            return "" if v is None else f"{v:.12g}"
-
         for k, e in enumerate(self.entries):
+            cell = [str(k), format_float(e.lo), format_float(e.hi)]
             for g in sorted(e.group_counts):
-                rows.append([str(k), fmt(e.lo), fmt(e.hi), str(g), "count",
-                             str(e.group_counts[g])])
+                rows.append([*cell, str(g), "count", str(e.group_counts[g])])
                 r = e.group_rates[g]
-                for name in ("tpr", "tnr", "fpr", "fnr", "positive_rate"):
-                    rows.append([str(k), fmt(e.lo), fmt(e.hi), str(g), name,
-                                 fmt(r.get(name))])
+                for name in RATE_NAMES:
+                    rows.append([*cell, str(g), name, format_float(r.get(name))])
             for name in GAP_RATES:
-                rows.append([str(k), fmt(e.lo), fmt(e.hi), "gap", f"delta_{name}",
-                             fmt(e.gaps[name])])
+                rows.append([*cell, "gap", f"delta_{name}", format_float(e.gaps[name])])
         return rows
 
 
-def bucket_analysis(d: Dataset, preds, scores, spec: BucketSpec,
+def bucket_analysis(preds, labels, groups, scores, spec: BucketSpec,
                     g_i: int, g_j: int) -> BucketReport:
     """Per-bucket, per-group confusion rates and signed gaps for a group pair.
 
     Undefined rates propagate as None gaps rather than being zero-filled.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if not (preds.shape[0] == scores.shape[0] == d.n):
-        raise DataError("preds, scores, and dataset lengths differ")
+    preds, labels, groups, scores = (np.asarray(a) for a in (preds, labels, groups, scores))
+    if not (preds.shape == labels.shape == groups.shape == scores.shape):
+        raise DataError("preds, labels, groups, scores lengths differ")
     assignment = spec.assign(scores)
     entries = []
     for k, (lo, hi) in enumerate(spec.edges()):
         mask = assignment == k
-        table = rates(confusion(preds[mask], d.y[mask], d.s[mask]))
-        gaps: dict[str, float | None] = {}
-        for name in GAP_RATES:
-            try:
-                gaps[name] = bias_gap(table, name, g_i, g_j)
-            except DataError:
-                gaps[name] = None
-        counts = {g: int((d.s[mask] == g).sum()) for g in np.unique(d.s[mask])}
+        counts = confusion(preds[mask], labels[mask], groups[mask])
+        table = rates(counts)
         entries.append(BucketEntry(
             lo=lo, hi=hi,
-            group_rates=dict(table.groups),
-            group_counts={int(g): c for g, c in counts.items()},
-            gaps=gaps,
+            group_rates=table,
+            group_counts={g: c.size for g, c in counts.items()},
+            gaps=signed_gaps(table, GAP_RATES, g_i, g_j),
         ))
-    return BucketReport(spec=spec, pair=(g_i, g_j), entries=tuple(entries), total=d.n)
+    return BucketReport(spec=spec, pair=(g_i, g_j), entries=tuple(entries),
+                        total=len(preds))
 
 
 @dataclass(frozen=True)
@@ -199,9 +165,8 @@ class HistogramReport:
         rows = [["bucket", "group", "bin", "lo", "hi", "count"]]
         for (b, g), arr in sorted(self.counts.items()):
             for i, c in enumerate(arr):
-                rows.append([str(b), str(g), str(i),
-                             f"{self.edges[i]:.12g}", f"{self.edges[i + 1]:.12g}",
-                             str(int(c))])
+                rows.append([str(b), str(g), str(i), format_float(self.edges[i]),
+                             format_float(self.edges[i + 1]), str(int(c))])
         return rows
 
 

@@ -306,8 +306,9 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
         if len(row) != len(header):
             raise DataError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
 
-    label_raw = [row[col_at[schema.label_column]].strip() for row in rows]
-    sens_raw = [row[col_at[schema.sensitive_column]].strip() for row in rows]
+    label_at, sens_at = col_at[schema.label_column], col_at[schema.sensitive_column]
+    label_raw = [row[label_at].strip() for row in rows]
+    sens_raw = [row[sens_at].strip() for row in rows]
     if any(v == "" for v in label_raw):
         raise DataError("missing label cell")
     if any(v == "" for v in sens_raw):

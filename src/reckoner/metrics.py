@@ -49,17 +49,6 @@ class GroupCounts:
 
 
 @dataclass(frozen=True)
-class GroupConfusion:
-    groups: dict[int, GroupCounts]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", dict(self.groups))
-
-    def sizes(self) -> dict[int, int]:
-        return {g: c.size for g, c in self.groups.items()}
-
-
-@dataclass(frozen=True)
 class GroupRates:
     tpr: float | None
     tnr: float | None
@@ -73,15 +62,10 @@ class GroupRates:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class RateTable:
-    groups: dict[int, GroupRates]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", dict(self.groups))
+RateTable = dict[int, GroupRates]
 
 
-def confusion(preds, labels, groups) -> GroupConfusion:
+def confusion(preds, labels, groups) -> dict[int, GroupCounts]:
     """Exhaustive per-group TP/FP/TN/FN counts."""
     p, y, g = _aligned(preds, labels, groups)
     out: dict[int, GroupCounts] = {}
@@ -94,59 +78,68 @@ def confusion(preds, labels, groups) -> GroupConfusion:
             tn=int(((pg == 0) & (yg == 0)).sum()),
             fn=int(((pg == 0) & (yg == 1)).sum()),
         )
-    return GroupConfusion(out)
+    return out
 
 
 def _ratio(num: int, den: int) -> float | None:
     return None if den == 0 else num / den
 
 
-def rates(c: GroupConfusion) -> RateTable:
-    out: dict[int, GroupRates] = {}
-    for gid, k in c.groups.items():
-        out[gid] = GroupRates(
+def rates(counts: dict[int, GroupCounts]) -> RateTable:
+    return {
+        gid: GroupRates(
             tpr=_ratio(k.tp, k.tp + k.fn),
             tnr=_ratio(k.tn, k.tn + k.fp),
             fpr=_ratio(k.fp, k.fp + k.tn),
             fnr=_ratio(k.fn, k.fn + k.tp),
             positive_rate=_ratio(k.tp + k.fp, k.size),
         )
-    return RateTable(out)
+        for gid, k in counts.items()
+    }
 
 
 def bias_gap(table: RateTable, rate: str, g_i: int, g_j: int) -> float:
     """Signed rate difference value(g_i) - value(g_j)."""
     for gid in (g_i, g_j):
-        if gid not in table.groups:
+        if gid not in table:
             raise DataError(f"group {gid} absent from rate table")
-    vi = table.groups[g_i].get(rate)
-    vj = table.groups[g_j].get(rate)
+    vi = table[g_i].get(rate)
+    vj = table[g_j].get(rate)
     if vi is None or vj is None:
         raise UndefinedRateError(f"rate {rate!r} undefined for group pair ({g_i}, {g_j})")
     return vi - vj
 
 
+def signed_gaps(table: RateTable, names, g_i: int, g_j: int) -> dict[str, float | None]:
+    """``bias_gap`` per rate name; None where a rate is undefined or a group absent."""
+    gaps: dict[str, float | None] = {}
+    for name in names:
+        try:
+            gaps[name] = bias_gap(table, name, g_i, g_j)
+        except DataError:
+            gaps[name] = None
+    return gaps
+
+
+def _demographic_parity(table: RateTable, g_i: int, g_j: int) -> float:
+    return abs(bias_gap(table, "positive_rate", g_i, g_j))
+
+
+def _equalized_odds(table: RateTable, g_i: int, g_j: int) -> float:
+    d_tpr = bias_gap(table, "tpr", g_i, g_j)
+    d_fpr = bias_gap(table, "fpr", g_i, g_j)
+    return 0.5 * abs(d_tpr) + 0.5 * abs(d_fpr)
+
+
 def demographic_parity(preds, groups, g_i: int, g_j: int) -> float:
     """Absolute positive-prediction rate difference between two groups."""
-    p = _as_binary(preds, "preds")
-    g = np.asarray(groups, dtype=np.int64)
-    if p.shape != g.shape:
-        raise DataError("preds and groups lengths differ")
-    rates_by_group = []
-    for gid in (g_i, g_j):
-        mask = g == gid
-        if not mask.any():
-            raise DataError(f"group {gid} is empty")
-        rates_by_group.append(int(p[mask].sum()) / int(mask.sum()))
-    return abs(rates_by_group[0] - rates_by_group[1])
+    # The positive rate reads predictions only, so any labels will do.
+    return _demographic_parity(rates(confusion(preds, preds, groups)), g_i, g_j)
 
 
 def equalized_odds(preds, labels, groups, g_i: int, g_j: int) -> float:
     """Half the absolute TPR gap plus half the absolute FPR gap."""
-    table = rates(confusion(preds, labels, groups))
-    d_tpr = bias_gap(table, "tpr", g_i, g_j)
-    d_fpr = bias_gap(table, "fpr", g_i, g_j)
-    return 0.5 * abs(d_tpr) + 0.5 * abs(d_fpr)
+    return _equalized_odds(rates(confusion(preds, labels, groups)), g_i, g_j)
 
 
 def accuracy(preds, labels) -> float:
@@ -161,12 +154,15 @@ def accuracy(preds, labels) -> float:
 
 def largest_pair(groups) -> tuple[int, int]:
     """The two most populous group ids; ties break toward the smaller id."""
-    g = np.asarray(groups, dtype=np.int64)
-    ids, counts = np.unique(g, return_counts=True)
-    if ids.size < 2:
+    ids, counts = np.unique(np.asarray(groups, dtype=np.int64), return_counts=True)
+    return _largest_pair(dict(zip(ids.tolist(), counts.tolist())))
+
+
+def _largest_pair(sizes: dict[int, int]) -> tuple[int, int]:
+    if len(sizes) < 2:
         raise DataError("fairness evaluation needs at least two groups")
-    order = sorted(range(ids.size), key=lambda i: (-counts[i], ids[i]))
-    return int(ids[order[0]]), int(ids[order[1]])
+    g_i, g_j = sorted(sizes, key=lambda gid: (-sizes[gid], gid))[:2]
+    return g_i, g_j
 
 
 @dataclass(frozen=True)
@@ -183,10 +179,7 @@ class FairnessReport:
             "accuracy": round_float(self.accuracy),
             "demographic_parity": round_float(self.dp),
             "equalized_odds": round_float(self.eodds),
-            "signed_gaps": {
-                k: (None if v is None else round_float(v))
-                for k, v in self.signed_gaps.items()
-            },
+            "signed_gaps": {k: round_float(v) for k, v in self.signed_gaps.items()},
             "group_sizes": {str(g): n for g, n in sorted(self.group_sizes.items())},
             "group_pair": [self.pair[0], self.pair[1]],
         }
@@ -195,29 +188,23 @@ class FairnessReport:
 def fairness_report(preds, labels, groups, pair: tuple[int, int] | None = None) -> FairnessReport:
     """Accuracy plus fairness metrics for a designated group pair.
 
-    The pair defaults to the two largest groups. Signed gaps that are
-    undefined in either group are reported as None; DP and EOdds themselves
-    must be computable or this raises.
+    Every number comes from one per-group confusion table. The pair defaults
+    to the two largest groups. Signed gaps that are undefined in either group
+    are reported as None; DP and EOdds themselves must be computable or this
+    raises.
     """
-    p, y, g = _aligned(preds, labels, groups)
-    if pair is None:
-        pair = largest_pair(g)
-    g_i, g_j = pair
-    table = rates(confusion(p, y, g))
-    gaps: dict[str, float | None] = {}
-    for name in RATE_NAMES:
-        try:
-            gaps[name] = bias_gap(table, name, g_i, g_j)
-        except UndefinedRateError:
-            gaps[name] = None
-    dp = demographic_parity(p, g, g_i, g_j)
-    eo = equalized_odds(p, y, g, g_i, g_j)
-    sizes = {int(gid): int((g == gid).sum()) for gid in np.unique(g)}
+    counts = confusion(preds, labels, groups)
+    sizes = {gid: k.size for gid, k in counts.items()}
+    g_i, g_j = _largest_pair(sizes) if pair is None else pair
+    table = rates(counts)
+    # Both raise unless both groups have rows, so accuracy divides by n > 0.
+    dp = _demographic_parity(table, g_i, g_j)
+    eodds = _equalized_odds(table, g_i, g_j)
     return FairnessReport(
-        accuracy=accuracy(p, y),
+        accuracy=sum(k.tp + k.tn for k in counts.values()) / sum(sizes.values()),
         dp=dp,
-        eodds=eo,
-        signed_gaps=gaps,
+        eodds=eodds,
+        signed_gaps=signed_gaps(table, RATE_NAMES, g_i, g_j),
         group_sizes=sizes,
         pair=(g_i, g_j),
     )

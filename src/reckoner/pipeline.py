@@ -21,7 +21,7 @@ import numpy as np
 from .confidence import split_by_confidence
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericError, ReckonerError
-from .metrics import accuracy, demographic_parity, equalized_odds, largest_pair
+from .metrics import accuracy, fairness_report
 from .models import (
     AdamState,
     FeedForwardClassifier,
@@ -213,8 +213,8 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     identifier = lr_fit(train, epochs=cfg.identifier_epochs,
                         learning_rate=cfg.identifier_lr)
     split = split_by_confidence(train, identifier, cfg.confidence_threshold)
-    if split.high_empty or split.low_empty:
-        which = "high" if split.high_empty else "low"
+    if split.high.size == 0 or split.low.size == 0:
+        which = "high" if split.high.size == 0 else "low"
         raise DataError(
             f"confidence split left the {which}-confidence subset empty at "
             f"threshold {cfg.confidence_threshold}; lower the threshold or "
@@ -335,15 +335,13 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
 
 def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
     preds, _ = predict(model, valid.x)
-    entry: dict = {"valid_accuracy": accuracy(preds, valid.y)}
     try:
-        g_i, g_j = largest_pair(valid.s)
-        entry["valid_dp"] = demographic_parity(preds, valid.s, g_i, g_j)
-        entry["valid_eodds"] = equalized_odds(preds, valid.y, valid.s, g_i, g_j)
+        report = fairness_report(preds, valid.y, valid.s)
     except ReckonerError:
-        entry["valid_dp"] = None
-        entry["valid_eodds"] = None
-    return entry
+        return {"valid_accuracy": accuracy(preds, valid.y),
+                "valid_dp": None, "valid_eodds": None}
+    return {"valid_accuracy": report.accuracy,
+            "valid_dp": report.dp, "valid_eodds": report.eodds}
 
 
 def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from pathlib import Path
 from typing import Any
@@ -19,14 +20,14 @@ from typing import Any
 from .errors import ConfigError
 
 
-def format_float(x: float) -> str:
-    """Render a float with 12 significant digits for CSV/report output."""
-    return f"{float(x):.12g}"
+def format_float(x: float | None) -> str:
+    """Render a float with 12 significant digits for CSV output; None is empty."""
+    return "" if x is None else f"{float(x):.12g}"
 
 
-def round_float(x: float) -> float:
-    """Round to the 12-significant-digit grid used by report writers."""
-    return float(format_float(x))
+def round_float(x: float | None) -> float | None:
+    """Round to the 12-significant-digit grid used by JSON reports; None stays."""
+    return None if x is None else float(format_float(x))
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -68,9 +69,10 @@ class JsonConfig:
     ``from_dict`` accepts only a JSON object of the dataclass's fields and
     takes missing ones from its defaults. Each value must match its field's
     annotation: a bool only where a bool is expected, a non-bool int where
-    an int is, ``None`` only where the annotation allows it, an int or
-    float where a float is (stored as a float), and a list of objects where
-    a ``tuple`` of ``JsonConfig`` items is (``to_dict``'s tuples read back).
+    an int is, ``None`` only where the annotation allows it, a finite int
+    or float where a float is (stored as a float; NaN and infinities are
+    rejected), and a list of objects where a ``tuple`` of ``JsonConfig``
+    items is (``to_dict``'s tuples read back).
     """
 
     def to_dict(self) -> dict:
@@ -105,6 +107,8 @@ def _decode(owner: str, key: str, value: Any, annotation: Any) -> Any:
         except OverflowError:
             pass
     elif type(value) in allowed:
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{owner} key {key!r} must be finite, got {value}")
         return value
     want = getattr(annotation, "__name__", annotation)
     raise ConfigError(f"{owner} key {key!r} must be {want}, got {type(value).__name__}")

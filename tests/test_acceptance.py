@@ -330,7 +330,7 @@ def test_c8_confidence_trend(report):
         preds = predict_labels(scores)
         conf = np.maximum(scores, 1.0 - scores)
         g_i, g_j = largest_pair(te.s)
-        rep = bucket_analysis(te, preds, conf, BucketSpec(), g_i, g_j)
+        rep = bucket_analysis(preds, te.y, te.s, conf, BucketSpec(), g_i, g_j)
         bottom = rep.entries[0].gaps["fnr"]
         top = rep.entries[-1].gaps["fnr"]
         if bottom is not None and top is not None and abs(top) > abs(bottom):

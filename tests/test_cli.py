@@ -1,14 +1,22 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reckoner
-from reckoner.cli import main
+from reckoner.cli import SWEEPABLE, _sweep_grid, main
+from reckoner.errors import ConfigError
+from reckoner.pipeline import TrainConfig
 
 SYNTH_CFG = {
     "n": 400, "m_numeric": 3, "group_balance": 0.5,
@@ -70,15 +78,20 @@ def assert_no_manifest(out: Path) -> None:
     assert not list(out.glob("*manifest.json"))
 
 
+def make_workdir(path: Path) -> tuple[Path, Path, Path]:
+    """The synth data CSV and train config every CLI test starts from."""
+    synth_cfg = path / "synth.json"
+    synth_cfg.write_text(json.dumps(SYNTH_CFG))
+    data = path / "data.csv"
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
+    train_cfg = path / "train.json"
+    train_cfg.write_text(json.dumps(TRAIN_CFG))
+    return path, train_cfg, data
+
+
 @pytest.fixture
 def workdir(tmp_path):
-    synth_cfg = tmp_path / "synth.json"
-    synth_cfg.write_text(json.dumps(SYNTH_CFG))
-    data = tmp_path / "data.csv"
-    assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
-    train_cfg = tmp_path / "train.json"
-    train_cfg.write_text(json.dumps(TRAIN_CFG))
-    return tmp_path, train_cfg, data
+    return make_workdir(tmp_path)
 
 
 class TestSynth:
@@ -195,6 +208,16 @@ class TestAudit:
         report = json.loads((out / "fairness_report.json").read_text())
         assert report["demographic_parity"] == 0.0
         assert report["equalized_odds"] == 0.0
+
+    def test_integral_float_cells_are_integers(self, tmp_path):
+        rows = [("1.0", 1, "0.0"), (0, "0.0", 0), (1, "1.0", 1), ("0", 0, "1.0")]
+        preds = tmp_path / "p.csv"
+        self.write_predictions(preds, rows)
+        out = tmp_path / "audit"
+        assert main(["audit", "--predictions", str(preds), "--out", str(out)]) == 0
+        report = json.loads((out / "fairness_report.json").read_text())
+        assert report["accuracy"] == 1.0
+        assert report["group_sizes"] == {"0": 2, "1": 2}
 
     def test_hand_confusion_fixture(self, tmp_path):
         # group A rows (1,1),(0,1),(1,0); group B rows (1,1),(0,0),(0,0)
@@ -355,6 +378,7 @@ MALFORMED_INPUTS = {
     "train-noise-hidden-float": (1, lambda t, d: _train(t, d, noise_hidden=2.5)),
     "train-use-noise-string": (1, lambda t, d: _train(t, d, use_noise="no")),
     "train-not-object": (1, lambda t, d: _train(t, d, dict(TRAIN_CFG, train=5))),
+    "train-learning-rate-nan": (1, lambda t, d: _train(t, d, learning_rate=float("nan"))),
     "sweep-grid-not-object": (1, lambda t, d: [
         "sweep", "--config", _file(t / "cfg.json", TRAIN_CFG), "--data", d,
         "--sweep", _file(t / "grid.json", 5), "--out", t / "o"]),
@@ -377,6 +401,10 @@ MALFORMED_INPUTS = {
         t, _file(t / "d.csv", d.read_bytes() + b"\xff,\xfe\n"))),
     "predictions-not-utf8": (2, lambda t, d: _predictions(
         _file(t / "p.csv", PREDICTIONS.encode() + b"\xff,1,0\n"))),
+    "predictions-fractional-pred": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", PREDICTIONS.replace("\n1,1,0\n", "\n0.9,1,0\n")))),
+    "predictions-fractional-group": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", PREDICTIONS.replace("\n0,0,0\n", "\n0,0,0.5\n")))),
 }
 
 
@@ -398,3 +426,123 @@ def test_infinite_prediction_exits_2_cleanly(tmp_path):
     proc = run_cli(*_predictions(preds))
     assert_clean_failure(proc, 2)
     assert "error kind=data exit=2" in proc.stderr
+
+
+# CLI fuzz: any input ends in a documented exit code; a failure prints
+# exactly one ``error kind=`` line and no traceback. An exception escaping
+# ``main`` fails the property.
+
+def run_main(*args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, err.getvalue()
+
+
+def assert_documented_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert sum("error kind=" in line for line in err.splitlines()) == 1, err
+        assert "Traceback" not in err
+
+
+def is_binary_cell(cell: str) -> bool:
+    try:
+        return float(cell) in (0.0, 1.0)
+    except ValueError:
+        return False
+
+
+csv_cells = (st.sampled_from(["0", "1", "1.0", "0.9", "-1", "2", "nan", "inf", "1e400",
+                              "", " 1", "x"])
+             | st.floats().map(repr) | st.text(max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(with_score=st.booleans(),
+       rows=st.lists(st.lists(csv_cells, min_size=2, max_size=4), min_size=0, max_size=6))
+def test_fuzz_predictions_csv(with_score, rows):
+    header = ["pred", "label", "group"] + (["score"] if with_score else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        code, err = run_main("audit", "--predictions", path, "--out", Path(tmp) / "out")
+    assert_documented_exit(code, err)
+    if code == 0:
+        assert all(len(r) >= 3 and is_binary_cell(r[0]) and is_binary_cell(r[1])
+                   for r in rows)
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A checkpoint document trained on the ``workdir`` data, and that data."""
+    tmp, train_cfg, data = make_workdir(tmp_path_factory.mktemp("fuzz"))
+    assert main(["train", "--config", str(train_cfg), "--data", str(data),
+                 "--out", str(tmp / "run")]) == 0
+    return json.loads((tmp / "run" / "checkpoint.json").read_text()), data
+
+
+def json_paths(node, prefix=()):
+    """Every key and list index path below ``node``; of each list only the
+    first and last elements, so the weight arrays do not crowd out the rest."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = [(i, node[i]) for i in sorted({0, len(node) - 1}) if node]
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+DELETE = "delete the key"
+CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", [], {}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzz_checkpoint_document(trained_checkpoint, data):
+    doc, csv_path = trained_checkpoint
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    edit = data.draw(st.sampled_from(CHECKPOINT_EDITS))
+    if edit == DELETE and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif edit != DELETE:
+        parent[path[-1]] = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = _file(Path(tmp) / "ckpt.json", doc)
+        code, err = run_main("audit", "--checkpoint", ckpt, "--data", csv_path,
+                             "--histogram-feature", "f0", "--out", Path(tmp) / "out")
+    assert_documented_exit(code, err)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(SWEEPABLE) | st.text(max_size=4),
+                       st.lists(json_values, max_size=3) | json_values, max_size=3)
+       | json_values)
+def test_fuzz_sweep_grid(doc):
+    """The grid parse and each point's config decode, as ``cmd_sweep`` runs them."""
+    base = TrainConfig.from_dict(TRAIN_CFG["train"]).to_dict()
+    try:
+        grid = _sweep_grid(doc)
+    except ConfigError:
+        return
+    for point in grid:
+        try:
+            TrainConfig.from_dict({**base, **point})
+        except ConfigError:
+            pass

@@ -33,17 +33,15 @@ def make_dataset(labels, groups):
 
 class TestConfidenceOf:
     def test_boundary(self):
-        assert confidence_of(StubModel([0.5]), np.zeros((1, 1))) == 0.5
+        assert confidence_of(0.5) == 0.5
 
     def test_symmetry(self):
-        conf = confidence_of(StubModel([0.9, 0.2]), np.zeros((2, 1)))
+        conf = confidence_of([0.9, 0.2])
         assert conf.tolist() == [0.9, 0.8]
 
     def test_label_flip_invariance(self):
         p = np.array([0.1, 0.35, 0.77])
-        a = confidence_of(StubModel(p), np.zeros((3, 1)))
-        b = confidence_of(StubModel(1 - p), np.zeros((3, 1)))
-        np.testing.assert_allclose(a, b, atol=1e-15)
+        np.testing.assert_allclose(confidence_of(p), confidence_of(1 - p), atol=1e-15)
 
 
 class TestSplitByConfidence:
@@ -57,7 +55,7 @@ class TestSplitByConfidence:
     def test_threshold_half_puts_everything_high(self):
         d = make_dataset([0, 1], [0, 1])
         split = split_by_confidence(d, StubModel([0.5, 0.7]), 0.5)
-        assert split.low_empty
+        assert split.low.size == 0
         assert split.high.tolist() == [0, 1]
 
     def test_threshold_out_of_range(self):
@@ -138,7 +136,7 @@ class TestBucketAnalysis:
     def test_matches_brute_force_oracle(self):
         d, preds, conf = self.fixture()
         spec = BucketSpec()
-        report = bucket_analysis(d, preds, conf, spec, 0, 1)
+        report = bucket_analysis(preds, d.y, d.s, conf, spec, 0, 1)
         expected = brute_force_bucket_gaps(FIXTURE, spec.edges())
         for entry, exp in zip(report.entries, expected):
             for name in ("tpr", "tnr", "fpr", "fnr"):
@@ -151,25 +149,25 @@ class TestBucketAnalysis:
         d = make_dataset([1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 1, 1, 0, 0, 1, 1])
         preds = d.y.copy()
         conf = np.array([0.55, 0.65, 0.75, 0.85, 0.55, 0.65, 0.75, 0.85])
-        report = bucket_analysis(d, preds, conf, BucketSpec(), 0, 1)
+        report = bucket_analysis(preds, d.y, d.s, conf, BucketSpec(), 0, 1)
         for entry in report.entries:
             for gap in entry.gaps.values():
                 assert gap is None or gap == 0.0
 
     def test_single_bucket_reproduces_whole_set(self):
         d, preds, conf = self.fixture()
-        report = bucket_analysis(d, preds, conf, BucketSpec((0.5,)), 0, 1)
+        report = bucket_analysis(preds, d.y, d.s, conf, BucketSpec((0.5,)), 0, 1)
         assert len(report.entries) == 1
         whole = confusion(preds, d.y, d.s)
         entry = report.entries[0]
         for g in (0, 1):
-            k = whole.groups[g]
+            k = whole[g]
             assert entry.group_counts[g] == k.size
             assert entry.group_rates[g].tpr == k.tp / (k.tp + k.fn)
 
     def test_bucket_counts_sum_to_n(self):
         d, preds, conf = self.fixture()
-        report = bucket_analysis(d, preds, conf, BucketSpec(), 0, 1)
+        report = bucket_analysis(preds, d.y, d.s, conf, BucketSpec(), 0, 1)
         total = sum(sum(e.group_counts.values()) for e in report.entries)
         assert total == d.n == report.total
 
@@ -181,24 +179,24 @@ class TestBucketAnalysis:
         for k in range(spec.count):
             mask = assignment == k
             part = confusion(preds[mask], d.y[mask], d.s[mask])
-            for g, c in part.groups.items():
+            for g, c in part.items():
                 merged[g][0] += c.tp
                 merged[g][1] += c.fp
                 merged[g][2] += c.tn
                 merged[g][3] += c.fn
         whole = confusion(preds, d.y, d.s)
         for g in (0, 1):
-            k = whole.groups[g]
+            k = whole[g]
             assert merged[g] == [k.tp, k.fp, k.tn, k.fn]
 
     def test_length_mismatch(self):
         d, preds, conf = self.fixture()
         with pytest.raises(DataError):
-            bucket_analysis(d, preds[:-1], conf, BucketSpec(), 0, 1)
+            bucket_analysis(preds[:-1], d.y, d.s, conf, BucketSpec(), 0, 1)
 
     def test_csv_roundtrip_preserves_12_digits(self):
         d, preds, conf = self.fixture()
-        report = bucket_analysis(d, preds, conf, BucketSpec(), 0, 1)
+        report = bucket_analysis(preds, d.y, d.s, conf, BucketSpec(), 0, 1)
         rows = report.to_csv_rows()
         header, body = rows[0], rows[1:]
         gi = {name: i for i, name in enumerate(header)}

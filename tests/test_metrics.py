@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from reckoner.errors import DataError, UndefinedRateError
 from reckoner.metrics import (
+    RATE_NAMES,
     accuracy,
     bias_gap,
     confusion,
@@ -13,6 +14,7 @@ from reckoner.metrics import (
     fairness_report,
     largest_pair,
     rates,
+    signed_gaps,
 )
 
 # Hand fixture: group A rows (pred, label) = (1,1),(0,1),(1,0);
@@ -55,16 +57,16 @@ def oracle_eodds(preds, labels, groups, gi, gj):
 class TestConfusion:
     def test_hand_counts(self):
         c = confusion(PREDS, LABELS, GROUPS)
-        a, b = c.groups[0], c.groups[1]
+        a, b = c[0], c[1]
         assert (a.tp, a.fn, a.fp, a.tn) == (1, 1, 1, 0)
         assert (b.tp, b.tn, b.fp, b.fn) == (1, 2, 0, 0)
 
     def test_perfect_predictions(self):
         c = confusion([1, 0, 1], [1, 0, 1], [0, 0, 1])
-        assert all(k.fp == 0 and k.fn == 0 for k in c.groups.values())
+        assert all(k.fp == 0 and k.fn == 0 for k in c.values())
 
     def test_empty_input(self):
-        assert confusion([], [], []).groups == {}
+        assert confusion([], [], []) == {}
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -78,20 +80,20 @@ class TestConfusion:
 class TestRates:
     def test_hand_rates(self):
         t = rates(confusion(PREDS, LABELS, GROUPS))
-        assert t.groups[0].tpr == 0.5
-        assert t.groups[0].fpr == 1.0
-        assert t.groups[1].tpr == 1.0
-        assert t.groups[1].fpr == 0.0
+        assert t[0].tpr == 0.5
+        assert t[0].fpr == 1.0
+        assert t[1].tpr == 1.0
+        assert t[1].fpr == 0.0
 
     def test_zero_denominator_is_none(self):
         t = rates(confusion([0, 0], [0, 0], [0, 0]))  # group with no positives
-        assert t.groups[0].tpr is None
-        assert t.groups[0].fnr is None
-        assert t.groups[0].tnr == 1.0
+        assert t[0].tpr is None
+        assert t[0].fnr is None
+        assert t[0].tnr == 1.0
 
     def test_all_correct(self):
         t = rates(confusion([1, 0], [1, 0], [0, 0]))
-        assert t.groups[0].tpr == 1.0 and t.groups[0].fpr == 0.0
+        assert t[0].tpr == 1.0 and t[0].fpr == 0.0
 
     def test_complement_identities(self):
         rng = np.random.default_rng(0)
@@ -99,7 +101,7 @@ class TestRates:
             n = rng.integers(4, 60)
             t = rates(confusion(rng.integers(0, 2, n), rng.integers(0, 2, n),
                                 rng.integers(0, 3, n)))
-            for r in t.groups.values():
+            for r in t.values():
                 if r.tpr is not None:
                     assert r.tpr + r.fnr == pytest.approx(1.0, abs=1e-12)
                 if r.tnr is not None:
@@ -270,3 +272,43 @@ class TestFairnessReport:
             assert key in doc
         assert 0.0 <= doc["demographic_parity"] <= 1.0
         assert 0.0 <= doc["equalized_odds"] <= 1.0
+
+    def test_one_confusion_table_matches_the_standalone_metrics(self, monkeypatch):
+        from reckoner import metrics
+
+        builds = []
+        real_confusion = metrics.confusion
+        monkeypatch.setattr(metrics, "confusion",
+                            lambda *a: builds.append(1) or real_confusion(*a))
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(4, 300))
+            preds, labels = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            groups = rng.integers(0, 3, n)
+            if not all(((groups == g) & (labels == y)).any()
+                       for g in (0, 1, 2) for y in (0, 1)):
+                continue
+            builds.clear()
+            rep = fairness_report(preds, labels, groups)
+            assert len(builds) == 1
+            g_i, g_j = largest_pair(groups)
+            assert rep.pair == (g_i, g_j)
+            assert rep.accuracy == accuracy(preds, labels)
+            assert rep.dp == demographic_parity(preds, groups, g_i, g_j)
+            assert rep.eodds == equalized_odds(preds, labels, groups, g_i, g_j)
+            assert rep.group_sizes == {g: int((groups == g).sum()) for g in (0, 1, 2)}
+
+    def test_undefined_eodds_keeps_its_message(self):
+        # group 1 has no positive labels: its TPR is undefined
+        with pytest.raises(UndefinedRateError,
+                           match=r"rate 'tpr' undefined for group pair \(0, 1\)"):
+            fairness_report([1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1])
+
+
+class TestSignedGaps:
+    def test_none_for_undefined_rate_or_absent_group(self):
+        table = rates(confusion([1, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1]))
+        gaps = signed_gaps(table, RATE_NAMES, 0, 1)
+        assert gaps["tpr"] is None and gaps["fnr"] is None
+        assert gaps["fpr"] == -0.5 and gaps["positive_rate"] == 0.0
+        assert signed_gaps(table, RATE_NAMES, 0, 5) == dict.fromkeys(RATE_NAMES)

@@ -77,6 +77,11 @@ class TestJsonConfig:
         ({"noise_hidden": 2.5}, "'noise_hidden' must be int | None, got float"),
         ({"turbo": True}, r"unknown TrainConfig keys: \['turbo'\]"),
         ({"seed": -1}, "seed must be non-negative"),
+        (json.loads('{"learning_rate": NaN}'),
+         "TrainConfig key 'learning_rate' must be finite, got nan"),
+        (json.loads('{"identifier_lr": Infinity}'),
+         "TrainConfig key 'identifier_lr' must be finite, got inf"),
+        (json.loads('{"alpha": 1e400}'), "TrainConfig key 'alpha' must be finite, got inf"),
     ])
     def test_train_config_rejects(self, doc, match):
         with pytest.raises(ConfigError, match=match):
