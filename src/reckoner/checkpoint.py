@@ -107,6 +107,12 @@ def _from_doc(doc: dict) -> LoadedCheckpoint:
     std = np.asarray(doc["standardize"]["std"], dtype=np.float64)
     if schema.m != m or mean.shape != (m,) or std.shape != (m,):
         raise ValueError(f"schema or standardization does not match width m={m}")
+    for name, values in (("models.high.values", high.params.values),
+                         ("models.noise.values", noise.params.values),
+                         ("models.noise.eta", noise.eta),
+                         ("standardize.mean", mean), ("standardize.std", std)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value in {name}")
     # The low classifier is training state and is not stored: like the
     # optimizer moments, it comes back freshly zeroed.
     low = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2)

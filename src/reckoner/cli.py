@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import itertools
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -137,11 +138,22 @@ def cmd_train(args) -> int:
 
 
 def _integer_cell(cell: str) -> int:
-    """An integral number such as ``1`` or ``1.0``; ``0.9`` or ``inf`` is a ValueError."""
+    """An integral number such as ``1`` or ``1.0`` that fits in int64;
+    ``0.9``, ``inf`` or ``1e19`` is a ValueError."""
     value = float(cell)
     if not value.is_integer():
         raise ValueError(f"non-integral cell {cell!r}")
+    if not -2.0**63 <= value < 2.0**63:
+        raise ValueError(f"integer cell {cell!r} outside the int64 range")
     return int(value)
+
+
+def _finite_cell(cell: str) -> float:
+    """A finite number; ``nan`` or ``inf`` is a ValueError."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
 
 
 def _load_predictions_csv(path: Path):
@@ -158,7 +170,7 @@ def _load_predictions_csv(path: Path):
             labels.append(_integer_cell(row[col["label"]]))
             groups.append(_integer_cell(row[col["group"]]))
             if has_score:
-                scores.append(float(row[col["score"]]))
+                scores.append(_finite_cell(row[col["score"]]))
         except (IndexError, ValueError) as exc:
             raise DataError(f"unparseable predictions row {row!r}") from exc
     if not preds:
@@ -181,8 +193,8 @@ def cmd_audit(args) -> int:
         if not args.data:
             raise ConfigError("--checkpoint requires --data")
         loaded = load_checkpoint(args.checkpoint)
-        raw = load_csv(Path(args.data), loaded.schema)
-        dataset = apply_standardization(raw, loaded.mean, loaded.std)
+        dataset = apply_standardization(load_csv(Path(args.data), loaded.schema),
+                                        loaded.mean, loaded.std)
         preds, prob = predict(loaded.model, dataset.x)
         labels, groups = dataset.y, dataset.s
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),

@@ -138,6 +138,8 @@ class Dataset:
     ``x`` holds the encoded features (sensitive column excluded), ``y`` the
     binary labels, ``s`` dense group ids for evaluation. ``clean_y`` is only
     populated by the synthetic generator as a diagnostics side record.
+    Arrays of the right dtype are taken as they are, not copied, and are
+    marked read-only, the caller's own array included.
     """
 
     x: np.ndarray
@@ -147,9 +149,9 @@ class Dataset:
     clean_y: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
-        s = np.array(self.s, dtype=np.int64)
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        s = np.asarray(self.s, dtype=np.int64)
         if x.ndim != 2:
             raise DataError("x must be a 2-d matrix")
         if not (x.shape[0] == y.shape[0] == s.shape[0]):
@@ -160,7 +162,7 @@ class Dataset:
             raise DataError("x contains non-finite values")
         clean = self.clean_y
         if clean is not None:
-            clean = np.array(clean, dtype=np.int64)
+            clean = np.asarray(clean, dtype=np.int64)
             if clean.shape != y.shape:
                 raise DataError("clean_y shape mismatch")
             clean.setflags(write=False)
@@ -281,6 +283,37 @@ def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list
     return header, rows
 
 
+def _numeric_column(cells: list[str], name: str, impute_missing: bool) -> np.ndarray:
+    """Parse one numeric column; the per-cell loop runs only when some cell
+    does not parse, to name the first bad row."""
+    try:
+        col = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        col = np.empty(len(cells), dtype=np.float64)
+        missing = []
+        for i, cell in enumerate(cells):
+            if cell == "":
+                if not impute_missing:
+                    raise DataError(f"missing cell in numeric column {name!r}, row {i + 2}")
+                missing.append(i)
+                col[i] = np.nan
+                continue
+            try:
+                col[i] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"unparseable numeric cell {cell!r} in column {name!r}, row {i + 2}"
+                ) from None
+        if missing:
+            present = np.delete(col, missing)
+            if present.size == 0:
+                raise DataError(f"numeric column {name!r} is entirely missing")
+            col[missing] = present.mean()
+    if not np.isfinite(col).all():
+        raise DataError(f"non-finite value in numeric column {name!r}")
+    return col
+
+
 def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> Dataset:
     """Load and encode a CSV into a Dataset.
 
@@ -317,41 +350,27 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     s = _map_groups(sens_raw)
 
     x = np.zeros((n, schema.m), dtype=np.float64)
+    row_ids = np.arange(n)
     offsets = schema.feature_offsets()
     for c in schema.feature_columns:
         j = col_at[c.name]
         cells = [row[j].strip() for row in rows]
         if c.kind == "numeric":
-            col = np.empty(n, dtype=np.float64)
-            missing = []
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    if not impute_missing:
-                        raise DataError(f"missing cell in numeric column {c.name!r}, row {i + 2}")
-                    missing.append(i)
-                    col[i] = np.nan
-                    continue
-                try:
-                    col[i] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"unparseable numeric cell {cell!r} in column {c.name!r}, row {i + 2}"
-                    ) from None
-            if missing:
-                present = np.delete(col, missing)
-                if present.size == 0:
-                    raise DataError(f"numeric column {c.name!r} is entirely missing")
-                col[missing] = present.mean()
-            if not np.isfinite(col).all():
-                raise DataError(f"non-finite value in numeric column {c.name!r}")
-            x[:, offsets[c.name]] = col
+            x[:, offsets[c.name]] = _numeric_column(cells, c.name, impute_missing)
         else:
-            base = offsets[c.name]
-            for i, cell in enumerate(cells):
-                if cell == "" and not impute_missing:
-                    raise DataError(f"missing cell in categorical column {c.name!r}, row {i + 2}")
-                idx, sign = hash_features(cell, c.name, schema.hash_buckets)
-                x[i, base + idx] += sign
+            # One hash per distinct value; each row then gets exactly one
+            # +-1 in the column's block, so assigning it equals adding it
+            # to the zeros it lands on.
+            codes = dict.fromkeys(cells)
+            if "" in codes and not impute_missing:
+                raise DataError(f"missing cell in categorical column {c.name!r}, "
+                                f"row {cells.index('') + 2}")
+            pairs = [hash_features(v, c.name, schema.hash_buckets) for v in codes]
+            for k, v in enumerate(codes):
+                codes[v] = k
+            which = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=n)
+            index, sign = np.array(pairs, dtype=np.int64).T
+            x[row_ids, offsets[c.name] + index[which]] = sign[which]
     return Dataset(x=x, y=y, s=s, schema=schema)
 
 
@@ -378,7 +397,9 @@ def standardize(
 
 
 def apply_standardization(d: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    return Dataset((d.x - mean) / std, d.y, d.s, d.schema, d.clean_y)
+    x = np.subtract(d.x, mean)
+    x /= std
+    return Dataset(x, d.y, d.s, d.schema, d.clean_y)
 
 
 def split_dataset(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

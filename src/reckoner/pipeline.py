@@ -143,6 +143,10 @@ _SEED_STREAM_HIGH = 4
 _SEED_STREAM_LOW = 5
 _SEED_STREAM_REFINE = 6
 
+# Rows per scoring chunk in ``predict``: a multiple of every matmul row
+# block, and large enough that the per-chunk overhead is negligible.
+PREDICT_CHUNK_ROWS = 8192
+
 
 class ReckonerModel:
     """Dual classifiers plus noise wrapper and their optimizer states.
@@ -386,11 +390,26 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
 
 
 def predict(model: ReckonerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High-confidence classifier scores and labels; ties at 0.5 go to 1."""
+    """High-confidence classifier scores and labels; ties at 0.5 go to 1.
+
+    Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
+    input copy and the activations stay a chunk's size. With one BLAS
+    thread the scores are bit-equal to scoring ``x`` whole: OpenBLAS gives
+    a row the same bits in a chunk that starts at a multiple of its row
+    block, but not in a tiny chunk (1-row chunks take the matrix-vector
+    path, and 7-row chunks differ too), so a tail shorter than half a
+    chunk joins the chunk before it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
-    scores = model.high.score(model.high_input(x))
+    n = x.shape[0]
+    starts = list(range(0, n, PREDICT_CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < PREDICT_CHUNK_ROWS // 2:
+        starts.pop()
+    scores = np.empty(n, dtype=np.float64)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        scores[lo:hi] = model.high.score(model.high_input(x[lo:hi]))
     return predict_labels(scores), scores
 
 

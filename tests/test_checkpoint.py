@@ -82,3 +82,22 @@ class TestCheckpointRoundtrip:
     def test_unreadable_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("keys", [("models", "high", "values"),
+                                      ("models", "noise", "values"),
+                                      ("models", "noise", "eta"),
+                                      ("standardize", "mean"),
+                                      ("standardize", "std")],
+                             ids=".".join)
+    def test_null_parameter_rejected(self, trained, tmp_path, keys):
+        """``null`` reads as NaN; a model holding one would still score rows."""
+        _, _, _, path = trained
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[0] = None
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"non-finite value in {'.'.join(keys)}"):
+            load_checkpoint(bad)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reckoner
@@ -405,6 +406,13 @@ MALFORMED_INPUTS = {
         _file(t / "p.csv", PREDICTIONS.replace("\n1,1,0\n", "\n0.9,1,0\n")))),
     "predictions-fractional-group": (2, lambda t, d: _predictions(
         _file(t / "p.csv", PREDICTIONS.replace("\n0,0,0\n", "\n0,0,0.5\n")))),
+    "predictions-label-beyond-int64": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", "pred,label,group\n0,1.8446744073709552e+19,0\n"))),
+    "predictions-group-beyond-int64": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", PREDICTIONS + "0,0,1e19\n"))),
+    "predictions-nan-score": (2, lambda t, d: _predictions(
+        _file(t / "p.csv", "pred,label,group,score\n1,1,0,nan\n0,0,0,0.2\n"
+                           "1,1,1,0.9\n0,0,1,0.3\n"))),
 }
 
 
@@ -453,6 +461,21 @@ def is_binary_cell(cell: str) -> bool:
         return False
 
 
+def is_int64_cell(cell: str) -> bool:
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    return value.is_integer() and -2.0**63 <= value < 2.0**63
+
+
+def is_finite_cell(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 csv_cells = (st.sampled_from(["0", "1", "1.0", "0.9", "-1", "2", "nan", "inf", "1e400",
                               "", " 1", "x"])
              | st.floats().map(repr) | st.text(max_size=4))
@@ -461,6 +484,9 @@ csv_cells = (st.sampled_from(["0", "1", "1.0", "0.9", "-1", "2", "nan", "inf", "
 @settings(max_examples=120, deadline=None)
 @given(with_score=st.booleans(),
        rows=st.lists(st.lists(csv_cells, min_size=2, max_size=4), min_size=0, max_size=6))
+@example(with_score=False, rows=[["0", "1.8446744073709552e+19", "0"]])
+@example(with_score=False, rows=[["0", "1", "1e19"]])
+@example(with_score=True, rows=[["1", "1", "0", "nan"], ["0", "0", "1", "0.2"]])
 def test_fuzz_predictions_csv(with_score, rows):
     header = ["pred", "label", "group"] + (["score"] if with_score else [])
     with tempfile.TemporaryDirectory() as tmp:
@@ -471,7 +497,8 @@ def test_fuzz_predictions_csv(with_score, rows):
     assert_documented_exit(code, err)
     if code == 0:
         assert all(len(r) >= 3 and is_binary_cell(r[0]) and is_binary_cell(r[1])
-                   for r in rows)
+                   and is_int64_cell(r[2]) for r in rows)
+        assert not with_score or all(len(r) == 4 and is_finite_cell(r[3]) for r in rows)
 
 
 @pytest.fixture(scope="module")
@@ -499,6 +526,20 @@ def json_paths(node, prefix=()):
 
 DELETE = "delete the key"
 CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", [], {}]
+CHECKPOINT_PARAMETERS = [("models", "high", "values"), ("models", "noise", "values"),
+                         ("models", "noise", "eta"), ("standardize", "mean"),
+                         ("standardize", "std")]
+
+
+def all_finite_parameters(doc) -> bool:
+    """Every parameter and standardization value is a finite number."""
+    for keys in CHECKPOINT_PARAMETERS:
+        node = doc
+        for key in keys:
+            node = node[key]
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in node):
+            return False
+    return True
 
 
 @settings(max_examples=80, deadline=None)
@@ -520,6 +561,8 @@ def test_fuzz_checkpoint_document(trained_checkpoint, data):
         code, err = run_main("audit", "--checkpoint", ckpt, "--data", csv_path,
                              "--histogram-feature", "f0", "--out", Path(tmp) / "out")
     assert_documented_exit(code, err)
+    if code == 0:
+        assert all_finite_parameters(doc)
 
 
 json_values = st.recursive(

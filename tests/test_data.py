@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reckoner.data import (
     ColumnSpec,
@@ -7,8 +11,11 @@ from reckoner.data import (
     Schema,
     SplitSpec,
     SynthConfig,
+    _map_groups,
+    _map_labels,
     hash_features,
     load_csv,
+    read_csv_rows,
     split_dataset,
     standardize,
     synth_biased,
@@ -194,6 +201,120 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d1.x, d2.x)
 
 
+def load_csv_per_cell(path, schema: Schema, impute_missing: bool = False) -> Dataset:
+    """Reference encoder: one ``float`` or ``hash_features`` call and one
+    add per cell, the loader as it was before the column-at-once encoding."""
+    header, rows = read_csv_rows(path)
+    header = [h.strip() for h in header]
+    want = [c.name for c in schema.columns]
+    if sorted(header) != sorted(want):
+        raise DataError(
+            f"header mismatch: file has {header!r}, schema expects {sorted(want)!r}"
+        )
+    if not rows:
+        raise DataError(f"empty file: {path} has a header but no rows")
+    col_at = {name: header.index(name) for name in want}
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
+    label_at, sens_at = col_at[schema.label_column], col_at[schema.sensitive_column]
+    label_raw = [row[label_at].strip() for row in rows]
+    sens_raw = [row[sens_at].strip() for row in rows]
+    if any(v == "" for v in label_raw):
+        raise DataError("missing label cell")
+    if any(v == "" for v in sens_raw):
+        raise DataError("missing sensitive cell")
+    y = _map_labels(label_raw)
+    s = _map_groups(sens_raw)
+    x = np.zeros((n, schema.m), dtype=np.float64)
+    offsets = schema.feature_offsets()
+    for c in schema.feature_columns:
+        j = col_at[c.name]
+        cells = [row[j].strip() for row in rows]
+        if c.kind == "numeric":
+            col = np.empty(n, dtype=np.float64)
+            missing = []
+            for i, cell in enumerate(cells):
+                if cell == "":
+                    if not impute_missing:
+                        raise DataError(f"missing cell in numeric column {c.name!r}, row {i + 2}")
+                    missing.append(i)
+                    col[i] = np.nan
+                    continue
+                try:
+                    col[i] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"unparseable numeric cell {cell!r} in column {c.name!r}, row {i + 2}"
+                    ) from None
+            if missing:
+                present = np.delete(col, missing)
+                if present.size == 0:
+                    raise DataError(f"numeric column {c.name!r} is entirely missing")
+                col[missing] = present.mean()
+            if not np.isfinite(col).all():
+                raise DataError(f"non-finite value in numeric column {c.name!r}")
+            x[:, offsets[c.name]] = col
+        else:
+            base = offsets[c.name]
+            for i, cell in enumerate(cells):
+                if cell == "" and not impute_missing:
+                    raise DataError(f"missing cell in categorical column {c.name!r}, row {i + 2}")
+                idx, sign = hash_features(cell, c.name, schema.hash_buckets)
+                x[i, base + idx] += sign
+    return Dataset(x=x, y=y, s=s, schema=schema)
+
+
+def load_outcome(loader, path, schema, impute_missing):
+    try:
+        return loader(path, schema, impute_missing)
+    except DataError as exc:
+        return str(exc)
+
+
+# Few distinct values so that they repeat; padding, empty and bad cells so
+# that the error paths and their row numbers are compared too.
+CATEGORICAL_CELLS = st.sampled_from(["a", "b", " a", "a ", "ü", "", "  ", "1", "x,y"])
+NUMERIC_CELLS = st.sampled_from(["0", "1.5", " -2 ", "1e3", "-0", "1_0", "", "x",
+                                 "nan", "inf"]) | st.floats(-1e6, 1e6).map(repr)
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
+                          min_size=1, max_size=4))
+    names = [f"c{i}" for i in range(len(kinds))]
+    schema = Schema(columns=tuple(ColumnSpec(n, k) for n, k in zip(names, kinds))
+                    + (ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                    hash_buckets=draw(st.sampled_from([2, 4, 16])))
+    n = draw(st.integers(1, 30))
+    columns = [draw(st.lists(NUMERIC_CELLS if k == "numeric" else CATEGORICAL_CELLS,
+                             min_size=n, max_size=n)) for k in kinds]
+    columns.append(draw(st.lists(st.sampled_from(["0", "1"]), min_size=n, max_size=n)))
+    columns.append(draw(st.lists(st.sampled_from(["g", "h"]), min_size=n, max_size=n)))
+    return schema, [names + ["y", "s"], *map(list, zip(*columns))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables(), impute_missing=st.booleans())
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, table, impute_missing):
+    schema, rows = table
+    path = tmp_path_factory.mktemp("eq") / "d.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    got = load_outcome(load_csv, path, schema, impute_missing)
+    want = load_outcome(load_csv_per_cell, path, schema, impute_missing)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.x.shape == want.x.shape
+    assert np.array_equal(got.x, want.x) and got.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.s, want.s)
+
+
 class TestStandardize:
     def test_constant_column_becomes_zero(self, numeric_schema):
         x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
@@ -314,6 +435,12 @@ class TestDatasetInvariants:
     def test_rejects_length_mismatch(self, numeric_schema):
         with pytest.raises(DataError):
             Dataset(x=np.zeros((2, 2)), y=[0], s=[0, 1], schema=numeric_schema)
+
+    def test_caller_arrays_are_taken_and_frozen(self, numeric_schema):
+        x, y, s = np.zeros((2, 2)), np.array([0, 1]), np.array([0, 1])
+        d = Dataset(x=x, y=y, s=s, schema=numeric_schema)
+        assert d.x is x and d.y is y and d.s is s
+        assert not (x.flags.writeable or y.flags.writeable or s.flags.writeable)
 
     def test_arrays_are_readonly(self, numeric_schema):
         d = Dataset(x=np.zeros((2, 2)), y=[0, 1], s=[0, 1], schema=numeric_schema)

@@ -1,5 +1,9 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,38 @@ class TestPredict:
         model = initialize(tr, TrainConfig(seed=16, **FAST))
         with pytest.raises(DataError):
             predict(model, np.zeros((3, tr.m + 1)))
+
+    def test_chunked_scores_are_bit_equal_to_whole_matrix(self):
+        """Chunked ``predict`` against one product over all rows, around the
+        chunk size, with a short tail, and at audit scale (m = 130). Run with
+        one BLAS thread, as the CLI tests and the benchmark run: a threaded
+        matrix-vector product splits rows where the row count says, so the
+        whole-matrix bits themselves then depend on the thread count."""
+        chunk = pipeline.PREDICT_CHUNK_ROWS
+        sizes = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7, 100_000]
+        script = f"""
+import numpy as np
+from reckoner.models import FeedForwardClassifier, NoiseWrapper, predict_labels
+from reckoner.pipeline import ReckonerModel, TrainConfig, predict
+for m, use_noise in ((6, False), (130, True)):
+    model = ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
+                          FeedForwardClassifier(m, 64, 32),
+                          NoiseWrapper.initialized(m, 16, 3),
+                          TrainConfig(use_noise=use_noise))
+    x = np.random.default_rng(m).standard_normal(({max(sizes)}, m))
+    for n in {sizes}:
+        whole = model.high.score(model.high_input(x[:n]))
+        labels, scores = predict(model, x[:n])
+        assert scores.tobytes() == whole.tobytes(), (m, n)
+        assert np.array_equal(labels, predict_labels(whole)), (m, n)
+print("ok")
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestAblationDegeneracy:
