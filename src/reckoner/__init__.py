@@ -58,6 +58,7 @@ from .pipeline import (  # noqa: F401
     ReckonerModel,
     TrainConfig,
     erm_baseline,
+    identify,
     initialize,
     predict,
     pseudo_learning_cycle,

@@ -35,9 +35,29 @@ def _params_dict(params: ModelParams) -> dict:
     }
 
 
-def _params_from_dict(d: dict) -> ModelParams:
+def _numbers(values, name: str) -> np.ndarray:
+    """A JSON list of finite numbers as float64. A string or a bool would
+    parse (``"0.49"`` as 0.49, ``true`` as 1.0) and ``null`` reads as NaN,
+    so each is rejected."""
+    if not isinstance(values, list) or any(
+            type(v) not in (int, float) for v in values if v is not None):
+        raise ValueError(f"non-numeric value in {name}")
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"non-finite value in {name}")
+    return array
+
+
+def _count(value, name: str) -> int:
+    """A JSON integer; ``6.7``, ``"6"`` and ``true`` are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _params_from_dict(d: dict, name: str) -> ModelParams:
     layout = ParamLayout.from_dict(d["layout"])
-    return ModelParams(layout, np.asarray(d["values"], dtype=np.float64))
+    return ModelParams(layout, _numbers(d["values"], f"{name}.values"))
 
 
 def checkpoint_dict(model: ReckonerModel, schema: Schema,
@@ -89,30 +109,24 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         return _from_doc(doc)
     except KeyError as exc:
         raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
 
 
 def _from_doc(doc: dict) -> LoadedCheckpoint:
     cfg = TrainConfig.from_dict(doc["config"])
-    m = int(doc["m"])
+    m = _count(doc["m"], "m")
     high = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2,
-                                 _params_from_dict(doc["models"]["high"]))
+                                 _params_from_dict(doc["models"]["high"], "models.high"))
     noise_doc = doc["models"]["noise"]
-    noise = NoiseWrapper(m, int(noise_doc["hidden"]),
-                         np.asarray(noise_doc["eta"], dtype=np.float64),
-                         _params_from_dict(noise_doc))
+    noise = NoiseWrapper(m, _count(noise_doc["hidden"], "models.noise.hidden"),
+                         _numbers(noise_doc["eta"], "models.noise.eta"),
+                         _params_from_dict(noise_doc, "models.noise"))
     schema = Schema.from_dict(doc["schema"])
-    mean = np.asarray(doc["standardize"]["mean"], dtype=np.float64)
-    std = np.asarray(doc["standardize"]["std"], dtype=np.float64)
+    mean = _numbers(doc["standardize"]["mean"], "standardize.mean")
+    std = _numbers(doc["standardize"]["std"], "standardize.std")
     if schema.m != m or mean.shape != (m,) or std.shape != (m,):
         raise ValueError(f"schema or standardization does not match width m={m}")
-    for name, values in (("models.high.values", high.params.values),
-                         ("models.noise.values", noise.params.values),
-                         ("models.noise.eta", noise.eta),
-                         ("standardize.mean", mean), ("standardize.std", std)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"non-finite value in {name}")
     # The low classifier is training state and is not stored: like the
     # optimizer moments, it comes back freshly zeroed.
     low = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2)

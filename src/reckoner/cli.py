@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import logging
 import math
@@ -33,7 +34,8 @@ from .data import (
     synth_biased,
 )
 from .errors import ConfigError, DataError, NumericError, ReckonerError
-from .metrics import fairness_report
+from .metrics import FairnessReport, fairness_report
+from .models import LinearClassifier
 from .pipeline import TrainConfig, predict, train
 from .serial import (
     format_float,
@@ -43,6 +45,7 @@ from .serial import (
     sha256_of_obj,
     write_json,
     write_jsonl,
+    write_text,
 )
 
 log = logging.getLogger("reckoner")
@@ -58,8 +61,9 @@ def _setup_logging() -> None:
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
@@ -82,24 +86,30 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
     return cfg, schema, split
 
 
-def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
-                  data_path: Path, out_dir: Path) -> dict:
-    """Shared train flow for cmd_train and sweep points; returns summary.
+def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
+    """Load, split and standardize: (train, valid, test, mean, std, sha256)."""
+    full = load_csv(data_path, schema)
+    tr, va, te = split_dataset(full, split)
+    (tr, va, te), mean, std = standardize(tr, [va, te])
+    return tr, va, te, mean, std, sha256_hex(data_path.read_bytes())
+
+
+def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec, data: tuple,
+                  out_dir: Path, identifier: LinearClassifier | None = None,
+                  ) -> tuple[FairnessReport, LinearClassifier]:
+    """Shared train flow for cmd_train and sweep points on ``_prepare_data``'s
+    tuple; returns the test report and the identifier the run used.
 
     Every artifact is written after the run has succeeded, the manifest
     last, so a failed run leaves no manifest behind.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    full = load_csv(data_path, schema)
-    tr, va, te = split_dataset(full, split)
-    (tr, va, te), mean, std = standardize(tr, [va, te])
-
+    tr, va, te, mean, std, dataset_sha256 = data
     manifest = {
         "tool_version": __version__,
         "config": cfg.to_dict(),
         "schema": schema.to_dict(),
         "split": split.to_dict(),
-        "dataset_sha256": sha256_hex(data_path.read_bytes()),
+        "dataset_sha256": dataset_sha256,
         "seed": cfg.seed,
         "artifacts": {
             "checkpoint": "checkpoint.json",
@@ -109,7 +119,7 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
     }
     manifest_hash = sha256_of_obj(manifest)
 
-    model = train(tr, va, cfg)
+    model = train(tr, va, cfg, identifier=identifier)
     preds, _ = predict(model, te.x)
     report = fairness_report(preds, te.y, te.s)
 
@@ -123,17 +133,14 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec,
                {"manifest_sha256": manifest_hash, **report.to_dict()})
     write_json(out_dir / "manifest.json", manifest)
     log.info("train run complete: %s", out_dir)
-    return {
-        "accuracy": report.accuracy,
-        "demographic_parity": report.dp,
-        "equalized_odds": report.eodds,
-        "manifest_sha256": manifest_hash,
-    }
+    return report, model.identifier
 
 
 def cmd_train(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
-    _run_training(cfg, schema, split, Path(args.data), Path(args.out))
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    data = _prepare_data(schema, split, Path(args.data))
+    _run_training(cfg, schema, split, data, Path(args.out))
     return 0
 
 
@@ -283,22 +290,27 @@ def cmd_sweep(args) -> int:
               "equalized_odds", "reason"]
     rows = [header]
     succeeded = 0
+    # Neither the split nor the identifier's settings are sweepable, so the
+    # points share one data preparation (retried until it succeeds) and one
+    # identifier, fitted by the first point that succeeds.
+    data = identifier = None
     for i, point in enumerate(grid):
         merged = {**cfg.to_dict(), **point}
         run_dir = out_dir / f"point_{i:03d}"
-        values = {k: merged[k] for k in SWEEPABLE}
+        cells = [str(i), *(_cell(merged[k]) for k in SWEEPABLE)]
         try:
             point_cfg = TrainConfig.from_dict(merged)
-            summary = _run_training(point_cfg, schema, split, Path(args.data), run_dir)
-            rows.append([str(i), *(_cell(values[k]) for k in SWEEPABLE), "ok",
-                         format_float(summary["accuracy"]),
-                         format_float(summary["demographic_parity"]),
-                         format_float(summary["equalized_odds"]), ""])
+            run_dir.mkdir(parents=True, exist_ok=True)
+            if data is None:
+                data = _prepare_data(schema, split, Path(args.data))
+            report, identifier = _run_training(point_cfg, schema, split, data,
+                                               run_dir, identifier)
+            rows.append([*cells, "ok", format_float(report.accuracy),
+                         format_float(report.dp), format_float(report.eodds), ""])
             succeeded += 1
         except ReckonerError as exc:
             log.warning("sweep point %d failed: %s", i, exc)
-            rows.append([str(i), *(_cell(values[k]) for k in SWEEPABLE), "error",
-                         "", "", "", str(exc)])
+            rows.append([*cells, "error", "", "", "", str(exc)])
     _write_csv(out_dir / "summary.csv", rows)
     if succeeded == 0:
         raise ConfigError("all sweep points failed; see summary.csv")

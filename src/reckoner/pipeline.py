@@ -25,6 +25,7 @@ from .metrics import accuracy, fairness_report
 from .models import (
     AdamState,
     FeedForwardClassifier,
+    LinearClassifier,
     ModelParams,
     NoiseWrapper,
     adam_step,
@@ -153,6 +154,7 @@ class ReckonerModel:
 
     Prediction uses the high-confidence classifier only. The low classifier
     rolls back to ``low_snapshot``, taken here from its current weights.
+    ``identifier`` is the identification fit; checkpoints do not store it.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -168,6 +170,7 @@ class ReckonerModel:
         self.noise_state = AdamState.zeros(noise.params.layout.size, lr=lr)
         self.high_step_count = 0
         self.history: list[dict] = []
+        self.identifier: LinearClassifier | None = None
 
     @property
     def m(self) -> int:
@@ -201,21 +204,29 @@ def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
     return steps
 
 
+def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
+    """The identifier fit. It has no seed: runs on the same ``train`` with the
+    same ``identifier_epochs`` and ``identifier_lr`` may share it."""
+    return lr_fit(train, epochs=cfg.identifier_epochs, learning_rate=cfg.identifier_lr)
+
+
 def initialize(train: Dataset, cfg: TrainConfig, *,
+               identifier: LinearClassifier | None = None,
                init_override: Dataset | None = None,
                on_high_step: StepHook | None = None) -> ReckonerModel:
     """Identification stage plus per-subset initialization of both classifiers.
 
-    ``init_override`` replaces the high-confidence subset as the high
-    classifier's initialization data; it exists so the ERM comparison can
-    share the exact training trajectory, and is not part of the standard
-    two-stage flow.
+    ``identifier`` is ``identify(train, cfg)`` when given; it is fitted here
+    when not. ``init_override`` replaces the high-confidence subset as the
+    high classifier's initialization data; it exists so the ERM comparison
+    can share the exact training trajectory, and is not part of the
+    standard two-stage flow.
     """
     if train.n == 0:
         raise DataError("training set is empty")
     m = train.m
-    identifier = lr_fit(train, epochs=cfg.identifier_epochs,
-                        learning_rate=cfg.identifier_lr)
+    if identifier is None:
+        identifier = identify(train, cfg)
     split = split_by_confidence(train, identifier, cfg.confidence_threshold)
     if split.high.size == 0 or split.low.size == 0:
         which = "high" if split.high.size == 0 else "low"
@@ -235,6 +246,7 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     noise = NoiseWrapper.initialized(m, noise_hidden, cfg.seed + _SEED_NOISE)
 
     model = ReckonerModel(high, low, noise, cfg)
+    model.identifier = identifier
     steps = cfg.init_steps
     model.high_step_count += _init_phase(
         high, model.high_state, high_init, steps, cfg.batch_size,
@@ -349,6 +361,7 @@ def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
 
 
 def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
+          identifier: LinearClassifier | None = None,
           init_override: Dataset | None = None,
           on_high_step: StepHook | None = None) -> ReckonerModel:
     """Full pipeline: initialize, then refine over seeded mini-batches.
@@ -358,8 +371,8 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     """
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
-    model = initialize(train_set, cfg, init_override=init_override,
-                       on_high_step=on_high_step)
+    model = initialize(train_set, cfg, identifier=identifier,
+                       init_override=init_override, on_high_step=on_high_step)
     refine_steps = cfg.total_iterations - cfg.init_steps
     stream = _BatchStream(train_set.n, cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE)
     epoch_len = max(1, math.ceil(train_set.n / stream.batch_size))

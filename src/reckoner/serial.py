@@ -4,7 +4,8 @@ Reports round-trip floats at 12 significant digits; checkpoints use Python's
 shortest-exact float repr so reloads are bit-identical. Every JSON document
 the package reads or writes goes through ``read_json`` and ``write_json``
 (``write_jsonl`` for the training log); config dataclasses decode through
-``JsonConfig``.
+``JsonConfig``. Every artifact is written whole or not at all
+(``write_text``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import typing
 from pathlib import Path
 from typing import Any
@@ -51,16 +53,30 @@ def read_json(path: str | Path, what: str) -> Any:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through a temp file in the target's directory,
+    then ``os.replace`` it: a failed write leaves an existing target as it
+    was and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     """Sorted keys, one-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+    write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def write_jsonl(path: str | Path, rows: list[dict]) -> None:
     """One sorted-key JSON object per line."""
-    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
-                          encoding="utf-8")
+    write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
 
 
 class JsonConfig:

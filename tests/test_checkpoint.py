@@ -23,6 +23,23 @@ def trained(tmp_path_factory):
     return model, d.schema, te, path
 
 
+PARAMETER_KEYS = [("models", "high", "values"), ("models", "noise", "values"),
+                  ("models", "noise", "eta"), ("standardize", "mean"),
+                  ("standardize", "std")]
+
+
+def edited(path, tmp_path, keys, value):
+    """A copy of the checkpoint at ``path`` with the node at ``keys`` set."""
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 class TestCheckpointRoundtrip:
     def test_scores_are_bit_identical_after_reload(self, trained):
         model, _, te, path = trained
@@ -83,21 +100,29 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "missing.json")
 
-    @pytest.mark.parametrize("keys", [("models", "high", "values"),
-                                      ("models", "noise", "values"),
-                                      ("models", "noise", "eta"),
-                                      ("standardize", "mean"),
-                                      ("standardize", "std")],
-                             ids=".".join)
+    @pytest.mark.parametrize("keys", PARAMETER_KEYS, ids=".".join)
     def test_null_parameter_rejected(self, trained, tmp_path, keys):
         """``null`` reads as NaN; a model holding one would still score rows."""
-        _, _, _, path = trained
-        doc = json.loads(path.read_text())
-        node = doc
-        for key in keys:
-            node = node[key]
-        node[0] = None
-        bad = tmp_path / "null.json"
-        bad.write_text(json.dumps(doc))
+        bad = edited(trained[3], tmp_path, keys + (0,), None)
         with pytest.raises(ConfigError, match=f"non-finite value in {'.'.join(keys)}"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("value", ["0.49", True], ids=["string", "true"])
+    @pytest.mark.parametrize("keys", PARAMETER_KEYS, ids=".".join)
+    def test_non_number_parameter_rejected(self, trained, tmp_path, keys, value):
+        """numpy would read ``"0.49"`` as 0.49 and ``true`` as 1.0."""
+        bad = edited(trained[3], tmp_path, keys + (0,), value)
+        with pytest.raises(ConfigError, match=f"non-numeric value in {'.'.join(keys)}"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit", [lambda n: n + 0.7, float, str, lambda n: True],
+                             ids=["fraction", "integral-float", "string", "true"])
+    @pytest.mark.parametrize("keys", [("m",), ("models", "noise", "hidden")],
+                             ids=".".join)
+    def test_non_integer_width_rejected(self, trained, tmp_path, keys, edit):
+        """``int()`` would truncate 3.7 to 3 and accept ``"3"``."""
+        model = trained[0]
+        bad = edited(trained[3], tmp_path, keys, edit(model.m))
+        with pytest.raises(ConfigError, match="must be a JSON integer"):
+            load_checkpoint(bad)
+

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reckoner
+import reckoner.cli
+import reckoner.pipeline
 from reckoner.cli import SWEEPABLE, _sweep_grid, main
 from reckoner.errors import ConfigError
 from reckoner.pipeline import TrainConfig
@@ -57,6 +60,16 @@ C9_TRAIN_CFG = {
     "split": {"train_fraction": 0.7, "valid_fraction": 0.15,
               "test_fraction": 0.15, "seed": 3},
 }
+
+
+# SHA-256 of the four artifacts ``reckoner train`` writes for C9's config.
+C9_SHA256 = {
+    "checkpoint.json": "cfe68ffa222c6b55f507974f0ef955008ad728f8f0c3147f43273756f418f9a4",
+    "fairness_report.json": "e69eefc4f1b41463518e005ea5ed08de3d777c3b1a1b0411d02a28e31faf14c7",
+    "manifest.json": "52c049fa6addacf8355a2466341912f9e02e9ffdcdb860d41874825e2a2f442b",
+    "training_log.jsonl": "5903732ebde98eadb07ccd122eec4f2b8c2c7fbd351fcc1a6226f04e2f7c8d13",
+}
+ARTIFACTS = tuple(C9_SHA256)
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
@@ -192,6 +205,24 @@ class TestTrain:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]  # no numpy warnings
         assert "error kind=numeric exit=3" in proc.stderr
         assert_no_manifest(out)
+
+    def test_c9_artifacts_match_pinned_sha256(self, tmp_path):
+        """The byte-identity rule as a check: C9's config, one BLAS thread.
+
+        Pinned on numpy 2.4.6 with scipy-openblas 0.3.31; another numpy or
+        BLAS build may change last bits legitimately.
+        """
+        synth_cfg = _file(tmp_path / "synth.json", C9_SYNTH_CFG)
+        data = tmp_path / "data.csv"
+        cfg = _file(tmp_path / "train.json", C9_TRAIN_CFG)
+        out = tmp_path / "run"
+        for argv in (("synth", "--config", synth_cfg, "--out", data),
+                     ("train", "--config", cfg, "--data", data, "--out", out)):
+            proc = run_cli(*argv)
+            assert proc.returncode == 0, proc.stderr
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in C9_SHA256}
+        assert digests == C9_SHA256
 
 
 class TestAudit:
@@ -334,6 +365,78 @@ class TestSweep:
             (ablate_out / "fairness_report.json").read_text())
         for key in ("accuracy", "demographic_parity", "equalized_odds"):
             assert sweep_report[key] == ablate_report[key]
+
+    GRID = {"seed": [0, 1], "confidence_threshold": [0.6, 0.7]}
+
+    def sweep(self, workdir, grid, data=None) -> tuple[int, Path]:
+        tmp_path, train_cfg, workdir_data = workdir
+        out = tmp_path / "sweep_out"
+        code = main(["sweep", "--config", str(train_cfg),
+                     "--data", str(data or workdir_data),
+                     "--sweep", str(_file(tmp_path / "grid.json", grid)),
+                     "--out", str(out)])
+        return code, out
+
+    def summary(self, out: Path) -> list[dict]:
+        with (out / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_each_point_matches_a_standalone_train(self, workdir):
+        """The shared data and identifier change no byte of any point."""
+        tmp_path, _, data = workdir
+        code, out = self.sweep(workdir, self.GRID)
+        assert code == 0
+        points = _sweep_grid(self.GRID)
+        assert [r["status"] for r in self.summary(out)] == ["ok"] * len(points)
+        for i, point in enumerate(points):
+            alone = tmp_path / f"alone_{i}"
+            doc = dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], **point))
+            assert "split" in doc
+            assert main(["train", "--config", str(_file(tmp_path / "point.json", doc)),
+                         "--data", str(data), "--out", str(alone)]) == 0
+            for name in ARTIFACTS:
+                assert (out / f"point_{i:03d}" / name).read_bytes() \
+                    == (alone / name).read_bytes(), (point, name)
+
+    def test_data_read_and_identifier_fitted_once(self, workdir, monkeypatch):
+        calls = {"lr_fit": 0, "load_csv": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(reckoner.pipeline, "lr_fit")
+        counted(reckoner.cli, "load_csv")
+        code, out = self.sweep(workdir, self.GRID)
+        assert code == 0
+        assert len(self.summary(out)) == 4
+        assert calls == {"lr_fit": 1, "load_csv": 1}
+
+    def test_unreadable_data_fails_every_point(self, workdir):
+        tmp_path, _, data = workdir
+        lines = data.read_text().splitlines(keepends=True)
+        lines[3] = "abc" + lines[3][lines[3].index(","):]
+        bad = _file(tmp_path / "bad.csv", "".join(lines))
+        code, out = self.sweep(workdir, self.GRID, data=bad)
+        assert code == 1
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["error"] * 4
+        assert {r["reason"] for r in rows} == {
+            "unparseable numeric cell 'abc' in column 'f0', row 4"}
+        assert all((out / f"point_{i:03d}").is_dir() for i in range(4))
+
+    def test_emptied_subset_fails_only_its_point(self, workdir):
+        code, out = self.sweep(workdir, {"confidence_threshold": [0.6, 0.99]})
+        assert code == 0
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert rows[1]["reason"].startswith(
+            "confidence split left the high-confidence subset empty at threshold 0.99")
+        assert_no_manifest(out / "point_001")
 
 
 # Malformed input documents: each exits with its documented code and one
@@ -525,33 +628,38 @@ def json_paths(node, prefix=()):
 
 
 DELETE = "delete the key"
-CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", [], {}]
+CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", "0.49", [], {}]
 CHECKPOINT_PARAMETERS = [("models", "high", "values"), ("models", "noise", "values"),
                          ("models", "noise", "eta"), ("standardize", "mean"),
                          ("standardize", "std")]
+CHECKPOINT_COUNTS = [("m",), ("models", "noise", "hidden")]
 
 
-def all_finite_parameters(doc) -> bool:
-    """Every parameter and standardization value is a finite number."""
-    for keys in CHECKPOINT_PARAMETERS:
-        node = doc
-        for key in keys:
-            node = node[key]
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in node):
-            return False
-    return True
+def node_at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def well_typed_numbers(doc) -> bool:
+    """Every parameter and standardization value is a finite JSON number
+    (not a bool) and both widths are JSON integers."""
+    return (all(type(v) in (int, float) and math.isfinite(v)
+                for keys in CHECKPOINT_PARAMETERS for v in node_at(doc, keys))
+            and all(type(node_at(doc, keys)) is int for keys in CHECKPOINT_COUNTS))
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_fuzz_checkpoint_document(trained_checkpoint, data):
+@given(data=st.data(), edit=st.sampled_from(CHECKPOINT_EDITS))
+@example(data=None, edit="0.49")
+@example(data=None, edit=True)
+def test_fuzz_checkpoint_document(trained_checkpoint, data, edit):
+    """An ``@example`` (``data`` is None) edits ``models.noise.eta[0]``."""
     doc, csv_path = trained_checkpoint
-    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    path = ("models", "noise", "eta", 0) if data is None \
+        else data.draw(st.sampled_from(list(json_paths(doc))))
     doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    edit = data.draw(st.sampled_from(CHECKPOINT_EDITS))
+    parent = node_at(doc, path[:-1])
     if edit == DELETE and isinstance(parent, dict):
         del parent[path[-1]]
     elif edit != DELETE:
@@ -562,7 +670,7 @@ def test_fuzz_checkpoint_document(trained_checkpoint, data):
                              "--histogram-feature", "f0", "--out", Path(tmp) / "out")
     assert_documented_exit(code, err)
     if code == 0:
-        assert all_finite_parameters(doc)
+        assert well_typed_numbers(doc)
 
 
 json_values = st.recursive(

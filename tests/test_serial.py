@@ -1,15 +1,20 @@
+import csv
 import dataclasses
+import errno
 import json
+import os
 import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reckoner.serial
+from reckoner.cli import _write_csv
 from reckoner.data import Schema, SplitSpec, SynthConfig
 from reckoner.errors import ConfigError
 from reckoner.pipeline import TrainConfig
-from reckoner.serial import read_json, write_json
+from reckoner.serial import read_json, write_json, write_jsonl
 
 VALID_DOCS = {
     TrainConfig: {},
@@ -53,6 +58,62 @@ class TestReadWriteJson:
             read_json(tmp_path / "missing.json", "test")
         with pytest.raises(ConfigError):
             read_json(tmp_path, "test")
+
+
+class _FullDiskFile:
+    """A temp file opened for real whose every write fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+WRITERS = {
+    "json": (write_json, {"a": [1.5, None]}),
+    "jsonl": (write_jsonl, [{"epoch": 0}, {"epoch": 1}]),
+    "csv": (_write_csv, [["a", "b,c"], ['"q"', "line\nbreak"]]),
+}
+
+
+class TestAtomicWrite:
+    def test_csv_bytes_match_a_direct_write(self, tmp_path):
+        rows = WRITERS["csv"][1]
+        direct = tmp_path / "direct.csv"
+        with direct.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        atomic = tmp_path / "atomic.csv"
+        atomic.write_bytes(b"old bytes, replaced\n")
+        _write_csv(atomic, rows)
+        assert atomic.read_bytes() == direct.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["atomic.csv", "direct.csv"]
+
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+    def test_failed_write_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                           writer, fails):
+        write, payload = writer
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+        if fails == "write":
+            monkeypatch.setattr(reckoner.serial, "open",
+                                lambda *a, **k: _FullDiskFile(open(*a, **k)),
+                                raising=False)
+        else:
+            def no_replace(src, dst):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError, match="No space left|Invalid cross-device"):
+            write(target, payload)
+        assert target.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["artifact"]
 
 
 class TestJsonConfig:
