@@ -9,7 +9,7 @@ snapshot/restore and elementwise blending are cheap and bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,25 +23,38 @@ PROB_EPS = 1e-7  # probability clamp applied before logarithms
 _TANH_LIMIT = float(np.nextafter(1.0, 0.0))
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid_into(z: np.ndarray, out: np.ndarray, denom: np.ndarray,
+                  nonneg: np.ndarray) -> np.ndarray:
+    """Branch-free sigmoid of ``z`` into ``out``; ``denom`` (float) and
+    ``nonneg`` (bool) are scratch of ``z``'s shape.
+
+    With e = exp(-|z|) it is 1/(1+e) where z >= 0 and e/(1+e) elsewhere. The
+    argument -|z| is formed as min(z, -z), which is -z where z >= 0 and z
+    itself elsewhere (a NaN keeps its own bits), so every element takes
+    exactly the operations of the two-branch form.
+    """
+    np.greater_equal(z, 0.0, out=nonneg)
+    np.negative(z, out=out)
+    np.minimum(z, out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=denom)
+    np.divide(out, denom, out=out)
+    np.divide(1.0, denom, out=out, where=nonneg)
     return out
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    return _sigmoid_into(z, np.empty_like(z), np.empty_like(z),
+                         np.empty(z.shape, dtype=bool))
 
 
 def bce(p, y) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0, 1}."""
-    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
     y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+    losses = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    return float(np.add.reduce(losses, axis=None) / losses.size)
 
 
 @dataclass(frozen=True)
@@ -78,9 +91,10 @@ class ParamLayout:
 
 
 class ModelParams:
-    """Flat float64 parameter vector with named views into its segments."""
+    """Flat float64 parameter vector with named views into its segments;
+    ``parts`` holds the same views in layout order."""
 
-    __slots__ = ("layout", "values", "_views")
+    __slots__ = ("layout", "values", "parts", "_views")
 
     def __init__(self, layout: ParamLayout, values: np.ndarray | None = None):
         self.layout = layout
@@ -90,10 +104,9 @@ class ModelParams:
         if values.shape != (layout.size,):
             raise ValueError(f"expected {layout.size} values, got shape {values.shape}")
         self.values = values
-        self._views = {
-            name: values[start:end].reshape(shape)
-            for name, start, end, shape in layout.table
-        }
+        self.parts = tuple(values[start:end].reshape(shape)
+                           for _, start, end, shape in layout.table)
+        self._views = {name: part for (name, _), part in zip(layout.segments, self.parts)}
 
     def view(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -107,17 +120,28 @@ class ModelParams:
         self.values[:] = snap.values
 
 
-def blend(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:
-    """Elementwise alpha * a + (1 - alpha) * b; alpha in [0, 1]."""
-    if a.layout != b.layout:
+def blend(a: ModelParams, b: ModelParams, alpha: float,
+          out: ModelParams | None = None) -> ModelParams:
+    """Elementwise alpha * a + (1 - alpha) * b; alpha in [0, 1].
+
+    The result goes to ``out`` when given (it may be ``a`` or ``b``), else
+    to new parameters.
+    """
+    if a.layout != b.layout or (out is not None and out.layout != a.layout):
         raise ValueError("blend requires identical parameter layouts")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if out is None:
+        out = ModelParams(a.layout)
     if alpha == 1.0:
-        return a.snapshot()
-    if alpha == 0.0:
-        return b.snapshot()
-    return ModelParams(a.layout, alpha * a.values + (1.0 - alpha) * b.values)
+        np.copyto(out.values, a.values)
+    elif alpha == 0.0:
+        np.copyto(out.values, b.values)
+    else:
+        low_share = np.multiply(b.values, 1.0 - alpha)
+        np.multiply(a.values, alpha, out=out.values)
+        np.add(out.values, low_share, out=out.values)
+    return out
 
 
 ADAM_BETA1 = 0.9
@@ -127,12 +151,21 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for one flat parameter vector."""
+    """Adam optimizer state for one flat parameter vector, with the scratch
+    vectors ``adam_step`` forms its update in."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     lr: float
+    _step: np.ndarray = field(init=False, repr=False, compare=False)
+    _denom: np.ndarray = field(init=False, repr=False, compare=False)
+    _finite: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._step = np.empty_like(self.m)
+        self._denom = np.empty_like(self.m)
+        self._finite = np.empty(self.m.shape, dtype=bool)
 
     @classmethod
     def zeros(cls, size: int, lr: float) -> "AdamState":
@@ -146,23 +179,33 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction; allocates nothing.
+
+    The moments update first, then the step lr * m_hat / (sqrt(v_hat) + eps)
+    is formed in the state's scratch. Only the step is scanned for
+    finiteness: a non-finite gradient makes a non-finite step.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape or state.m.shape != params.values.shape:
         raise ValueError("gradient/state length does not match parameters")
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient in adam_step")
+    step, denom = state._step, state._denom
     state.t += 1
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+    state.m += step
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    update = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.isfinite(update).all():
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    step *= grad
+    state.v += step
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.t, out=step)
+    step *= state.lr
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    if not np.isfinite(step, out=state._finite).all():
         raise NumericError("non-finite update in adam_step")
-    params.values -= update
+    params.values -= step
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -219,8 +262,33 @@ class LinearClassifier:
         return grad, prob
 
 
+class _Batch:
+    """A FeedForwardClassifier's buffers for one row count ``n``: the forward
+    activations and sigmoid scratch, plus the backward pass's masks and
+    upstream gradients when ``backward`` is set."""
+
+    __slots__ = ("n", "z1", "a1", "z2", "a2", "z3", "denom", "nonneg",
+                 "dz3", "da2", "mask2", "da1", "mask1")
+
+    def __init__(self, n: int, h1: int, h2: int, backward: bool):
+        self.n = n
+        self.z1, self.a1 = np.empty((n, h1)), np.empty((n, h1))
+        self.z2, self.a2 = np.empty((n, h2)), np.empty((n, h2))
+        self.z3 = np.empty((n, 1))
+        self.denom, self.nonneg = np.empty(n), np.empty(n, dtype=bool)
+        if backward:
+            self.dz3 = np.empty(n)
+            self.da2, self.mask2 = np.empty((n, h2)), np.empty((n, h2), dtype=bool)
+            self.da1, self.mask1 = np.empty((n, h1)), np.empty((n, h1), dtype=bool)
+
+
 class FeedForwardClassifier:
-    """Three affine layers (m -> h1 -> h2 -> 1), ReLU hidden, sigmoid output."""
+    """Three affine layers (m -> h1 -> h2 -> 1), ReLU hidden, sigmoid output.
+
+    ``backward`` keeps the buffers of its last row count (a training batch)
+    and a gradient vector, and fills them in place; other row counts, as in
+    scoring, get buffers that live for one call. Every returned array is new.
+    """
 
     def __init__(self, m: int, h1: int, h2: int, params: ModelParams | None = None):
         self.m, self.h1, self.h2 = m, h1, h2
@@ -232,6 +300,8 @@ class FeedForwardClassifier:
         self.params = params if params is not None else ModelParams(layout)
         if self.params.layout != layout:
             raise ValueError("parameter layout does not match architecture")
+        self._batch: _Batch | None = None
+        self._grad: ModelParams | None = None
 
     @classmethod
     def initialized(cls, m: int, h1: int, h2: int, seed: int) -> "FeedForwardClassifier":
@@ -246,14 +316,32 @@ class FeedForwardClassifier:
     def param_count(self) -> int:
         return self.params.layout.size
 
-    def _forward(self, xb: np.ndarray):
-        p = self.params
-        z1 = xb @ p.view("W1") + p.view("b1")
-        a1 = relu(z1)
-        z2 = a1 @ p.view("W2") + p.view("b2")
-        a2 = relu(z2)
-        z3 = (a2 @ p.view("W3"))[:, 0] + p.view("b3")[0]
-        return sigmoid(z3), (z1, a1, z2, a2)
+    def _buffers(self, n: int, keep: bool) -> _Batch:
+        work = self._batch
+        if work is None or work.n != n:
+            work = _Batch(n, self.h1, self.h2, backward=keep)
+            if keep:
+                self._batch = work
+        return work
+
+    def _forward(self, xb: np.ndarray, work: _Batch | None = None):
+        """Output probabilities (a new array) and the activations
+        (z1, a1, z2, a2), which live in ``work``."""
+        if work is None:
+            work = self._buffers(xb.shape[0], keep=False)
+        W1, b1, W2, b2, W3, b3 = self.params.parts
+        z1, a1, z2, a2 = work.z1, work.a1, work.z2, work.a2
+        np.matmul(xb, W1, out=z1)
+        z1 += b1
+        np.maximum(z1, 0.0, out=a1)
+        np.matmul(a1, W2, out=z2)
+        z2 += b2
+        np.maximum(z2, 0.0, out=a2)
+        np.matmul(a2, W3, out=work.z3)
+        z3 = work.z3[:, 0]
+        z3 += b3[0]
+        prob = _sigmoid_into(z3, np.empty(xb.shape[0]), work.denom, work.nonneg)
+        return prob, (z1, a1, z2, a2)
 
     def score(self, x: np.ndarray) -> np.ndarray | float:
         xb = _as_batch(x, self.m)
@@ -267,26 +355,36 @@ class FeedForwardClassifier:
         forward pass it was taken at; optionally also d(loss)/d(input rows)."""
         xb = _as_batch(x, self.m)
         y = np.asarray(y, dtype=np.float64)
-        p = self.params
-        prob, (z1, a1, z2, a2) = self._forward(xb)
+        n = xb.shape[0]
+        work = self._buffers(n, keep=True)
+        prob, (z1, a1, z2, a2) = self._forward(xb, work)
+        if self._grad is None:
+            self._grad = ModelParams(self.params.layout)
+        W1, _, W2, _, W3, _ = self.params.parts
+        gW1, gb1, gW2, gb2, gW3, gb3 = self._grad.parts
 
-        dz3 = (prob - y) / xb.shape[0]
-        grad = ModelParams(p.layout)
-        grad.view("W3")[:] = (a2.T @ dz3)[:, None]
-        grad.view("b3")[:] = dz3.sum()
-        da2 = dz3[:, None] @ p.view("W3").T
-        dz2 = da2 * (z2 > 0)
-        grad.view("W2")[:] = a1.T @ dz2
-        grad.view("b2")[:] = dz2.sum(axis=0)
-        da1 = dz2 @ p.view("W2").T
-        dz1 = da1 * (z1 > 0)
-        grad.view("W1")[:] = xb.T @ dz1
-        grad.view("b1")[:] = dz1.sum(axis=0)
-        if not np.isfinite(grad.values).all():
+        dz3 = np.subtract(prob, y, out=work.dz3)
+        dz3 /= n
+        np.matmul(a2.T, dz3, out=gW3[:, 0])
+        gb3[:] = dz3.sum()
+        # The k = 1 product dz3[:, None] @ W3.T, elementwise. Where it gives
+        # -0.0 the matrix product gives +0.0; every use of da2 below ends in
+        # a matrix product or a sum, which start from +0.0, so the gradient
+        # bits are the same.
+        da2 = np.multiply(dz3[:, None], W3[:, 0], out=work.da2)
+        da2 *= np.greater(z2, 0, out=work.mask2)
+        np.matmul(a1.T, da2, out=gW2)
+        np.add.reduce(da2, axis=0, out=gb2)
+        da1 = np.matmul(da2, W2.T, out=work.da1)
+        da1 *= np.greater(z1, 0, out=work.mask1)
+        np.matmul(xb.T, da1, out=gW1)
+        np.add.reduce(da1, axis=0, out=gb1)
+        grad = self._grad.values
+        if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in FeedForwardClassifier.backward")
         if return_input_grad:
-            return grad.values, prob, dz1 @ p.view("W1").T
-        return grad.values, prob
+            return grad.copy(), prob, da1 @ W1.T
+        return grad.copy(), prob
 
 
 class NoiseWrapper:
@@ -295,6 +393,8 @@ class NoiseWrapper:
     ``g`` is a two-layer MLP over a fixed vector ``eta``; its tanh output
     keeps every perturbation component inside (-1, 1). The perturbation
     depends only on the wrapper parameters, so it is shared by all rows.
+    Its activations and gradient live in buffers of the wrapper's own size;
+    every returned array is new.
     """
 
     def __init__(self, m: int, hidden: int, eta: np.ndarray,
@@ -312,6 +412,10 @@ class NoiseWrapper:
         self.params = params if params is not None else ModelParams(layout)
         if self.params.layout != layout:
             raise ValueError("parameter layout does not match architecture")
+        self._z, self._u, self._du = np.empty(hidden), np.empty(hidden), np.empty(hidden)
+        self._active = np.empty(hidden, dtype=bool)
+        self._pert, self._d_out, self._slope = np.empty(m), np.empty(m), np.empty(m)
+        self._grad = ModelParams(layout)
 
     @classmethod
     def initialized(cls, m: int, hidden: int, seed: int) -> "NoiseWrapper":
@@ -323,20 +427,27 @@ class NoiseWrapper:
         return model
 
     def _forward(self):
-        p = self.params
-        z = self.eta @ p.view("V1") + p.view("c1")
-        u = relu(z)
-        pert = np.clip(np.tanh(u @ p.view("V2") + p.view("c2")),
-                       -_TANH_LIMIT, _TANH_LIMIT)
+        """The perturbation and the activations (z, u), all in the wrapper's
+        buffers."""
+        V1, c1, V2, c2 = self.params.parts
+        z, u, pert = self._z, self._u, self._pert
+        np.matmul(self.eta, V1, out=z)
+        z += c1
+        np.maximum(z, 0.0, out=u)
+        np.matmul(u, V2, out=pert)
+        pert += c2
+        np.tanh(pert, out=pert)
+        np.maximum(pert, -_TANH_LIMIT, out=pert)
+        np.minimum(pert, _TANH_LIMIT, out=pert)
         return pert, (z, u)
 
     def perturbation(self) -> np.ndarray:
         pert, _ = self._forward()
-        return pert
+        return pert.copy()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         xb = _as_batch(x, self.m)
-        out = xb + self.perturbation()
+        out = xb + self._forward()[0]
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def backward(self, d_xtilde: np.ndarray) -> np.ndarray:
@@ -345,17 +456,21 @@ class NoiseWrapper:
         if d_xtilde.shape[1] != self.m:
             raise ValueError("upstream gradient width mismatch")
         pert, (z, u) = self._forward()
-        d_out = d_xtilde.sum(axis=0) * (1.0 - pert * pert)
-        grad = ModelParams(self.params.layout)
-        grad.view("V2")[:] = np.outer(u, d_out)
-        grad.view("c2")[:] = d_out
-        du = self.params.view("V2") @ d_out
-        dz = du * (z > 0)
-        grad.view("V1")[:] = np.outer(self.eta, dz)
-        grad.view("c1")[:] = dz
-        if not np.isfinite(grad.values).all():
+        gV1, gc1, gV2, gc2 = self._grad.parts
+        d_out = np.add.reduce(d_xtilde, axis=0, out=self._d_out)
+        slope = np.multiply(pert, pert, out=self._slope)
+        np.subtract(1.0, slope, out=slope)
+        d_out *= slope
+        np.multiply(u[:, None], d_out, out=gV2)
+        gc2[:] = d_out
+        dz = np.matmul(self.params.view("V2"), d_out, out=self._du)
+        dz *= np.greater(z, 0, out=self._active)
+        np.multiply(self.eta[:, None], dz, out=gV1)
+        gc1[:] = dz
+        grad = self._grad.values
+        if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in NoiseWrapper.backward")
-        return grad.values
+        return grad.copy()
 
 
 def predict_labels(scores: np.ndarray) -> np.ndarray:

@@ -98,7 +98,11 @@ class TrainConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class PseudoLearnState:
-    """Outcome of one pseudo-learning cycle of the low-confidence classifier."""
+    """Outcome of one pseudo-learning cycle of the low-confidence classifier.
+
+    ``best_low`` is the model's ``best_low`` buffer, which the next cycle
+    overwrites.
+    """
 
     k: int
     best_low: ModelParams
@@ -154,7 +158,9 @@ class ReckonerModel:
 
     Prediction uses the high-confidence classifier only. The low classifier
     rolls back to ``low_snapshot``, taken here from its current weights.
-    ``identifier`` is the identification fit; checkpoints do not store it.
+    ``best_low`` holds the best step of the last pseudo-learning cycle; it is
+    allocated by the first cycle. ``identifier`` is the identification fit;
+    checkpoints do not store it.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -164,6 +170,7 @@ class ReckonerModel:
         self.noise = noise
         self.config = config
         self.low_snapshot = low.params.snapshot()
+        self.best_low: ModelParams | None = None
         lr = config.learning_rate
         self.high_state = AdamState.zeros(high.params.layout.size, lr=lr)
         self.low_state = AdamState.zeros(low.params.layout.size, lr=lr)
@@ -282,10 +289,13 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
     x_low = model.low_input(x, x_high)
+    layout = model.low.params.layout
+    if model.best_low is None or model.best_low.layout != layout:
+        model.best_low = ModelParams(layout)
+    best_params = model.best_low
     losses: list[float] = []
     best_loss = math.inf
     best_k = 1
-    best_params: ModelParams | None = None
     grad, _ = model.low.backward(x_low, y_tilde)
     for step in range(1, cfg.pseudo_iters + 1):
         adam_step(model.low.params, grad, model.low_state)
@@ -300,8 +310,7 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
         if loss < best_loss:
             best_loss = loss
             best_k = step
-            best_params = model.low.params.snapshot()
-    assert best_params is not None
+            np.copyto(best_params.values, model.low.params.values)
     return PseudoLearnState(k=best_k, best_low=best_params, losses=tuple(losses))
 
 
@@ -326,7 +335,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     log: dict = {}
     if run_pseudo:
         state = pseudo_learning_cycle(model, x, x_high)
-        model.high.params.restore(blend(model.high.params, state.best_low, cfg.alpha))
+        blend(model.high.params, state.best_low, cfg.alpha, out=model.high.params)
         log["k"] = state.k
         log["pseudo_loss"] = state.losses[state.k - 1]
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -70,6 +71,49 @@ C9_SHA256 = {
     "training_log.jsonl": "5903732ebde98eadb07ccd122eec4f2b8c2c7fbd351fcc1a6226f04e2f7c8d13",
 }
 ARTIFACTS = tuple(C9_SHA256)
+
+
+# A hashed categorical table: two categorical columns of 64 buckets each
+# plus two numeric columns give m = 130, trained with the noise wrapper on.
+# C9 pins only the 4-wide numeric path.
+HASHED_SCHEMA = {
+    "columns": [{"name": "c0", "kind": "categorical"},
+                {"name": "c1", "kind": "categorical"},
+                {"name": "n0", "kind": "numeric"},
+                {"name": "n1", "kind": "numeric"},
+                {"name": "label", "kind": "label"},
+                {"name": "group", "kind": "sensitive"}],
+    "hash_buckets": 64,
+}
+HASHED_TRAIN_CFG = {
+    "train": {"total_iterations": 120, "batch_size": 64, "hidden1": 16,
+              "hidden2": 8, "identifier_epochs": 60, "learning_rate": 0.005,
+              "seed": 4},
+    "schema": HASHED_SCHEMA,
+    "split": {"train_fraction": 0.7, "valid_fraction": 0.15,
+              "test_fraction": 0.15, "seed": 5},
+}
+HASHED_SHA256 = {
+    "checkpoint.json": "8c21fca10523dd4979b8bc1862b7ecb368b288684db57c44ffb17676a557bca9",
+    "fairness_report.json": "41474253ebfdfa1fc8c5cbf229088fc1a7242467d8b4e46ec4a0565de4a86482",
+    "manifest.json": "82ef3b04e0f9ee3957c63ca08573e81f590651652c89b25aad6325c95f9c5656",
+    "training_log.jsonl": "6c82f8612e5a4b3f329b5a79a80009c2763d3a60e8f63f9c9c7d5920ad496f20",
+}
+
+
+def hashed_csv(n: int = 600) -> str:
+    """``n`` rows for ``HASHED_SCHEMA`` from Python's own seeded generator,
+    whose ``random()`` stream is stable across Python and numpy versions."""
+    rng = random.Random(8)
+    lines = ["c0,c1,n0,n1,label,group"]
+    for _ in range(n):
+        a, b = int(rng.random() * 12), int(rng.random() * 40)
+        u, v = rng.random() * 4.0 - 2.0, rng.random()
+        group = int(rng.random() < 0.4)
+        signal = (a % 3) - 1 + (b % 5) / 4.0 - 0.5 + u
+        label = int(signal + rng.random() * 2.0 - 1.0 > 0)
+        lines.append(f"k{a},level-{b},{u:.6f},{v:.6f},{label},g{group}")
+    return "\n".join(lines) + "\n"
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
@@ -223,6 +267,18 @@ class TestTrain:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in C9_SHA256}
         assert digests == C9_SHA256
+
+    def test_hashed_artifacts_match_pinned_sha256(self, tmp_path):
+        """The byte-identity rule at m = 130 with the noise wrapper on, one
+        BLAS thread. Pinned like C9's digests, on the same builds."""
+        data = _file(tmp_path / "data.csv", hashed_csv())
+        cfg = _file(tmp_path / "train.json", HASHED_TRAIN_CFG)
+        out = tmp_path / "run"
+        proc = run_cli("train", "--config", cfg, "--data", data, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in HASHED_SHA256}
+        assert digests == HASHED_SHA256
 
 
 class TestAudit:
@@ -697,3 +753,98 @@ def test_fuzz_sweep_grid(doc):
             TrainConfig.from_dict({**base, **point})
         except ConfigError:
             pass
+
+
+# Fuzzed ``--data`` CSVs for ``train`` and checkpoint-mode ``audit``: headers,
+# cell text, ragged rows and encodings. A bad table is a usage or data error
+# (exit 1 or 2) with one ``error kind=`` line, never a traceback or a
+# numeric failure.
+FUZZ_SCHEMA = {
+    "columns": [{"name": "f0", "kind": "numeric"}, {"name": "c0", "kind": "categorical"},
+                {"name": "y", "kind": "label"}, {"name": "s", "kind": "sensitive"}],
+    "hash_buckets": 4,
+}
+FUZZ_TRAIN_CFG = {
+    "train": {"total_iterations": 12, "batch_size": 8, "identifier_epochs": 20,
+              "hidden1": 4, "hidden2": 2, "learning_rate": 0.01, "seed": 0},
+    "schema": FUZZ_SCHEMA,
+    "split": {"train_fraction": 0.5, "valid_fraction": 0.25,
+              "test_fraction": 0.25, "seed": 1},
+}
+FUZZ_HEADER = ["f0", "c0", "y", "s"]
+
+
+def fuzz_valid_rows(n: int = 80) -> list[list[str]]:
+    """Rows whose f0 is +-3 (the label's sign) or 0 (a coin flip), so the
+    identifier splits them into nonempty high- and low-confidence subsets."""
+    f0 = [3.0, -3.0, 0.0, 0.0]
+    return [[str(f0[i % 4]), f"v{i % 3}", str(int(f0[i % 4] > 0 or i % 8 == 2)),
+             "ab"[i // 4 % 2]] for i in range(n)]
+
+
+fuzz_cells = (st.sampled_from(["0", "1", "-2.5", "1e400", "-1e308", "nan", "inf", "",
+                               " 1", "x", "é", '"', ",", "0x1", "1_0", "١"])
+              | st.text(max_size=4))
+fuzz_headers = (st.just(FUZZ_HEADER) | st.permutations(FUZZ_HEADER)
+                | st.lists(st.sampled_from(FUZZ_HEADER + ["", "F0", " y", "z"]),
+                           max_size=6))
+
+
+@st.composite
+def fuzz_tables(draw):
+    """A header and rows (some from a valid table, some ragged or fuzzed),
+    encoded as bytes."""
+    header = draw(fuzz_headers)
+    rows = fuzz_valid_rows(draw(st.sampled_from([0, 3, 80])))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.lists(fuzz_cells, min_size=0, max_size=6))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        if j < len(rows[i]):
+            rows[i][j] = draw(fuzz_cells)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    text = buf.getvalue()
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "latin-1", "raw"]))
+    if encoding == "raw":
+        data = bytearray(text.encode("utf-8"))
+        data.insert(draw(st.integers(0, len(data))), draw(st.sampled_from([0xFF, 0x00, 0x80])))
+        return bytes(data)
+    return text.encode(encoding, errors="replace")
+
+
+def assert_bad_data_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2), err
+    assert sum("error kind=" in line for line in err.splitlines()) == (1 if code else 0), err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A checkpoint trained on a valid ``FUZZ_SCHEMA`` table."""
+    tmp = tmp_path_factory.mktemp("csv-fuzz")
+    data = tmp / "data.csv"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([FUZZ_HEADER, *fuzz_valid_rows()])
+    cfg = _file(tmp / "train.json", FUZZ_TRAIN_CFG)
+    code, err = run_main("train", "--config", cfg, "--data", data, "--out", tmp / "run")
+    assert code == 0, err
+    return cfg, tmp / "run" / "checkpoint.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=fuzz_tables(), command=st.sampled_from(["train", "audit"]))
+@example(table=b"f0,c0,y,s\n" + "".join(",".join(r) + "\n" for r in fuzz_valid_rows())
+         .encode(), command="train")
+def test_fuzz_data_csv(fuzz_checkpoint, table, command):
+    cfg, checkpoint = fuzz_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        data = _file(Path(tmp) / "data.csv", table)
+        if command == "train":
+            argv = ("train", "--config", cfg, "--data", data, "--out", Path(tmp) / "o")
+        else:
+            argv = ("audit", "--checkpoint", checkpoint, "--data", data,
+                    "--histogram-feature", "f0", "--out", Path(tmp) / "o")
+        code, err = run_main(*argv)
+    assert_bad_data_exit(code, err)

@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
 from conftest import make_separable
 from fd_utils import central_difference, max_relative_error
 from reckoner.data import ColumnSpec, Dataset, Schema
 from reckoner.errors import NumericError
 from reckoner.models import (
+    _TANH_LIMIT,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PROB_EPS,
     AdamState,
     FeedForwardClassifier,
     LinearClassifier,
@@ -19,6 +28,7 @@ from reckoner.models import (
     blend,
     lr_fit,
     predict_labels,
+    sigmoid,
 )
 from reckoner.pipeline import TrainConfig, initialize
 
@@ -335,3 +345,311 @@ class TestDeterminism:
             return net.params.values
 
         np.testing.assert_array_equal(run(), run())
+
+
+# Kernels as they were before the step workspaces, verbatim but for ``self``
+# becoming an argument. The workspace kernels must match them bit for bit;
+# the public-API equivalence tests cannot see a kernel drift, since they call
+# the same kernels on both sides.
+
+def ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
+
+
+def ref_bce(p, y) -> float:
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    y = np.asarray(y, dtype=np.float64)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+
+
+def ref_blend(a: ModelParams, b: ModelParams, alpha: float) -> ModelParams:
+    if a.layout != b.layout:
+        raise ValueError("blend requires identical parameter layouts")
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if alpha == 1.0:
+        return a.snapshot()
+    if alpha == 0.0:
+        return b.snapshot()
+    return ModelParams(a.layout, alpha * a.values + (1.0 - alpha) * b.values)
+
+
+def ref_adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != params.values.shape or state.m.shape != params.values.shape:
+        raise ValueError("gradient/state length does not match parameters")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient in adam_step")
+    state.t += 1
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    update = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(update).all():
+        raise NumericError("non-finite update in adam_step")
+    params.values -= update
+
+
+def ref_ffn_forward(self, xb: np.ndarray):
+    p = self.params
+    z1 = xb @ p.view("W1") + p.view("b1")
+    a1 = ref_relu(z1)
+    z2 = a1 @ p.view("W2") + p.view("b2")
+    a2 = ref_relu(z2)
+    z3 = (a2 @ p.view("W3"))[:, 0] + p.view("b3")[0]
+    return ref_sigmoid(z3), (z1, a1, z2, a2)
+
+
+def ref_ffn_backward(self, x, y, return_input_grad=False):
+    xb = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    p = self.params
+    prob, (z1, a1, z2, a2) = ref_ffn_forward(self, xb)
+
+    dz3 = (prob - y) / xb.shape[0]
+    grad = ModelParams(p.layout)
+    grad.view("W3")[:] = (a2.T @ dz3)[:, None]
+    grad.view("b3")[:] = dz3.sum()
+    da2 = dz3[:, None] @ p.view("W3").T
+    dz2 = da2 * (z2 > 0)
+    grad.view("W2")[:] = a1.T @ dz2
+    grad.view("b2")[:] = dz2.sum(axis=0)
+    da1 = dz2 @ p.view("W2").T
+    dz1 = da1 * (z1 > 0)
+    grad.view("W1")[:] = xb.T @ dz1
+    grad.view("b1")[:] = dz1.sum(axis=0)
+    if not np.isfinite(grad.values).all():
+        raise NumericError("non-finite gradient in FeedForwardClassifier.backward")
+    if return_input_grad:
+        return grad.values, prob, dz1 @ p.view("W1").T
+    return grad.values, prob
+
+
+def ref_noise_forward(self):
+    p = self.params
+    z = self.eta @ p.view("V1") + p.view("c1")
+    u = ref_relu(z)
+    pert = np.clip(np.tanh(u @ p.view("V2") + p.view("c2")),
+                   -_TANH_LIMIT, _TANH_LIMIT)
+    return pert, (z, u)
+
+
+def ref_noise_backward(self, d_xtilde):
+    d_xtilde = np.atleast_2d(np.asarray(d_xtilde, dtype=np.float64))
+    pert, (z, u) = ref_noise_forward(self)
+    d_out = d_xtilde.sum(axis=0) * (1.0 - pert * pert)
+    grad = ModelParams(self.params.layout)
+    grad.view("V2")[:] = np.outer(u, d_out)
+    grad.view("c2")[:] = d_out
+    du = self.params.view("V2") @ d_out
+    dz = du * (z > 0)
+    grad.view("V1")[:] = np.outer(self.eta, dz)
+    grad.view("c1")[:] = dz
+    if not np.isfinite(grad.values).all():
+        raise NumericError("non-finite gradient in NoiseWrapper.backward")
+    return grad.values
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-310, 36.7, -36.7, 745.2, -745.2]
+# Batch sizes around the training batch (128), short tails and 1-row batches.
+ROW_COUNTS = st.integers(1, 300) | st.sampled_from([1, 2, 7, 127, 128, 129, 256, 300])
+WIDTHS = st.sampled_from([1, 6, 130])
+
+
+def draw_array(rng, shape, scale, zero_share):
+    """Normal draws times ``scale``, with about ``zero_share`` of them exact
+    zeros (half of those negative), so ReLU kinks and signed zeros occur."""
+    a = rng.standard_normal(shape) * scale
+    zeros = rng.random(shape) < zero_share
+    a[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return a
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 70),
+                      elements=st.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True)
+                      | st.sampled_from(SPECIAL_FLOATS)))
+    @example(np.array(SPECIAL_FLOATS))
+    @example(np.array([np.nan, -np.nan]))
+    def test_sigmoid(self, z):
+        assert same_bits(sigmoid(z), ref_sigmoid(z))
+
+    def test_sigmoid_nan_payloads(self):
+        z = np.array([0x7FF8000000000123, 0xFFF4000000000001, 0x7FF0000000000001,
+                      0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+        for n in range(1, 40):
+            batch = np.resize(z, n)
+            assert same_bits(sigmoid(batch), ref_sigmoid(batch))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           soft=st.booleans(), extremes=st.booleans())
+    def test_bce(self, n, seed, soft, extremes):
+        rng = np.random.default_rng(seed)
+        p = rng.random(n)
+        if extremes:
+            k = rng.integers(0, n, size=max(1, n // 4))
+            p[k] = rng.choice([0.0, 1.0, 5e-324, 1e-7, 1.0 - 1e-7, 1e-8], size=k.size)
+        y = rng.random(n) if soft else (rng.random(n) < 0.5).astype(float)
+        assert same_bits(bce(p, y), ref_bce(p, y))
+        assert same_bits(bce(p[0], y[0]), ref_bce(p[0], y[0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           alpha=st.sampled_from([0.0, 1.0, 0.5, 0.9]) | st.floats(0.0, 1.0))
+    def test_blend(self, size, seed, alpha):
+        rng = np.random.default_rng(seed)
+        layout = ParamLayout((("w", (size,)),))
+        a = ModelParams(layout, draw_array(rng, size, 1.0, 0.05))
+        b = ModelParams(layout, draw_array(rng, size, 1.0, 0.05))
+        want = ref_blend(a, b, alpha).values
+        assert same_bits(blend(a, b, alpha).values, want)
+        assert same_bits(blend(a, b, alpha, out=b).values, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 6), lr=st.sampled_from([1e-3, 0.05, 1.0]),
+           scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e150, np.inf]))
+    def test_adam_step(self, size, seed, steps, lr, scale):
+        """An infinite scale gives infinite gradients, which the reference
+        rejects up front and ``adam_step`` through its non-finite step."""
+        rng = np.random.default_rng(seed)
+        layout = ParamLayout((("w", (size,)),))
+        start = draw_array(rng, size, 1.0, 0.0)
+        ref_p, new_p = ModelParams(layout, start.copy()), ModelParams(layout, start.copy())
+        ref_s, new_s = AdamState.zeros(size, lr), AdamState.zeros(size, lr)
+        for _ in range(steps):
+            grad = draw_array(rng, size, scale, 0.1)
+            try:
+                ref_adam_step(ref_p, grad, ref_s)
+            except NumericError:
+                with pytest.raises(NumericError, match="non-finite update in adam_step"):
+                    adam_step(new_p, grad, new_s)
+                return
+            adam_step(new_p, grad, new_s)
+            assert same_bits(new_p.values, ref_p.values)
+            assert same_bits(new_s.m, ref_s.m) and same_bits(new_s.v, ref_s.v)
+            assert new_s.t == ref_s.t
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=WIDTHS, rows=st.lists(ROW_COUNTS, min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 40.0]),
+           labels=st.sampled_from(["hard", "soft", "predicted"]))
+    @example(m=6, rows=[1, 3, 128], seed=5, scale=40.0, labels="predicted")
+    def test_ffn_forward_and_backward(self, m, rows, seed, scale, labels):
+        """A run of batches of mixed sizes, so each call may reuse or replace
+        the kept buffers. Saturating scales give exact 0/1 probabilities, so
+        labels equal to the rounded prediction give zero output gradients
+        and signed-zero products."""
+        rng = np.random.default_rng(seed)
+        net = FeedForwardClassifier(m, 16, 8)
+        net.params.values[:] = draw_array(rng, net.param_count, scale / 4, 0.05)
+        for n in rows:
+            x = draw_array(rng, (n, m), scale, 0.05)
+            if labels == "predicted":
+                y = np.round(ref_ffn_forward(net, x)[0])
+            else:
+                y = rng.random(n) if labels == "soft" else (rng.random(n) < 0.5) * 1.0
+            want = ref_ffn_backward(net, x, y, return_input_grad=True)
+            got = net.backward(x, y, return_input_grad=True)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+            got2 = net.backward(x, y)
+            assert same_bits(got2[0], want[0]) and same_bits(got2[1], want[1])
+            assert same_bits(net.score(x), want[1])
+            assert same_bits(net.score(x[0]), ref_ffn_forward(net, x[:1])[0][0])
+
+    @pytest.mark.parametrize("n", [1, 5, 128])
+    def test_ffn_zero_output_gradient(self, n):
+        """prob == y exactly, so the output gradient is +0.0, and its
+        elementwise products with negative output weights are -0.0 where the
+        reference's matrix product gives +0.0. Both reach the gradient only
+        through sums that start from +0.0."""
+        net = FeedForwardClassifier.initialized(6, 16, 8, seed=1)
+        net.params.view("W3")[:4] = -np.abs(net.params.view("W3")[:4])
+        net.params.view("b3")[:] = 60.0
+        x = np.random.default_rng(n).standard_normal((n, 6))
+        y = np.ones(n)
+        want = ref_ffn_backward(net, x, y, return_input_grad=True)
+        assert np.all(want[1] == 1.0)
+        got = net.backward(x, y, return_input_grad=True)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=WIDTHS, hidden=st.sampled_from([1, 5, 130]), n=ROW_COUNTS,
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]))
+    def test_noise_apply_and_backward(self, m, hidden, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        wrap = NoiseWrapper(m, hidden, rng.standard_normal(m))
+        wrap.params.values[:] = draw_array(rng, wrap.params.values.size, scale, 0.05)
+        x = draw_array(rng, (n, m), 1.0, 0.05)
+        d = draw_array(rng, (n, m), 1e-2, 0.05)
+        pert, _ = ref_noise_forward(wrap)
+        assert same_bits(wrap.perturbation(), pert)
+        assert same_bits(wrap.apply(x), x + pert)
+        assert same_bits(wrap.backward(d), ref_noise_backward(wrap, d))
+        assert same_bits(wrap.backward(d[0]), ref_noise_backward(wrap, d[0]))
+
+
+class TestOwnership:
+    """Kept buffers never leak: a returned array is the caller's."""
+
+    def test_later_backward_leaves_earlier_results(self):
+        rng = np.random.default_rng(3)
+        net = FeedForwardClassifier.initialized(6, 16, 8, seed=3)
+        wrap = NoiseWrapper.initialized(6, 6, seed=4)
+        x1, x2 = rng.standard_normal((32, 6)), rng.standard_normal((32, 6))
+        y1, y2 = np.ones(32), np.zeros(32)
+        first = net.backward(x1, y1, return_input_grad=True)
+        kept = [a.copy() for a in first]
+        first_score = net.score(x1)
+        noise_grad = wrap.backward(first[2])
+        noise_kept, pert = noise_grad.copy(), wrap.perturbation()
+        for x, y in ((x2, y2), (x2[:5], y2[:5]), (x1, y1)):
+            later = net.backward(x, y, return_input_grad=True)
+            net.score(x)
+            wrap.backward(later[2])
+            wrap.params.values += 0.5
+            for a, b in zip(first, later):
+                assert not np.shares_memory(a, b)
+        assert all(same_bits(a, b) for a, b in zip(first, kept))
+        assert same_bits(first_score, first[1])
+        assert same_bits(noise_grad, noise_kept)
+        assert not np.shares_memory(pert, wrap.perturbation())
+
+    def test_adam_step_allocates_nothing(self):
+        size = 10_000
+        params = ModelParams(ParamLayout((("w", (size,)),)))
+        state = AdamState.zeros(size, lr=0.01)
+        grad = np.random.default_rng(0).standard_normal(size)
+        adam_step(params, grad, state)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            adam_step(params, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one temporary vector would be 80 kB
+        assert peak - before < 4_000

@@ -16,6 +16,7 @@ from reckoner.models import (
     AdamState,
     FeedForwardClassifier,
     LinearClassifier,
+    ModelParams,
     adam_step,
     bce,
     blend,
@@ -512,3 +513,23 @@ class TestReferenceEquivalence:
         # pseudo-labels, pseudo_iters low forwards, the last pseudo loss and
         # the high classifier's backward
         assert len(calls) == cfg.pseudo_iters + 3 == 6
+
+    def test_parameter_vectors_built_per_step(self, monkeypatch):
+        """After a warm-up step, a refinement step builds at most one
+        ``ModelParams``, short tail batches included: gradients, the best
+        low step and the blend go to kept buffers."""
+        tr, _, _ = small_sets(seed=21)
+        model = initialize(tr, TrainConfig(seed=26, **FAST))
+        refinement_step(model, tr.x[:32], tr.y[:32])
+        built = []
+        init = ModelParams.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelParams, "__init__", counted)
+        sizes = [32, 32, 7, 32, 1, 32, 32, 32]
+        for i, n in enumerate(sizes):
+            refinement_step(model, tr.x[i:i + n], tr.y[i:i + n])
+        assert len(built) <= len(sizes)
