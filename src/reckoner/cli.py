@@ -39,6 +39,7 @@ from .models import LinearClassifier
 from .pipeline import TrainConfig, predict, train
 from .serial import (
     format_float,
+    make_dir,
     read_json,
     round_float,
     sha256_hex,
@@ -138,9 +139,9 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec, data: tupl
 
 def cmd_train(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out)
     data = _prepare_data(schema, split, Path(args.data))
-    _run_training(cfg, schema, split, data, Path(args.out))
+    _run_training(cfg, schema, split, data, out_dir)
     return 0
 
 
@@ -191,8 +192,7 @@ def cmd_audit(args) -> int:
     so a failed audit leaves no manifest behind."""
     if args.histogram_feature and not args.checkpoint:
         raise ConfigError("--histogram-feature requires --checkpoint mode")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out)
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
         else BucketSpec()
 
@@ -246,7 +246,7 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig.from_dict(read_json(args.config, "synth config"))
     d = synth_biased(cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out.parent)
     names = [c.name for c in d.schema.feature_columns] + ["y", "s"]
     rows = [names]
     for i in range(d.n):
@@ -284,8 +284,7 @@ def _sweep_grid(doc) -> list[dict]:
 def cmd_sweep(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
     grid = _sweep_grid(read_json(args.sweep, "sweep spec"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out)
     header = ["point", *SWEEPABLE, "status", "accuracy", "demographic_parity",
               "equalized_odds", "reason"]
     rows = [header]
@@ -300,7 +299,7 @@ def cmd_sweep(args) -> int:
         cells = [str(i), *(_cell(merged[k]) for k in SWEEPABLE)]
         try:
             point_cfg = TrainConfig.from_dict(merged)
-            run_dir.mkdir(parents=True, exist_ok=True)
+            make_dir(run_dir)
             if data is None:
                 data = _prepare_data(schema, split, Path(args.data))
             report, identifier = _run_training(point_cfg, schema, split, data,

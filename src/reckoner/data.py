@@ -236,11 +236,18 @@ def synth_schema(m_numeric: int) -> Schema:
     return Schema(columns=tuple(cols))
 
 
+def _first_appearance(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct cells in order of first appearance, and each cell's
+    index into them."""
+    codes = dict.fromkeys(cells)
+    for k, v in enumerate(codes):
+        codes[v] = k
+    which = np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return list(codes), which
+
+
 def _map_labels(raw: list[str]) -> np.ndarray:
-    distinct: list[str] = []
-    for v in raw:
-        if v not in distinct:
-            distinct.append(v)
+    distinct, which = _first_appearance(raw)
     if len(distinct) > 2:
         raise DataError(f"non-binary label: {len(distinct)} distinct values")
     try:
@@ -248,21 +255,13 @@ def _map_labels(raw: list[str]) -> np.ndarray:
     except ValueError:
         as_num = None
     if as_num is not None and set(as_num.values()) <= {0.0, 1.0}:
-        mapping = {v: int(as_num[v]) for v in distinct}
+        mapping = [int(as_num[v]) for v in distinct]
     elif len(distinct) == 2:
-        lo, hi = sorted(distinct)
-        mapping = {lo: 0, hi: 1}
+        hi = max(distinct)
+        mapping = [int(v == hi) for v in distinct]
     else:
         raise DataError(f"label column has a single unmappable value {distinct[0]!r}")
-    return np.array([mapping[v] for v in raw], dtype=np.int64)
-
-
-def _map_groups(raw: list[str]) -> np.ndarray:
-    ids: dict[str, int] = {}
-    for v in raw:
-        if v not in ids:
-            ids[v] = len(ids)
-    return np.array([ids[v] for v in raw], dtype=np.int64)
+    return np.array(mapping, dtype=np.int64)[which]
 
 
 def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list[list[str]]]:
@@ -347,7 +346,7 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     if any(v == "" for v in sens_raw):
         raise DataError("missing sensitive cell")
     y = _map_labels(label_raw)
-    s = _map_groups(sens_raw)
+    _, s = _first_appearance(sens_raw)
 
     x = np.zeros((n, schema.m), dtype=np.float64)
     row_ids = np.arange(n)
@@ -361,14 +360,11 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
             # One hash per distinct value; each row then gets exactly one
             # +-1 in the column's block, so assigning it equals adding it
             # to the zeros it lands on.
-            codes = dict.fromkeys(cells)
-            if "" in codes and not impute_missing:
+            distinct, which = _first_appearance(cells)
+            if "" in distinct and not impute_missing:
                 raise DataError(f"missing cell in categorical column {c.name!r}, "
                                 f"row {cells.index('') + 2}")
-            pairs = [hash_features(v, c.name, schema.hash_buckets) for v in codes]
-            for k, v in enumerate(codes):
-                codes[v] = k
-            which = np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=n)
+            pairs = [hash_features(v, c.name, schema.hash_buckets) for v in distinct]
             index, sign = np.array(pairs, dtype=np.int64).T
             x[row_ids, offsets[c.name] + index[which]] = sign[which]
     return Dataset(x=x, y=y, s=s, schema=schema)

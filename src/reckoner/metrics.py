@@ -185,17 +185,16 @@ class FairnessReport:
         }
 
 
-def fairness_report(preds, labels, groups, pair: tuple[int, int] | None = None) -> FairnessReport:
-    """Accuracy plus fairness metrics for a designated group pair.
+def fairness_report(preds, labels, groups) -> FairnessReport:
+    """Accuracy plus fairness metrics for the two largest groups.
 
-    Every number comes from one per-group confusion table. The pair defaults
-    to the two largest groups. Signed gaps that are undefined in either group
-    are reported as None; DP and EOdds themselves must be computable or this
-    raises.
+    Every number comes from one per-group confusion table. Signed gaps that
+    are undefined in either group are reported as None; DP and EOdds
+    themselves must be computable or this raises.
     """
     counts = confusion(preds, labels, groups)
     sizes = {gid: k.size for gid, k in counts.items()}
-    g_i, g_j = _largest_pair(sizes) if pair is None else pair
+    g_i, g_j = _largest_pair(sizes)
     table = rates(counts)
     # Both raise unless both groups have rows, so accuracy divides by n > 0.
     dp = _demographic_parity(table, g_i, g_j)

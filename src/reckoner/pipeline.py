@@ -36,7 +36,7 @@ from .models import (
 )
 from .serial import JsonConfig, sha256_of_obj
 
-StepHook = Callable[[int, np.ndarray], None]
+StepHook = Callable[[np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -109,33 +109,17 @@ class PseudoLearnState:
     losses: tuple[float, ...]
 
 
-class _BatchStream:
-    """Seeded infinite mini-batch index stream; reshuffles every epoch.
-
-    Each epoch's permutation is cut into consecutive batches (the last may be
-    short); a cursor walks them and the next permutation is drawn once it
-    passes the end.
-    """
-
-    def __init__(self, n: int, batch_size: int, seed: int):
-        if n < 1:
-            raise DataError("cannot stream batches from an empty dataset")
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = np.random.default_rng(seed)
-        self._perm = np.empty(0, dtype=np.int64)
-        self._pos = n
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        if self._pos >= self.n:
-            self._perm = self.rng.permutation(self.n)
-            self._pos = 0
-        start = self._pos
-        self._pos += self.batch_size
-        return self._perm[start : self._pos]
+def _batches(n: int, batch_size: int, seed: int):
+    """Seeded infinite mini-batch index stream: each epoch draws a fresh
+    permutation and yields its consecutive slices (the last may be short).
+    Callers pass ``batch_size <= n``."""
+    if n < 1:
+        raise DataError("cannot stream batches from an empty dataset")
+    rng = np.random.default_rng(seed)
+    while True:
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield perm[start : start + batch_size]
 
 
 # Deterministic sub-seed roles derived from TrainConfig.seed. The ERM
@@ -158,9 +142,8 @@ class ReckonerModel:
 
     Prediction uses the high-confidence classifier only. The low classifier
     rolls back to ``low_snapshot``, taken here from its current weights.
-    ``best_low`` holds the best step of the last pseudo-learning cycle; it is
-    allocated by the first cycle. ``identifier`` is the identification fit;
-    checkpoints do not store it.
+    ``best_low`` holds the best step of the last pseudo-learning cycle.
+    ``identifier`` is the identification fit; checkpoints do not store it.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -170,7 +153,7 @@ class ReckonerModel:
         self.noise = noise
         self.config = config
         self.low_snapshot = low.params.snapshot()
-        self.best_low: ModelParams | None = None
+        self.best_low = ModelParams(low.params.layout)
         lr = config.learning_rate
         self.high_state = AdamState.zeros(high.params.layout.size, lr=lr)
         self.low_state = AdamState.zeros(low.params.layout.size, lr=lr)
@@ -186,29 +169,19 @@ class ReckonerModel:
     def high_input(self, x: np.ndarray) -> np.ndarray:
         return self.noise.apply(x) if self.config.use_noise else np.asarray(x, float)
 
-    def low_input(self, x: np.ndarray, x_high: np.ndarray) -> np.ndarray:
-        """The low classifier's view of ``x``: with ``low_conf_sees_noise``
-        it is ``x_high`` (``high_input(x)``, raw ``x`` when noise is off)."""
-        if self.config.low_conf_sees_noise:
-            return x_high
-        return np.asarray(x, dtype=np.float64)
-
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
                 steps: int, batch_size: int, stream_seed: int,
-                on_step: StepHook | None = None, step_base: int = 0) -> int:
-    """Plain supervised Adam training on raw inputs; returns steps taken."""
-    if steps == 0:
-        return 0
-    stream = _BatchStream(d.n, batch_size, stream_seed)
+                on_step: StepHook | None = None) -> None:
+    """Plain supervised Adam training on raw inputs."""
+    batches = _batches(d.n, min(batch_size, d.n), stream_seed)
     y = d.y.astype(np.float64)
-    for i in range(steps):
-        idx = next(stream)
+    for _ in range(steps):
+        idx = next(batches)
         grad, _ = model.backward(d.x[idx], y[idx])
         adam_step(model.params, grad, state)
         if on_step is not None:
-            on_step(step_base + i, model.params.values.copy())
-    return steps
+            on_step(model.params.values.copy())
 
 
 def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
@@ -255,10 +228,9 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     model = ReckonerModel(high, low, noise, cfg)
     model.identifier = identifier
     steps = cfg.init_steps
-    model.high_step_count += _init_phase(
-        high, model.high_state, high_init, steps, cfg.batch_size,
-        cfg.seed + _SEED_STREAM_HIGH, on_high_step, step_base=0,
-    )
+    _init_phase(high, model.high_state, high_init, steps, cfg.batch_size,
+                cfg.seed + _SEED_STREAM_HIGH, on_high_step)
+    model.high_step_count = steps
     _init_phase(low, model.low_state, low_init, steps, cfg.batch_size,
                 cfg.seed + _SEED_STREAM_LOW)
     # Pseudo-learning cycles start from this exact state: snapshot the
@@ -288,10 +260,7 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
         y_tilde = predict_labels(p_high).astype(np.float64)
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
-    x_low = model.low_input(x, x_high)
-    layout = model.low.params.layout
-    if model.best_low is None or model.best_low.layout != layout:
-        model.best_low = ModelParams(layout)
+    x_low = x_high if cfg.low_conf_sees_noise else x
     best_params = model.best_low
     losses: list[float] = []
     best_loss = math.inf
@@ -383,13 +352,13 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     model = initialize(train_set, cfg, identifier=identifier,
                        init_override=init_override, on_high_step=on_high_step)
     refine_steps = cfg.total_iterations - cfg.init_steps
-    stream = _BatchStream(train_set.n, cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE)
-    epoch_len = max(1, math.ceil(train_set.n / stream.batch_size))
+    batch_size = min(cfg.batch_size, train_set.n)
+    batches = _batches(train_set.n, batch_size, cfg.seed + _SEED_STREAM_REFINE)
+    epoch_len = math.ceil(train_set.n / batch_size)
     epoch_losses: list[float] = []
     k_counts: dict[int, int] = {}
-    epoch = 0
     for step in range(refine_steps):
-        idx = next(stream)
+        idx = next(batches)
         first_of_epoch = step % epoch_len == 0
         run_pseudo = cfg.use_pseudo_learning and (
             cfg.pseudo_cadence == "batch" or first_of_epoch
@@ -397,17 +366,17 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
         log = refinement_step(model, train_set.x[idx], train_set.y[idx],
                               run_pseudo=run_pseudo)
         if on_high_step is not None:
-            on_high_step(model.high_step_count - 1, model.high.params.values.copy())
+            on_high_step(model.high.params.values.copy())
         epoch_losses.append(log["loss"])
         if "k" in log:
             k_counts[log["k"]] = k_counts.get(log["k"], 0) + 1
         if (step + 1) % epoch_len == 0 or step + 1 == refine_steps:
-            entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+            entry = {"epoch": len(model.history),
+                     "train_loss": float(np.mean(epoch_losses)),
                      "k_histogram": {str(k): v for k, v in sorted(k_counts.items())}}
             entry.update(_validation_entry(model, valid))
             model.history.append(entry)
             epoch_losses, k_counts = [], {}
-            epoch += 1
     return model
 
 
@@ -448,8 +417,8 @@ def erm_baseline(train_set: Dataset, cfg: TrainConfig, *,
         train_set.m, cfg.hidden1, cfg.hidden2, cfg.seed + _SEED_HIGH_INIT
     )
     state = AdamState.zeros(model.params.layout.size, lr=cfg.learning_rate)
-    taken = _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
-                        cfg.seed + _SEED_STREAM_HIGH, on_high_step)
-    _init_phase(model, state, train_set, cfg.total_iterations - taken, cfg.batch_size,
-                cfg.seed + _SEED_STREAM_REFINE, on_high_step, step_base=taken)
+    _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
+                cfg.seed + _SEED_STREAM_HIGH, on_high_step)
+    _init_phase(model, state, train_set, cfg.total_iterations - cfg.init_steps,
+                cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE, on_high_step)
     return model

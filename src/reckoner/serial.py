@@ -5,7 +5,7 @@ shortest-exact float repr so reloads are bit-identical. Every JSON document
 the package reads or writes goes through ``read_json`` and ``write_json``
 (``write_jsonl`` for the training log); config dataclasses decode through
 ``JsonConfig``. Every artifact is written whole or not at all
-(``write_text``).
+(``write_text``), into a directory made by ``make_dir``.
 """
 
 from __future__ import annotations
@@ -53,20 +53,35 @@ def read_json(path: str | Path, what: str) -> Any:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def make_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` and its parents; one that cannot
+    be made (a file is in the way, no permission) is a ConfigError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 through a temp file in the target's directory,
     then ``os.replace`` it: a failed write leaves an existing target as it
-    was and removes the temp file."""
+    was and removes the temp file. An ``OSError`` on the way (the target is
+    a directory, the disk is full) is a ConfigError."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(text.encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(text.encode("utf-8"))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | Path, obj: Any) -> None:

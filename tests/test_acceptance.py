@@ -246,8 +246,8 @@ def test_c5_ablation_degeneracy(report):
     erm: list[np.ndarray] = []
     # The ERM baseline is by definition the flag-disabled pipeline with its
     # initialization phase run on the full training set.
-    train(tr, va, cfg, init_override=tr, on_high_step=lambda i, v: reck.append(v))
-    erm_baseline(tr, cfg, on_high_step=lambda i, v: erm.append(v))
+    train(tr, va, cfg, init_override=tr, on_high_step=lambda v: reck.append(v))
+    erm_baseline(tr, cfg, on_high_step=lambda v: erm.append(v))
     same_len = len(reck) == len(erm) == cfg.total_iterations
     exact = same_len and all(np.array_equal(a, b) for a, b in zip(reck, erm))
     report("C5 ablation-degeneracy", exact,

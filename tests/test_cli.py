@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,18 @@ class TestSweep:
             "unparseable numeric cell 'abc' in column 'f0', row 4"}
         assert all((out / f"point_{i:03d}").is_dir() for i in range(4))
 
+    def test_blocked_point_directory_fails_only_its_point(self, workdir):
+        tmp_path, _, _ = workdir
+        out = _dir(tmp_path / "sweep_out")
+        _file(out / "point_001", "not a directory")
+        code, out = self.sweep(workdir, self.GRID)
+        assert code == 0
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["ok", "error", "ok", "ok"]
+        assert rows[1]["reason"].startswith(
+            f"cannot create output directory {out / 'point_001'}: ")
+        assert not list(out.rglob("*.tmp"))
+
     def test_emptied_subset_fails_only_its_point(self, workdir):
         code, out = self.sweep(workdir, {"confidence_threshold": [0.6, 0.99]})
         assert code == 0
@@ -593,6 +606,53 @@ def test_infinite_prediction_exits_2_cleanly(tmp_path):
     proc = run_cli(*_predictions(preds))
     assert_clean_failure(proc, 2)
     assert "error kind=data exit=2" in proc.stderr
+
+
+# Unusable output paths: each exits 1 with one ``error kind=config`` line,
+# prints no traceback and leaves no temp file behind.
+
+def _sweep_args(tmp: Path, data: Path, out: Path) -> list:
+    return ["sweep", "--config", _file(tmp / "cfg.json", TRAIN_CFG), "--data", data,
+            "--sweep", _file(tmp / "grid.json", {"seed": [0, 1]}), "--out", out]
+
+
+UNUSABLE_OUTPUTS = {
+    "synth-out-is-directory": lambda t, d: [
+        "synth", "--config", _file(t / "s.json", SYNTH_CFG), "--out", _dir(t / "o.csv")],
+    "synth-out-under-a-file": lambda t, d: [
+        "synth", "--config", _file(t / "s.json", SYNTH_CFG),
+        "--out", _file(t / "f", "x") / "o.csv"],
+    "audit-out-is-file": lambda t, d: [
+        "audit", "--predictions", _file(t / "p.csv", PREDICTIONS),
+        "--out", _file(t / "o", "x")],
+    "train-out-is-file": lambda t, d: [
+        *_train(t, d)[:-1], _file(t / "o", "x")],
+    "sweep-out-is-file": lambda t, d: _sweep_args(t, d, _file(t / "o", "x")),
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_OUTPUTS.values(), ids=UNUSABLE_OUTPUTS.keys())
+def test_unusable_output_path_exits_1(argv, workdir):
+    tmp_path, _, data = workdir
+    case = _dir(tmp_path / "case")
+    proc = run_cli(*argv(case, data))
+    assert_clean_failure(proc, 1)
+    assert "error kind=config exit=1" in proc.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_label_id_column_is_rejected_fast(tmp_path):
+    """A label column of 100,000 distinct values is coded in one linear pass
+    before it is rejected."""
+    n = 100_000
+    data = _file(tmp_path / "d.csv", "f0,f1,f2,y,s\n"
+                 + "".join(f"0.5,1.5,2.5,{i},{i % 2}\n" for i in range(n)))
+    start = time.perf_counter()
+    proc = run_cli(*_train(tmp_path, data))
+    elapsed = time.perf_counter() - start
+    assert_clean_failure(proc, 2)
+    assert f"non-binary label: {n} distinct values" in proc.stderr
+    assert elapsed < 10.0
 
 
 # CLI fuzz: any input ends in a documented exit code; a failure prints

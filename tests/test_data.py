@@ -11,8 +11,6 @@ from reckoner.data import (
     Schema,
     SplitSpec,
     SynthConfig,
-    _map_groups,
-    _map_labels,
     hash_features,
     load_csv,
     read_csv_rows,
@@ -201,9 +199,40 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d1.x, d2.x)
 
 
+def _map_labels(raw: list[str]) -> np.ndarray:
+    distinct: list[str] = []
+    for v in raw:
+        if v not in distinct:
+            distinct.append(v)
+    if len(distinct) > 2:
+        raise DataError(f"non-binary label: {len(distinct)} distinct values")
+    try:
+        as_num = {v: float(v) for v in distinct}
+    except ValueError:
+        as_num = None
+    if as_num is not None and set(as_num.values()) <= {0.0, 1.0}:
+        mapping = {v: int(as_num[v]) for v in distinct}
+    elif len(distinct) == 2:
+        lo, hi = sorted(distinct)
+        mapping = {lo: 0, hi: 1}
+    else:
+        raise DataError(f"label column has a single unmappable value {distinct[0]!r}")
+    return np.array([mapping[v] for v in raw], dtype=np.int64)
+
+
+def _map_groups(raw: list[str]) -> np.ndarray:
+    ids: dict[str, int] = {}
+    for v in raw:
+        if v not in ids:
+            ids[v] = len(ids)
+    return np.array([ids[v] for v in raw], dtype=np.int64)
+
+
 def load_csv_per_cell(path, schema: Schema, impute_missing: bool = False) -> Dataset:
     """Reference encoder: one ``float`` or ``hash_features`` call and one
-    add per cell, the loader as it was before the column-at-once encoding."""
+    add per cell, the loader as it was before the column-at-once encoding,
+    with the label and group coders (above, verbatim) as they were before
+    the one first-appearance coder."""
     header, rows = read_csv_rows(path)
     header = [h.strip() for h in header]
     want = [c.name for c in schema.columns]
@@ -274,8 +303,12 @@ def load_outcome(loader, path, schema, impute_missing):
 
 
 # Few distinct values so that they repeat; padding, empty and bad cells so
-# that the error paths and their row numbers are compared too.
+# that the error paths and their row numbers are compared too. Label and
+# group columns draw from a small alphabet of their own per table, so that
+# two-value, one-value and too-many-value label columns all occur.
 CATEGORICAL_CELLS = st.sampled_from(["a", "b", " a", "a ", "ü", "", "  ", "1", "x,y"])
+LABEL_CELLS = st.sampled_from(["0", "1", "yes", "no", " 1", "1.0", "-0", "2", "", "Yes"])
+GROUP_CELLS = st.sampled_from(["g", "h", " g", "0", "1", "ü", "x y", "", "g,h", "10"])
 NUMERIC_CELLS = st.sampled_from(["0", "1.5", " -2 ", "1e3", "-0", "1_0", "", "x",
                                  "nan", "inf"]) | st.floats(-1e6, 1e6).map(repr)
 
@@ -291,8 +324,9 @@ def csv_tables(draw):
     n = draw(st.integers(1, 30))
     columns = [draw(st.lists(NUMERIC_CELLS if k == "numeric" else CATEGORICAL_CELLS,
                              min_size=n, max_size=n)) for k in kinds]
-    columns.append(draw(st.lists(st.sampled_from(["0", "1"]), min_size=n, max_size=n)))
-    columns.append(draw(st.lists(st.sampled_from(["g", "h"]), min_size=n, max_size=n)))
+    for cells in (LABEL_CELLS, GROUP_CELLS):
+        alphabet = draw(st.lists(cells, min_size=1, max_size=4, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
     return schema, [names + ["y", "s"], *map(list, zip(*columns))]
 
 

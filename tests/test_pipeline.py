@@ -143,6 +143,7 @@ class TestPseudoLearningCycle:
         model.low_state = AdamState.zeros(model.low.params.layout.size,
                                           lr=cfg.learning_rate)
         model.low_snapshot = model.low.params.snapshot()
+        model.best_low = ModelParams(model.low.params.layout)
         state = cycle(model, tr.x[:64])
         assert state.losses[0] > state.losses[1] > state.losses[2]
         assert state.k == 3
@@ -290,8 +291,8 @@ class TestAblationDegeneracy:
         reck_steps: list[np.ndarray] = []
         erm_steps: list[np.ndarray] = []
         train(tr, va, cfg, init_override=tr,
-              on_high_step=lambda i, v: reck_steps.append(v))
-        erm_baseline(tr, cfg, on_high_step=lambda i, v: erm_steps.append(v))
+              on_high_step=lambda v: reck_steps.append(v))
+        erm_baseline(tr, cfg, on_high_step=lambda v: erm_steps.append(v))
         assert len(reck_steps) == len(erm_steps) == cfg.total_iterations
         for a, b in zip(reck_steps, erm_steps):
             np.testing.assert_array_equal(a, b)
@@ -303,8 +304,8 @@ class TestAblationDegeneracy:
         without = TrainConfig(use_pseudo_learning=False, **base)
         a_steps: list[np.ndarray] = []
         b_steps: list[np.ndarray] = []
-        train(tr, va, with_pseudo, on_high_step=lambda i, v: a_steps.append(v))
-        train(tr, va, without, on_high_step=lambda i, v: b_steps.append(v))
+        train(tr, va, with_pseudo, on_high_step=lambda v: a_steps.append(v))
+        train(tr, va, without, on_high_step=lambda v: b_steps.append(v))
         for a, b in zip(a_steps, b_steps):
             np.testing.assert_array_equal(a, b)
 
@@ -533,3 +534,61 @@ class TestReferenceEquivalence:
         for i, n in enumerate(sizes):
             refinement_step(model, tr.x[i:i + n], tr.y[i:i + n])
         assert len(built) <= len(sizes)
+
+
+# Reference batch stream: the cursor-walking class that ``pipeline._batches``
+# replaced, verbatim. The generator must yield the same index arrays.
+
+class _BatchStream:
+    """Seeded infinite mini-batch index stream; reshuffles every epoch.
+
+    Each epoch's permutation is cut into consecutive batches (the last may be
+    short); a cursor walks them and the next permutation is drawn once it
+    passes the end.
+    """
+
+    def __init__(self, n: int, batch_size: int, seed: int):
+        if n < 1:
+            raise DataError("cannot stream batches from an empty dataset")
+        self.n = n
+        self.batch_size = min(batch_size, n)
+        self.rng = np.random.default_rng(seed)
+        self._perm = np.empty(0, dtype=np.int64)
+        self._pos = n
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._pos >= self.n:
+            self._perm = self.rng.permutation(self.n)
+            self._pos = 0
+        start = self._pos
+        self._pos += self.batch_size
+        return self._perm[start : self._pos]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("n, batch_size", [
+        (50, 500),     # n < batch: one short batch per epoch
+        (1, 7),
+        (256, 128),    # n a multiple of the batch
+        (7, 7),
+        (1000, 128),   # ragged last batch of 104 rows
+        (300, 32),
+    ])
+    def test_batches_match_reference_stream(self, n, batch_size):
+        ref = _BatchStream(n, batch_size, seed=5)
+        new = pipeline._batches(n, min(batch_size, n), 5)
+        for _ in range(5 * math.ceil(n / ref.batch_size)):
+            want, got = next(ref), next(new)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_dataset_raises_the_same_error(self):
+        tr, _, _ = small_sets(seed=22)
+        with pytest.raises(DataError) as want:
+            _BatchStream(0, 32, seed=0)
+        with pytest.raises(DataError) as got:
+            initialize(tr, TrainConfig(seed=27, **FAST), init_override=tr.take([]))
+        assert str(got.value) == str(want.value)

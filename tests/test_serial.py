@@ -110,10 +110,17 @@ class TestAtomicWrite:
             def no_replace(src, dst):
                 raise OSError(errno.EXDEV, "Invalid cross-device link")
             monkeypatch.setattr(os, "replace", no_replace)
-        with pytest.raises(OSError, match="No space left|Invalid cross-device"):
+        with pytest.raises(ConfigError, match="No space left|Invalid cross-device"):
             write(target, payload)
         assert target.read_bytes() == b"old bytes\n"
         assert os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+    def test_temp_file_that_cannot_be_opened_is_a_config_error(self, tmp_path, writer):
+        write, payload = writer
+        with pytest.raises(ConfigError, match="No such file or directory"):
+            write(tmp_path / "missing" / "artifact", payload)
+        assert os.listdir(tmp_path) == []
 
 
 class TestJsonConfig:
