@@ -5,11 +5,13 @@ data, with group-fairness auditing and confidence-stratified bias analysis.
 __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
+    CodedTable,
     ColumnSpec,
     Dataset,
     Schema,
     SplitSpec,
     SynthConfig,
+    code_csv,
     hash_features,
     load_csv,
     split_dataset,

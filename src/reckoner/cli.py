@@ -25,8 +25,9 @@ from .confidence import BucketSpec, bucket_analysis, confidence_of, feature_hist
 from .data import (
     Schema,
     SplitSpec,
+    StandardizedRows,
     SynthConfig,
-    apply_standardization,
+    code_csv,
     load_csv,
     read_csv_rows,
     split_dataset,
@@ -139,9 +140,8 @@ def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec, data: tupl
 
 def cmd_train(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
-    out_dir = make_dir(args.out)
     data = _prepare_data(schema, split, Path(args.data))
-    _run_training(cfg, schema, split, data, out_dir)
+    _run_training(cfg, schema, split, data, make_dir(args.out))
     return 0
 
 
@@ -188,11 +188,14 @@ def _load_predictions_csv(path: Path):
 
 
 def cmd_audit(args) -> int:
-    """Score or read predictions, then write every report, the manifest last,
-    so a failed audit leaves no manifest behind."""
+    """Score or read predictions, then compute every report and only then
+    create ``--out`` and write them, the manifest last, so a failed audit
+    leaves no directory and no manifest behind.
+
+    A scored table is coded, standardized and checked before ``predict``
+    runs, and its feature matrix is never built whole."""
     if args.histogram_feature and not args.checkpoint:
         raise ConfigError("--histogram-feature requires --checkpoint mode")
-    out_dir = make_dir(args.out)
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
         else BucketSpec()
 
@@ -200,10 +203,10 @@ def cmd_audit(args) -> int:
         if not args.data:
             raise ConfigError("--checkpoint requires --data")
         loaded = load_checkpoint(args.checkpoint)
-        dataset = apply_standardization(load_csv(Path(args.data), loaded.schema),
-                                        loaded.mean, loaded.std)
-        preds, prob = predict(loaded.model, dataset.x)
-        labels, groups = dataset.y, dataset.s
+        table = code_csv(Path(args.data), loaded.schema)
+        x = StandardizedRows(table, loaded.mean, loaded.std)
+        preds, prob = predict(loaded.model, x)
+        labels, groups = table.y, table.s
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "data_sha256": sha256_hex(Path(args.data).read_bytes())}
     elif args.predictions:
@@ -223,9 +226,10 @@ def cmd_audit(args) -> int:
     if conf is not None:
         bucket = bucket_analysis(preds, labels, groups, conf, spec, *report.pair)
     if args.histogram_feature:
-        hist = feature_histograms(dataset, conf, spec, args.histogram_feature,
-                                  bins=args.bins)
+        hist = feature_histograms(x.feature(args.histogram_feature), groups, conf, spec,
+                                  args.histogram_feature, bins=args.bins)
 
+    out_dir = make_dir(args.out)
     write_json(out_dir / "fairness_report.json",
                {"manifest_sha256": manifest_hash, **report.to_dict()})
     if bucket is not None:

@@ -170,33 +170,28 @@ class HistogramReport:
         return rows
 
 
-def feature_histograms(d: Dataset, scores, spec: BucketSpec, feature: str,
+def feature_histograms(values, groups, scores, spec: BucketSpec, feature: str,
                        bins: int) -> HistogramReport:
-    """Equal-width histograms of one numeric feature, split by bucket and group.
+    """Equal-width histograms of one numeric feature's column ``values``,
+    split by bucket and group.
 
     Bin edges are shared across all cells, spanning the feature's global
     [min, max].
     """
     if bins < 1:
         raise ConfigError("bins must be >= 1")
-    if d.n == 0:
+    values, groups = np.asarray(values, dtype=np.float64), np.asarray(groups)
+    if values.size == 0:
         raise DataError("empty dataset")
-    offsets = d.schema.feature_offsets()
-    kinds = {c.name: c.kind for c in d.schema.feature_columns}
-    if feature not in kinds:
-        raise DataError(f"unknown feature {feature!r}")
-    if kinds[feature] != "numeric":
-        raise DataError(f"feature {feature!r} is not numeric")
-    values = d.x[:, offsets[feature]]
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] != d.n:
+    if not (scores.shape[0] == groups.shape[0] == values.shape[0]):
         raise DataError("scores and dataset lengths differ")
     assignment = spec.assign(scores)
     _, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
     counts: dict[tuple[int, int], np.ndarray] = {}
     for k in range(spec.count):
-        for g in np.unique(d.s):
-            mask = (assignment == k) & (d.s == g)
+        for g in np.unique(groups):
+            mask = (assignment == k) & (groups == g)
             cell, _ = np.histogram(values[mask], bins=edges)
             counts[(k, int(g))] = cell
     return HistogramReport(feature=feature, edges=edges, counts=counts)

@@ -9,6 +9,7 @@ separately and consulted only at evaluation time.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -236,18 +237,14 @@ def synth_schema(m_numeric: int) -> Schema:
     return Schema(columns=tuple(cols))
 
 
-def _first_appearance(cells: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct cells in order of first appearance, and each cell's
-    index into them."""
-    codes = dict.fromkeys(cells)
-    for k, v in enumerate(codes):
-        codes[v] = k
-    which = np.fromiter(map(codes.__getitem__, cells), dtype=np.int64, count=len(cells))
-    return list(codes), which
+# Rows the CSV coder holds as strings at a time. Of every row it keeps one
+# 8-byte code or float per column, not the row's text.
+CODE_BLOCK_ROWS = 1024
 
 
-def _map_labels(raw: list[str]) -> np.ndarray:
-    distinct, which = _first_appearance(raw)
+def _map_labels(distinct: list[str], which: np.ndarray) -> np.ndarray:
+    """{0, 1} labels from a label column's distinct cells (in order of first
+    appearance) and each row's index into them."""
     if len(distinct) > 2:
         raise DataError(f"non-binary label: {len(distinct)} distinct values")
     try:
@@ -264,9 +261,10 @@ def _map_labels(raw: list[str]) -> np.ndarray:
     return np.array(mapping, dtype=np.int64)[which]
 
 
-def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list[list[str]]]:
-    """Header and nonblank rows of a UTF-8 CSV; a missing, empty or
-    unreadable file is a DataError naming ``what`` it was."""
+def _csv_blocks(path: str | Path, what: str, block_rows: int):
+    """Yield the header of a UTF-8 CSV, then its nonblank rows in lists of
+    at most ``block_rows``. A missing, empty or unreadable file is a
+    DataError naming ``what`` it was, raised where the reading stops."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing {what}: {path}")
@@ -274,43 +272,192 @@ def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = [r for r in reader if r]
+            if header is None:
+                raise DataError(f"empty {what}: {path}")
+            yield header
+            while block := list(itertools.islice(reader, block_rows)):
+                yield [r for r in block if r]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    if header is None:
-        raise DataError(f"empty {what}: {path}")
-    return header, rows
 
 
-def _numeric_column(cells: list[str], name: str, impute_missing: bool) -> np.ndarray:
-    """Parse one numeric column; the per-cell loop runs only when some cell
-    does not parse, to name the first bad row."""
-    try:
-        col = np.array(list(map(float, cells)), dtype=np.float64)
-    except ValueError:
+def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list[list[str]]]:
+    """Header and nonblank rows of a UTF-8 CSV; a missing, empty or
+    unreadable file is a DataError naming ``what`` it was."""
+    blocks = _csv_blocks(path, what, CODE_BLOCK_ROWS)
+    header = next(blocks)
+    return header, [row for block in blocks for row in block]
+
+
+class _Codes:
+    """First-appearance codes of one column's cells, block by block: each
+    distinct cell is keyed once per file, each row keeps one integer."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.parts: list[np.ndarray] = []
+        self.first_empty: int | None = None
+
+    def add(self, cells: list[str], base: int) -> None:
+        index = self.index
+        for v in dict.fromkeys(cells):
+            if v not in index:
+                index[v] = len(index)
+                if v == "":
+                    self.first_empty = base + cells.index("")
+        self.parts.append(np.fromiter(map(index.__getitem__, cells), dtype=np.int64,
+                                      count=len(cells)))
+
+    def which(self) -> np.ndarray:
+        """Each row's code, joined once; the per-block parts are dropped."""
+        which, self.parts = np.concatenate(self.parts), []
+        return which
+
+
+class _Floats:
+    """One numeric column's floats, block by block. Its first bad cell is
+    kept as the column's error and ends its coding; the per-cell loop runs
+    only in a block where some cell does not parse."""
+
+    def __init__(self, name: str, impute_missing: bool) -> None:
+        self.name, self.impute_missing = name, impute_missing
+        self.parts: list[np.ndarray] = []
+        self.missing: list[int] = []
+        self.error: str | None = None
+
+    def add(self, cells: list[str], base: int) -> None:
+        if self.error is not None:
+            return
+        try:
+            self.parts.append(np.fromiter(map(float, cells), dtype=np.float64,
+                                          count=len(cells)))
+            return
+        except ValueError:
+            pass
         col = np.empty(len(cells), dtype=np.float64)
-        missing = []
         for i, cell in enumerate(cells):
             if cell == "":
-                if not impute_missing:
-                    raise DataError(f"missing cell in numeric column {name!r}, row {i + 2}")
-                missing.append(i)
+                if not self.impute_missing:
+                    self.error = (f"missing cell in numeric column {self.name!r}, "
+                                  f"row {base + i + 2}")
+                    return
+                self.missing.append(base + i)
                 col[i] = np.nan
                 continue
             try:
                 col[i] = float(cell)
             except ValueError:
-                raise DataError(
-                    f"unparseable numeric cell {cell!r} in column {name!r}, row {i + 2}"
-                ) from None
-        if missing:
-            present = np.delete(col, missing)
+                self.error = (f"unparseable numeric cell {cell!r} in column "
+                              f"{self.name!r}, row {base + i + 2}")
+                return
+        self.parts.append(col)
+
+    def column(self) -> np.ndarray:
+        if self.error is not None:
+            raise DataError(self.error)
+        col, self.parts = np.concatenate(self.parts), []
+        if self.missing:
+            present = np.delete(col, self.missing)
             if present.size == 0:
-                raise DataError(f"numeric column {name!r} is entirely missing")
-            col[missing] = present.mean()
-    if not np.isfinite(col).all():
-        raise DataError(f"non-finite value in numeric column {name!r}")
-    return col
+                raise DataError(f"numeric column {self.name!r} is entirely missing")
+            col[self.missing] = present.mean()
+        if not np.isfinite(col).all():
+            raise DataError(f"non-finite value in numeric column {self.name!r}")
+        return col
+
+
+@dataclass(frozen=True)
+class CodedTable:
+    """A CSV table coded per row, without its feature matrix: the labels,
+    the group ids, each numeric column's floats and, for each categorical
+    column, each row's cell code with the (bucket, sign) of each code.
+    Columns are keyed by name, in schema order; every code occurs in some
+    row."""
+
+    schema: Schema
+    y: np.ndarray
+    s: np.ndarray
+    numeric: dict[str, np.ndarray]
+    categorical: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+    def dataset(self) -> Dataset:
+        """The encoded Dataset: each row gets exactly one +-1 in each
+        categorical block, so assigning it equals adding it to the zeros
+        it lands on."""
+        x = np.zeros((self.n, self.schema.m), dtype=np.float64)
+        offsets = self.schema.feature_offsets()
+        for name, col in self.numeric.items():
+            x[:, offsets[name]] = col
+        row_ids = np.arange(self.n)
+        for name, (which, bucket, sign) in self.categorical.items():
+            x[row_ids, offsets[name] + bucket[which]] = sign[which]
+        return Dataset(x=x, y=self.y, s=self.s, schema=self.schema)
+
+
+def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> CodedTable:
+    """Read and code a CSV in blocks of ``CODE_BLOCK_ROWS`` rows, dropping
+    each block's strings once it is coded.
+
+    Errors are those of reading the whole file first and checking it
+    after, with the same precedence: a read error anywhere, then the
+    header, no rows, the first ragged row, a missing label or sensitive
+    cell, the label coding, then each feature column's first error in
+    schema order. Rows are numbered among the nonblank rows, the header
+    being row 1.
+    """
+    blocks = _csv_blocks(path, "file", CODE_BLOCK_ROWS)
+    header = [h.strip() for h in next(blocks)]
+    want = [c.name for c in schema.columns]
+    if sorted(header) != sorted(want):
+        for _ in blocks:  # a read error later in the file comes first
+            pass
+        raise DataError(
+            f"header mismatch: file has {header!r}, schema expects {sorted(want)!r}"
+        )
+    coders = {c.name: _Floats(c.name, impute_missing) if c.kind == "numeric" else _Codes()
+              for c in schema.columns}
+    at = [(header.index(name), coder) for name, coder in coders.items()]
+    n, ragged = 0, None
+    for block in blocks:
+        if ragged is None:
+            i = next((i for i, row in enumerate(block) if len(row) != len(header)), None)
+            if i is not None:
+                ragged = (f"row {n + i + 2}: expected {len(header)} cells, "
+                          f"got {len(block[i])}")
+            elif block:
+                cols = list(zip(*block))
+                for j, coder in at:
+                    coder.add(list(map(str.strip, cols[j])), n)
+        n += len(block)
+    if n == 0:
+        raise DataError(f"empty file: {path} has a header but no rows")
+    if ragged is not None:
+        raise DataError(ragged)
+
+    label, group = coders[schema.label_column], coders[schema.sensitive_column]
+    if label.first_empty is not None:
+        raise DataError("missing label cell")
+    if group.first_empty is not None:
+        raise DataError("missing sensitive cell")
+    y = _map_labels(list(label.index), label.which())
+    numeric, categorical = {}, {}
+    for c in schema.feature_columns:
+        coder = coders[c.name]
+        if c.kind == "numeric":
+            numeric[c.name] = coder.column()
+            continue
+        if coder.first_empty is not None and not impute_missing:
+            raise DataError(f"missing cell in categorical column {c.name!r}, "
+                            f"row {coder.first_empty + 2}")
+        # One hash per distinct value, in order of first appearance.
+        pairs = [hash_features(v, c.name, schema.hash_buckets) for v in coder.index]
+        bucket, sign = np.array(pairs, dtype=np.int64).T
+        categorical[c.name] = (coder.which(), bucket, sign)
+    return CodedTable(schema, y, group.which(), numeric, categorical)
 
 
 def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> Dataset:
@@ -322,52 +469,73 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     a hard error unless ``impute_missing`` is set, in which case numeric gaps
     take the column mean and categorical gaps hash as their own category.
     """
-    header, rows = read_csv_rows(path)
-    header = [h.strip() for h in header]
-    want = [c.name for c in schema.columns]
-    if sorted(header) != sorted(want):
-        raise DataError(
-            f"header mismatch: file has {header!r}, schema expects {sorted(want)!r}"
-        )
-    if not rows:
-        raise DataError(f"empty file: {path} has a header but no rows")
+    return code_csv(path, schema, impute_missing).dataset()
 
-    col_at = {name: header.index(name) for name in want}
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
 
-    label_at, sens_at = col_at[schema.label_column], col_at[schema.sensitive_column]
-    label_raw = [row[label_at].strip() for row in rows]
-    sens_raw = [row[sens_at].strip() for row in rows]
-    if any(v == "" for v in label_raw):
-        raise DataError("missing label cell")
-    if any(v == "" for v in sens_raw):
-        raise DataError("missing sensitive cell")
-    y = _map_labels(label_raw)
-    _, s = _first_appearance(sens_raw)
+class StandardizedRows:
+    """``(x - mean) / std`` for a coded table's ``x``, built a chunk of rows
+    at a time, never whole.
 
-    x = np.zeros((n, schema.m), dtype=np.float64)
-    row_ids = np.arange(n)
-    offsets = schema.feature_offsets()
-    for c in schema.feature_columns:
-        j = col_at[c.name]
-        cells = [row[j].strip() for row in rows]
-        if c.kind == "numeric":
-            x[:, offsets[c.name]] = _numeric_column(cells, c.name, impute_missing)
-        else:
-            # One hash per distinct value; each row then gets exactly one
-            # +-1 in the column's block, so assigning it equals adding it
-            # to the zeros it lands on.
-            distinct, which = _first_appearance(cells)
-            if "" in distinct and not impute_missing:
-                raise DataError(f"missing cell in categorical column {c.name!r}, "
-                                f"row {cells.index('') + 2}")
-            pairs = [hash_features(v, c.name, schema.hash_buckets) for v in distinct]
-            index, sign = np.array(pairs, dtype=np.int64).T
-            x[row_ids, offsets[c.name] + index[which]] = sign[which]
-    return Dataset(x=x, y=y, s=s, schema=schema)
+    Each standardized value is computed once: per numeric cell, per distinct
+    categorical hot cell, and per column for the zero a categorical block
+    holds off its hot cell. Each is the same subtraction and division as
+    on the whole matrix, so a chunk is bit-equal to those rows of it. A
+    value the matrix would hold that is not finite is a DataError here,
+    before anything is scored.
+    """
+
+    ndim = 2
+
+    def __init__(self, table: CodedTable, mean: np.ndarray, std: np.ndarray):
+        schema = table.schema
+        self.shape = (table.n, schema.m)
+        offsets = schema.feature_offsets()
+        self.zero = np.subtract(np.zeros(schema.m), mean)
+        self.zero /= std
+        self.numeric = {}
+        for name, col in table.numeric.items():
+            j = offsets[name]
+            values = np.subtract(col, mean[j])
+            values /= std[j]
+            self.numeric[name] = (j, values)
+        self.hot = []
+        zero_occurs = np.zeros(schema.m, dtype=bool)
+        for name, (which, bucket, sign) in table.categorical.items():
+            pos = offsets[name] + bucket
+            values = np.subtract(sign, mean[pos])
+            values /= std[pos]
+            self.hot.append((which, pos, values))
+            # Every code occurs in some row, so each slot of the block holds
+            # the zero in some row, unless every row is hot in that slot.
+            zero_occurs[offsets[name]:offsets[name] + schema.hash_buckets] = True
+            if np.unique(bucket).size == 1:
+                zero_occurs[pos[0]] = False
+        finite = (np.isfinite(self.zero[zero_occurs]).all()
+                  and all(np.isfinite(v).all() for _, v in self.numeric.values())
+                  and all(np.isfinite(v).all() for _, _, v in self.hot))
+        if not finite:
+            raise DataError("x contains non-finite values")
+        self.schema = schema
+
+    def fill(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Write rows ``lo:hi`` into ``out`` (``hi - lo`` rows) and return it."""
+        out[:] = self.zero
+        for j, values in self.numeric.values():
+            out[:, j] = values[lo:hi]
+        row_ids = np.arange(hi - lo)
+        for which, pos, values in self.hot:
+            w = which[lo:hi]
+            out[row_ids, pos[w]] = values[w]
+        return out
+
+    def feature(self, name: str) -> np.ndarray:
+        """The standardized column of numeric feature ``name``."""
+        kinds = {c.name: c.kind for c in self.schema.feature_columns}
+        if name not in kinds:
+            raise DataError(f"unknown feature {name!r}")
+        if kinds[name] != "numeric":
+            raise DataError(f"feature {name!r} is not numeric")
+        return self.numeric[name][1]
 
 
 def standardize(

@@ -281,13 +281,25 @@ class _Batch:
             self.da2, self.mask2 = np.empty((n, h2)), np.empty((n, h2), dtype=bool)
             self.da1, self.mask1 = np.empty((n, h1)), np.empty((n, h1), dtype=bool)
 
+    def head(self, n: int) -> "_Batch":
+        """Forward buffers for ``n <= self.n`` rows: views of the first ``n``
+        rows of these."""
+        if n == self.n:
+            return self
+        view = _Batch.__new__(_Batch)
+        view.n = n
+        for name in ("z1", "a1", "z2", "a2", "z3", "denom", "nonneg"):
+            setattr(view, name, getattr(self, name)[:n])
+        return view
+
 
 class FeedForwardClassifier:
     """Three affine layers (m -> h1 -> h2 -> 1), ReLU hidden, sigmoid output.
 
     ``backward`` keeps the buffers of its last row count (a training batch)
     and a gradient vector, and fills them in place; other row counts, as in
-    scoring, get buffers that live for one call. Every returned array is new.
+    scoring, get buffers that live for one call, or the caller's
+    ``scoring_buffers``. Every returned array is new.
     """
 
     def __init__(self, m: int, h1: int, h2: int, params: ModelParams | None = None):
@@ -343,9 +355,16 @@ class FeedForwardClassifier:
         prob = _sigmoid_into(z3, np.empty(xb.shape[0]), work.denom, work.nonneg)
         return prob, (z1, a1, z2, a2)
 
-    def score(self, x: np.ndarray) -> np.ndarray | float:
+    def scoring_buffers(self, rows: int) -> _Batch:
+        """Forward buffers for up to ``rows`` rows, for ``score`` to reuse
+        from call to call."""
+        return _Batch(rows, self.h1, self.h2, backward=False)
+
+    def score(self, x: np.ndarray, work: _Batch | None = None) -> np.ndarray | float:
+        """Output probabilities; the activations go in ``work`` (from
+        ``scoring_buffers``) when given, else in buffers for this call."""
         xb = _as_batch(x, self.m)
-        prob, _ = self._forward(xb)
+        prob, _ = self._forward(xb, None if work is None else work.head(xb.shape[0]))
         return float(prob[0]) if np.asarray(x).ndim == 1 else prob
 
     def backward(
@@ -394,7 +413,7 @@ class NoiseWrapper:
     keeps every perturbation component inside (-1, 1). The perturbation
     depends only on the wrapper parameters, so it is shared by all rows.
     Its activations and gradient live in buffers of the wrapper's own size;
-    every returned array is new.
+    every returned array is new, or the ``out`` given to ``apply``.
     """
 
     def __init__(self, m: int, hidden: int, eta: np.ndarray,
@@ -445,9 +464,11 @@ class NoiseWrapper:
         pert, _ = self._forward()
         return pert.copy()
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``x`` plus the perturbation, in ``out`` (which may be ``x``) when
+        given, else in a new array."""
         xb = _as_batch(x, self.m)
-        out = xb + self._forward()[0]
+        out = np.add(xb, self._forward()[0], out=out)
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def backward(self, d_xtilde: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .confidence import split_by_confidence
-from .data import Dataset
+from .data import Dataset, StandardizedRows
 from .errors import ConfigError, DataError, NumericError, ReckonerError
 from .metrics import accuracy, fairness_report
 from .models import (
@@ -166,8 +166,10 @@ class ReckonerModel:
     def m(self) -> int:
         return self.high.m
 
-    def high_input(self, x: np.ndarray) -> np.ndarray:
-        return self.noise.apply(x) if self.config.use_noise else np.asarray(x, float)
+    def high_input(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The high classifier's input: ``x`` plus the noise when it is on,
+        written into ``out`` when given."""
+        return self.noise.apply(x, out) if self.config.use_noise else np.asarray(x, float)
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
@@ -380,7 +382,8 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     return model
 
 
-def predict(model: ReckonerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: ReckonerModel,
+            x: np.ndarray | StandardizedRows) -> tuple[np.ndarray, np.ndarray]:
     """High-confidence classifier scores and labels; ties at 0.5 go to 1.
 
     Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
@@ -389,18 +392,28 @@ def predict(model: ReckonerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a row the same bits in a chunk that starts at a multiple of its row
     block, but not in a tiny chunk (1-row chunks take the matrix-vector
     path, and 7-row chunks differ too), so a tail shorter than half a
-    chunk joins the chunk before it.
+    chunk joins the chunk before it. One input buffer and one set of
+    activations, allocated once, serve every chunk; ``StandardizedRows``
+    build each chunk's rows in that buffer, so their matrix never exists
+    whole.
     """
-    x = np.asarray(x, dtype=np.float64)
+    coded = isinstance(x, StandardizedRows)
+    if not coded:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
     starts = list(range(0, n, PREDICT_CHUNK_ROWS))
     if len(starts) > 1 and n - starts[-1] < PREDICT_CHUNK_ROWS // 2:
         starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
+    rows_max = max((hi - lo for lo, hi in bounds), default=0)
+    buf = np.empty((rows_max, model.m))
+    work = model.high.scoring_buffers(rows_max)
     scores = np.empty(n, dtype=np.float64)
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        scores[lo:hi] = model.high.score(model.high_input(x[lo:hi]))
+    for lo, hi in bounds:
+        rows = x.fill(lo, hi, buf[:hi - lo]) if coded else x[lo:hi]
+        scores[lo:hi] = model.high.score(model.high_input(rows, buf[:hi - lo]), work)
     return predict_labels(scores), scores
 
 

@@ -102,10 +102,10 @@ HASHED_SHA256 = {
 }
 
 
-def hashed_csv(n: int = 600) -> str:
+def hashed_csv(n: int = 600, seed: int = 8) -> str:
     """``n`` rows for ``HASHED_SCHEMA`` from Python's own seeded generator,
     whose ``random()`` stream is stable across Python and numpy versions."""
-    rng = random.Random(8)
+    rng = random.Random(seed)
     lines = ["c0,c1,n0,n1,label,group"]
     for _ in range(n):
         a, b = int(rng.random() * 12), int(rng.random() * 40)
@@ -117,12 +117,12 @@ def hashed_csv(n: int = 600) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_cli(*args) -> subprocess.CompletedProcess:
+def run_cli(*args, cwd=None) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so its whole stderr can be checked."""
     src = Path(reckoner.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "reckoner.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
 
 
 def assert_clean_failure(proc: subprocess.CompletedProcess, code: int) -> None:
@@ -384,6 +384,144 @@ class TestAudit:
                        "--out", tmp_path / "audit")
         assert_clean_failure(proc, 1)
         assert "error kind=config exit=1" in proc.stderr
+
+
+# Checkpoint-mode audits of hashed tables (m = 130) from the checkpoint the
+# pinned hashed train config writes: one chunk (8191 rows), one chunk with
+# its short tail folded in (12287) and a kept 4096-row tail (20480).
+# SHA-256 of the six files, pinned from the whole-matrix audit that came
+# before the block coder; paths in the manifest are relative to the run.
+AUDIT_SHA256 = {
+    8191: {
+        "audit_manifest.json": "0184dceafcb82161954d1944ba0c464f6ea6019be6bcd86d92e3f1fc4a2d25e0",
+        "bucket_report.csv": "55ce8ab4c7634c1c145c2ade6482c0c11094c9d1dbe0914b242332865bbf5b4e",
+        "bucket_report.json": "33f9ee7f055ce11c85c8a3ed1bb3806afafee6988855244bc28e621df6125f1d",
+        "fairness_report.json": "05b71b0e2f1830df42c27fbb4692f9ba3934e0c7228a7eec1f0d8863f49df36b",
+        "histogram_n0.csv": "624b98f243a1008b8ed73f5a260d3f315f733ee6a1051d79613a27794435c376",
+        "histogram_n0.json": "4ef5683770b0729d2c19c1b0d9061a5fded6688491eaf5580d589429054995bc",
+    },
+    12287: {
+        "audit_manifest.json": "ffc601dbbf7c7db012a8389e1246f4e14dff8f3326192a7e04af723f502b26a8",
+        "bucket_report.csv": "184f7b33d0e29551091298f42d7847aac560696bf1e7627295a9e0edba056d37",
+        "bucket_report.json": "ec4a441653a71d805563cd966ed5f6bc9c3627a086aeb95bad1cd212b51cb6d7",
+        "fairness_report.json": "a331a1f580889e151f697279badf30c7f747d6341c5a8c9ab68d97d2764069ac",
+        "histogram_n0.csv": "8f36679e4346bad400cebc00e6206e4a5268b5ba94b6b9891d21257e137da99f",
+        "histogram_n0.json": "46cbb56a3b17aabacad44841e51c87e39b6c70d85a8e7685e8012eff88018fc3",
+    },
+    20480: {
+        "audit_manifest.json": "8de0ad783e7769267413dfdb103a0ab64774ce71e46a4ed9356f64ffddcb8573",
+        "bucket_report.csv": "1732613d3c41844695f7c17cab68ddbba41fa4049eef5818d7f04baa50543413",
+        "bucket_report.json": "b53d26045274f703688596b1c514a1419aa8da45de50cd28cbf287b4a1c7f72c",
+        "fairness_report.json": "72349d816183e1c889bf9b6d52b6ccca50f9a9c418b626f3203bfd5becd07f71",
+        "histogram_n0.csv": "dae38dfddaa91d8d366fa1f26903f600e6a98c1ec025e6341b0182d8c23a3e8e",
+        "histogram_n0.json": "08fe18f85062820de9877747e08ae835b0080baf07043257e4cec69b1bfc61ce",
+    },
+}
+AUDIT_ARGS = ("audit", "--checkpoint", "checkpoint.json", "--data", "score.csv",
+              "--out", "out", "--histogram-feature", "n0", "--bins", "10")
+
+
+@pytest.fixture(scope="module")
+def hashed_checkpoint(tmp_path_factory) -> Path:
+    """The ``checkpoint.json`` of the pinned hashed train config."""
+    tmp = tmp_path_factory.mktemp("hashed")
+    data = _file(tmp / "data.csv", hashed_csv())
+    cfg = _file(tmp / "train.json", HASHED_TRAIN_CFG)
+    proc = run_cli("train", "--config", cfg, "--data", data, "--out", tmp / "run")
+    assert proc.returncode == 0, proc.stderr
+    return tmp / "run" / "checkpoint.json"
+
+
+def audit_dir(path: Path, checkpoint: Path, rows: int) -> Path:
+    path.mkdir()
+    (path / "checkpoint.json").write_bytes(checkpoint.read_bytes())
+    _file(path / "score.csv", hashed_csv(rows, seed=9))
+    return path
+
+
+@pytest.mark.parametrize("rows", AUDIT_SHA256)
+def test_audit_artifacts_match_pinned_sha256(rows, hashed_checkpoint, tmp_path):
+    """The audit scores coded rows chunk by chunk, never the whole matrix;
+    its six files keep their bytes. One BLAS thread, pinned on the builds
+    of the train digests."""
+    run = audit_dir(tmp_path / "a", hashed_checkpoint, rows)
+    proc = run_cli(*AUDIT_ARGS, cwd=run)
+    assert proc.returncode == 0, proc.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((run / "out").iterdir())}
+    assert digests == AUDIT_SHA256[rows]
+
+
+PEAK_RSS = """
+import resource, sys
+from reckoner.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_audit_memory_grows_by_less_than_half_a_row(hashed_checkpoint, tmp_path):
+    """Peak memory of a checkpoint-mode audit grows by less than half of an
+    encoded row (m float64s) per added row: the table is kept as per-row
+    codes and scored a chunk at a time, not as a matrix (about 2 KB a row
+    at m = 130 for the whole-matrix audit)."""
+    src = Path(reckoner.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    peak = {}
+    for rows in (16_000, 48_000):
+        run = audit_dir(tmp_path / str(rows), hashed_checkpoint, rows)
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *AUDIT_ARGS], cwd=run,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak[rows] = int(proc.stdout.split()[-1]) * 1024
+    per_row = (peak[48_000] - peak[16_000]) / 32_000
+    assert per_row < 130 * 8 / 2, peak
+
+
+FAILED_INPUTS = {
+    "audit-missing-predictions": lambda t, ckpt, d: [
+        "audit", "--predictions", t / "missing.csv", "--out", t / "out"],
+    "audit-missing-data": lambda t, ckpt, d: [
+        "audit", "--checkpoint", ckpt, "--data", t / "missing.csv", "--out", t / "out"],
+    "train-missing-data": lambda t, ckpt, d: [
+        "train", "--config", _file(t / "cfg.json", TRAIN_CFG), "--data", t / "missing.csv",
+        "--out", t / "out"],
+}
+
+
+@pytest.mark.parametrize("argv", FAILED_INPUTS.values(), ids=FAILED_INPUTS.keys())
+def test_failed_input_leaves_no_out_directory(argv, workdir):
+    """``--out`` is created only once the inputs are read (and, for an
+    audit, every report computed), so a run that fails on its inputs
+    leaves nothing behind."""
+    tmp_path, train_cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(train_cfg), "--data", str(data),
+                 "--out", str(run)]) == 0
+    case = _dir(tmp_path / "case")
+    proc = run_cli(*argv(case, run / "checkpoint.json", data))
+    assert_clean_failure(proc, 2)
+    assert "missing file" in proc.stderr or "missing predictions file" in proc.stderr
+    assert not (case / "out").exists()
+
+
+def test_overflowing_standardization_exits_2(workdir):
+    """A checkpoint whose standardization overflows on the scored table is a
+    data error, found before scoring; nothing is written."""
+    tmp_path, train_cfg, data = workdir
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(train_cfg), "--data", str(data),
+                 "--out", str(run)]) == 0
+    doc = json.loads((run / "checkpoint.json").read_text())
+    doc["standardize"]["std"][0] = 1e-310
+    ckpt = _file(tmp_path / "ckpt.json", doc)
+    proc = run_cli("audit", "--checkpoint", ckpt, "--data", data,
+                   "--out", tmp_path / "audit")
+    assert_clean_failure(proc, 2)
+    assert 'reason="x contains non-finite values"' in proc.stderr
+    assert not (tmp_path / "audit").exists()
 
 
 class TestSweep:

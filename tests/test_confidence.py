@@ -8,7 +8,7 @@ from reckoner.confidence import (
     feature_histograms,
     split_by_confidence,
 )
-from reckoner.data import ColumnSpec, Dataset, Schema
+from reckoner.data import CodedTable, ColumnSpec, Dataset, Schema, StandardizedRows
 from reckoner.errors import ConfigError, DataError
 from reckoner.metrics import confusion
 
@@ -213,22 +213,21 @@ class TestBucketAnalysis:
 
 
 class TestFeatureHistograms:
-    def numeric_dataset(self, values, groups=None):
-        values = np.asarray(values, dtype=float)
-        n = len(values)
-        groups = np.zeros(n, int) if groups is None else np.asarray(groups)
-        return Dataset(x=values[:, None], y=np.zeros(n, int), s=groups, schema=SCHEMA)
+    def groups_of(self, values, groups=None):
+        return np.zeros(len(values), int) if groups is None else np.asarray(groups)
 
     def test_hand_binning(self):
-        d = self.numeric_dataset(np.arange(1, 11))
+        values = np.arange(1, 11, dtype=float)
         scores = np.full(10, 0.6)
-        hist = feature_histograms(d, scores, BucketSpec((0.5,)), "f0", bins=2)
+        hist = feature_histograms(values, self.groups_of(values), scores,
+                                  BucketSpec((0.5,)), "f0", bins=2)
         np.testing.assert_allclose(hist.edges, [1.0, 5.5, 10.0])
         assert hist.counts[(0, 0)].tolist() == [5, 5]
 
     def test_constant_feature_single_bin(self):
-        d = self.numeric_dataset([4.2] * 6)
-        hist = feature_histograms(d, np.full(6, 0.7), BucketSpec((0.5,)), "f0", bins=3)
+        values = np.full(6, 4.2)
+        hist = feature_histograms(values, self.groups_of(values), np.full(6, 0.7),
+                                  BucketSpec((0.5,)), "f0", bins=3)
         assert sorted(hist.counts[(0, 0)].tolist(), reverse=True)[0] == 6
         assert hist.counts[(0, 0)].sum() == 6
 
@@ -236,17 +235,33 @@ class TestFeatureHistograms:
         rng = np.random.default_rng(3)
         values = rng.standard_normal(40)
         groups = rng.integers(0, 2, 40)
-        d = self.numeric_dataset(values, groups)
         scores = rng.uniform(0.5, 1.0, 40)
-        hist = feature_histograms(d, scores, BucketSpec(), "f0", bins=5)
+        hist = feature_histograms(values, groups, scores, BucketSpec(), "f0", bins=5)
         assert sum(int(arr.sum()) for arr in hist.counts.values()) == 40
 
     def test_unknown_or_non_numeric_feature(self):
-        d = self.numeric_dataset([1.0, 2.0])
-        with pytest.raises(DataError):
-            feature_histograms(d, np.full(2, 0.6), BucketSpec(), "nope", bins=2)
+        """The audit looks the standardized column up by name in its coded
+        rows; only a numeric feature has one."""
+        schema = Schema(columns=(ColumnSpec("f0", "numeric"), ColumnSpec("c", "categorical"),
+                                 ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                        hash_buckets=2)
+        table = CodedTable(schema, y=np.array([0, 1]), s=np.array([0, 1]),
+                           numeric={"f0": np.array([1.0, 2.0])},
+                           categorical={"c": (np.array([0, 0]), np.array([1]), np.array([-1]))})
+        rows = StandardizedRows(table, np.zeros(schema.m), np.ones(schema.m))
+        assert rows.feature("f0").tolist() == [1.0, 2.0]
+        for name in ("nope", "c"):
+            with pytest.raises(DataError):
+                rows.feature(name)
 
     def test_bad_bins(self):
-        d = self.numeric_dataset([1.0, 2.0])
+        values = np.array([1.0, 2.0])
         with pytest.raises(ConfigError):
-            feature_histograms(d, np.full(2, 0.6), BucketSpec(), "f0", bins=0)
+            feature_histograms(values, self.groups_of(values), np.full(2, 0.6),
+                               BucketSpec(), "f0", bins=0)
+
+    def test_length_mismatch(self):
+        values = np.array([1.0, 2.0])
+        with pytest.raises(DataError):
+            feature_histograms(values, self.groups_of(values), np.full(3, 0.6),
+                               BucketSpec(), "f0", bins=2)

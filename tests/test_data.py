@@ -1,10 +1,13 @@
 import csv
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reckoner import data
 from reckoner.data import (
     ColumnSpec,
     Dataset,
@@ -228,12 +231,29 @@ def _map_groups(raw: list[str]) -> np.ndarray:
     return np.array([ids[v] for v in raw], dtype=np.int64)
 
 
+def read_csv_rows_whole(path, what: str = "file") -> tuple[list[str], list[list[str]]]:
+    """The whole-file CSV reader as it was before the block coder, verbatim."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing {what}: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [r for r in reader if r]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"empty {what}: {path}")
+    return header, rows
+
+
 def load_csv_per_cell(path, schema: Schema, impute_missing: bool = False) -> Dataset:
     """Reference encoder: one ``float`` or ``hash_features`` call and one
     add per cell, the loader as it was before the column-at-once encoding,
     with the label and group coders (above, verbatim) as they were before
-    the one first-appearance coder."""
-    header, rows = read_csv_rows(path)
+    the one first-appearance coder, on the whole-file reader (above)."""
+    header, rows = read_csv_rows_whole(path)
     header = [h.strip() for h in header]
     want = [c.name for c in schema.columns]
     if sorted(header) != sorted(want):
@@ -315,6 +335,8 @@ NUMERIC_CELLS = st.sampled_from(["0", "1.5", " -2 ", "1e3", "-0", "1_0", "", "x"
 
 @st.composite
 def csv_tables(draw):
+    """A schema and the rows of a CSV for it: header columns in any order,
+    some rows ragged (a cell short or one too many), some blank."""
     kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
                           min_size=1, max_size=4))
     names = [f"c{i}" for i in range(len(kinds))]
@@ -327,26 +349,130 @@ def csv_tables(draw):
     for cells in (LABEL_CELLS, GROUP_CELLS):
         alphabet = draw(st.lists(cells, min_size=1, max_size=4, unique=True))
         columns.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
-    return schema, [names + ["y", "s"], *map(list, zip(*columns))]
+    header = names + ["y", "s"]
+    order = draw(st.permutations(range(len(header))))
+    rows = [[row[j] for j in order] for row in [header, *map(list, zip(*columns))]]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = rows[draw(st.integers(1, n))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("extra")
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(1, len(rows))), [])
+    return schema, rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(table=csv_tables(), impute_missing=st.booleans())
 def test_load_csv_matches_per_cell_reference(tmp_path_factory, table, impute_missing):
+    """Arrays, messages and row numbers match the per-cell loader, with the
+    coder's blocks cut after every row, every 2 or 3 rows, or at the default
+    size."""
     schema, rows = table
     path = tmp_path_factory.mktemp("eq") / "d.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    got = load_outcome(load_csv, path, schema, impute_missing)
     want = load_outcome(load_csv_per_cell, path, schema, impute_missing)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert isinstance(got, Dataset), got
-    assert got.x.shape == want.x.shape
-    assert np.array_equal(got.x, want.x) and got.x.tobytes() == want.x.tobytes()
-    assert np.array_equal(got.y, want.y)
-    assert np.array_equal(got.s, want.s)
+    for block_rows in (1, 2, 3, data.CODE_BLOCK_ROWS):
+        with mock.patch.object(data, "CODE_BLOCK_ROWS", block_rows):
+            got = load_outcome(load_csv, path, schema, impute_missing)
+        if isinstance(want, str):
+            assert got == want, block_rows
+            continue
+        assert isinstance(got, Dataset), (block_rows, got)
+        assert got.x.shape == want.x.shape
+        assert np.array_equal(got.x, want.x) and got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes() and got.y.dtype == want.y.dtype
+        assert got.s.tobytes() == want.s.tobytes() and got.s.dtype == want.s.dtype
+
+
+def test_read_csv_rows_spans_blocks(tmp_path):
+    """``read_csv_rows`` joins the coder's blocks back into every nonblank row."""
+    p = write_csv(tmp_path / "r.csv", "a,b\n1,2\n\n3\n4,5,6\n\n")
+    with mock.patch.object(data, "CODE_BLOCK_ROWS", 1):
+        assert read_csv_rows(p) == (["a", "b"], [["1", "2"], ["3"], ["4", "5", "6"]])
+    assert read_csv_rows(p) == read_csv_rows_whole(p)
+
+
+# Standardization statistics that make (x - mean) / std overflow or divide
+# by zero: a zero, a subnormal and a tiny normal deviation among plain ones.
+STD_VALUES = st.sampled_from([1.0, 1.0, 2.0, 0.5, 0.0, 5e-324, 1e-310, 1e-301, -3.0])
+MEAN_VALUES = st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, 0.25, 1e308, -1e308])
+
+
+@st.composite
+def coded_tables(draw):
+    """A CSV for a schema of numeric and categorical columns whose rows are
+    valid; a categorical column often holds one value, so that every row is
+    hot in one slot of its block and that slot never holds the zero."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
+                          min_size=1, max_size=3))
+    names = [f"c{i}" for i in range(len(kinds))]
+    schema = Schema(columns=tuple(ColumnSpec(n, k) for n, k in zip(names, kinds))
+                    + (ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                    hash_buckets=draw(st.sampled_from([2, 4])))
+    n = draw(st.integers(1, 12))
+    columns = []
+    for kind in kinds:
+        if kind == "numeric":
+            cells = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, 3e-320]) \
+                | st.floats(-1e6, 1e6)
+            columns.append([repr(v) for v in draw(st.lists(cells, min_size=n, max_size=n))])
+        else:
+            alphabet = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=3,
+                                     unique=True))
+            columns.append(draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)))
+    columns.append(draw(st.lists(st.sampled_from(["0", "1"]), min_size=n, max_size=n)))
+    columns.append(draw(st.lists(st.sampled_from(["g", "h"]), min_size=n, max_size=n)))
+    mean = np.array(draw(st.lists(MEAN_VALUES, min_size=schema.m, max_size=schema.m)))
+    std = np.array(draw(st.lists(STD_VALUES, min_size=schema.m, max_size=schema.m)))
+    return schema, [names + ["y", "s"], *map(list, zip(*columns))], mean, std
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coded_tables(), chunk=st.integers(1, 5))
+def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk):
+    """The coded-form finiteness check agrees with the check on the whole
+    standardized matrix, and every chunk of rows equals the matrix's rows,
+    bit for bit."""
+    schema, rows, mean, std = case
+    path = tmp_path_factory.mktemp("std") / "d.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    table = data.code_csv(path, schema)
+    with np.errstate(all="ignore"):
+        whole = np.subtract(table.dataset().x, mean)
+        whole /= std
+        try:
+            coded = data.StandardizedRows(table, mean, std)
+        except DataError as exc:
+            assert str(exc) == "x contains non-finite values"
+            assert not np.isfinite(whole).all()
+            return
+    assert np.isfinite(whole).all()
+    assert coded.shape == whole.shape
+    buf = np.full((chunk, schema.m), np.nan)
+    for lo in range(0, table.n, chunk):
+        hi = min(lo + chunk, table.n)
+        assert coded.fill(lo, hi, buf[:hi - lo]).tobytes() == whole[lo:hi].tobytes()
+
+
+def test_one_bucket_column_skips_its_zero(tmp_path):
+    """Every row of ``c`` is hot in one slot, so that slot never holds the
+    standardized zero: a zero that overflows there is no error. In the
+    other slot, which holds only zeros, it is."""
+    schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("y", "label"),
+                             ColumnSpec("s", "sensitive")), hash_buckets=2)
+    table = data.code_csv(write_csv(tmp_path / "d.csv", "c,y,s\nv,0,g\nv,1,h\n"), schema)
+    _, (hot,), (sign,) = table.categorical["c"]
+    mean, std = np.zeros(2), np.ones(2)
+    mean[hot], std[hot] = sign, 1e-310  # the hot cells give 0.0, the zero overflows
+    with np.errstate(all="ignore"):
+        rows = data.StandardizedRows(table, mean, std)
+        assert rows.fill(0, 2, np.empty((2, 2)))[:, hot].tolist() == [0.0, 0.0]
+        with pytest.raises(DataError, match="x contains non-finite values"):
+            data.StandardizedRows(table, mean[::-1].copy(), std[::-1].copy())
 
 
 class TestStandardize:

@@ -10,13 +10,25 @@ import pytest
 
 from conftest import make_separable
 from reckoner import pipeline
-from reckoner.data import SplitSpec, SynthConfig, split_dataset, standardize, synth_biased
+from reckoner.data import (
+    ColumnSpec,
+    Schema,
+    SplitSpec,
+    StandardizedRows,
+    SynthConfig,
+    apply_standardization,
+    code_csv,
+    split_dataset,
+    standardize,
+    synth_biased,
+)
 from reckoner.errors import ConfigError, DataError, NumericError
 from reckoner.models import (
     AdamState,
     FeedForwardClassifier,
     LinearClassifier,
     ModelParams,
+    NoiseWrapper,
     adam_step,
     bce,
     blend,
@@ -24,6 +36,7 @@ from reckoner.models import (
 )
 from reckoner.pipeline import (
     PseudoLearnState,
+    ReckonerModel,
     TrainConfig,
     erm_baseline,
     initialize,
@@ -282,6 +295,32 @@ print("ok")
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+    @pytest.mark.parametrize("n", [43, 45])
+    def test_coded_rows_score_like_their_matrix(self, tmp_path, monkeypatch, n):
+        """Rows built a chunk at a time from a coded table score as the
+        standardized matrix does, with the short tail folded (43 rows in
+        chunks of 8) or kept (45)."""
+        monkeypatch.setattr(pipeline, "PREDICT_CHUNK_ROWS", 8)
+        schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("v", "numeric"),
+                                 ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                        hash_buckets=8)
+        rng = np.random.default_rng(n)
+        path = tmp_path / "d.csv"
+        path.write_text("c,v,y,s\n" + "".join(
+            f"k{rng.integers(5)},{rng.standard_normal()!r},{i % 2},g{i % 3}\n"
+            for i in range(n)))
+        table = code_csv(path, schema)
+        mean, std = rng.standard_normal(schema.m), rng.uniform(0.5, 2.0, schema.m)
+        model = ReckonerModel(FeedForwardClassifier.initialized(schema.m, 16, 8, 1),
+                              FeedForwardClassifier(schema.m, 16, 8),
+                              NoiseWrapper.initialized(schema.m, 4, 2), TrainConfig())
+        matrix = apply_standardization(table.dataset(), mean, std).x
+        labels, scores = predict(model, StandardizedRows(table, mean, std))
+        want_labels, want = predict(model, matrix)
+        assert scores.tobytes() == want.tobytes()
+        assert np.array_equal(labels, want_labels)
 
 
 class TestAblationDegeneracy:
