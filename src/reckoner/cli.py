@@ -28,9 +28,8 @@ from .data import (
     StandardizedRows,
     SynthConfig,
     code_csv,
-    load_csv,
     read_csv_rows,
-    split_dataset,
+    split_rows,
     standardize,
     synth_biased,
 )
@@ -89,10 +88,15 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
 
 
 def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
-    """Load, split and standardize: (train, valid, test, mean, std, sha256)."""
-    full = load_csv(data_path, schema)
-    tr, va, te = split_dataset(full, split)
-    (tr, va, te), mean, std = standardize(tr, [va, te])
+    """Code the CSV, split its row indices, build only the train rows raw for
+    ``standardize``'s statistics, and valid and test standardized from the
+    codes: (train, valid, test, mean, std, sha256)."""
+    table = code_csv(data_path, schema)
+    tr, va, te = split_rows(table.n, split)
+    raw = StandardizedRows(table, np.zeros(schema.m), np.ones(schema.m))
+    (tr,), mean, std = standardize(raw.dataset(tr))
+    rows = StandardizedRows(table, mean, std)
+    va, te = rows.dataset(va), rows.dataset(te)
     return tr, va, te, mean, std, sha256_hex(data_path.read_bytes())
 
 

@@ -48,8 +48,8 @@ class BucketSpec:
         t = self.thresholds
         if not t or t[0] != 0.5:
             raise ConfigError("bucket thresholds must start at 0.5")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ConfigError("bucket thresholds must be strictly increasing")
+        if any(not b > a for a, b in zip(t, t[1:])):  # NaN compares false
+            raise ConfigError("bucket thresholds must be finite and strictly increasing")
         if t[-1] >= 1.0:
             raise ConfigError("bucket thresholds must stay below 1")
 

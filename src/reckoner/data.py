@@ -372,7 +372,7 @@ class CodedTable:
     the group ids, each numeric column's floats and, for each categorical
     column, each row's cell code with the (bucket, sign) of each code.
     Columns are keyed by name, in schema order; every code occurs in some
-    row."""
+    row. ``StandardizedRows`` builds rows of the matrix from it."""
 
     schema: Schema
     y: np.ndarray
@@ -383,19 +383,6 @@ class CodedTable:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    def dataset(self) -> Dataset:
-        """The encoded Dataset: each row gets exactly one +-1 in each
-        categorical block, so assigning it equals adding it to the zeros
-        it lands on."""
-        x = np.zeros((self.n, self.schema.m), dtype=np.float64)
-        offsets = self.schema.feature_offsets()
-        for name, col in self.numeric.items():
-            x[:, offsets[name]] = col
-        row_ids = np.arange(self.n)
-        for name, (which, bucket, sign) in self.categorical.items():
-            x[row_ids, offsets[name] + bucket[which]] = sign[which]
-        return Dataset(x=x, y=self.y, s=self.s, schema=self.schema)
 
 
 def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> CodedTable:
@@ -469,19 +456,20 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     a hard error unless ``impute_missing`` is set, in which case numeric gaps
     take the column mean and categorical gaps hash as their own category.
     """
-    return code_csv(path, schema, impute_missing).dataset()
+    table, m = code_csv(path, schema, impute_missing), schema.m
+    return StandardizedRows(table, np.zeros(m), np.ones(m)).dataset(slice(None))
 
 
 class StandardizedRows:
-    """``(x - mean) / std`` for a coded table's ``x``, built a chunk of rows
-    at a time, never whole.
+    """``(x - mean) / std`` for a coded table's ``x``, built for the rows asked
+    for, never whole; the one path from codes to rows (audit chunks, train
+    splits, and ``load_csv`` with mean 0 and std 1, which is exact).
 
     Each standardized value is computed once: per numeric cell, per distinct
     categorical hot cell, and per column for the zero a categorical block
-    holds off its hot cell. Each is the same subtraction and division as
-    on the whole matrix, so a chunk is bit-equal to those rows of it. A
-    value the matrix would hold that is not finite is a DataError here,
-    before anything is scored.
+    holds off its hot cell. Each is the same subtraction and division as on
+    the whole matrix, so built rows are bit-equal to those rows of it. A
+    value the matrix would hold that is not finite is a DataError here.
     """
 
     ndim = 2
@@ -515,18 +503,24 @@ class StandardizedRows:
                   and all(np.isfinite(v).all() for _, _, v in self.hot))
         if not finite:
             raise DataError("x contains non-finite values")
-        self.schema = schema
+        self.schema, self.y, self.s = schema, table.y, table.s
 
-    def fill(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Write rows ``lo:hi`` into ``out`` (``hi - lo`` rows) and return it."""
+    def fill(self, rows: slice | np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``rows`` (a slice or an index array) into ``out``; return it."""
         out[:] = self.zero
         for j, values in self.numeric.values():
-            out[:, j] = values[lo:hi]
-        row_ids = np.arange(hi - lo)
+            out[:, j] = values[rows]
+        row_ids = np.arange(out.shape[0])
         for which, pos, values in self.hot:
-            w = which[lo:hi]
+            w = which[rows]
             out[row_ids, pos[w]] = values[w]
         return out
+
+    def dataset(self, rows: slice | np.ndarray) -> Dataset:
+        """``rows`` as a Dataset."""
+        y = self.y[rows]
+        x = self.fill(rows, np.empty((y.shape[0], self.shape[1])))
+        return Dataset(x=x, y=y, s=self.s[rows], schema=self.schema)
 
     def feature(self, name: str) -> np.ndarray:
         """The standardized column of numeric feature ``name``."""
@@ -566,24 +560,25 @@ def apply_standardization(d: Dataset, mean: np.ndarray, std: np.ndarray) -> Data
     return Dataset(x, d.y, d.s, d.schema, d.clean_y)
 
 
-def split_dataset(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded disjoint row partition into (train, valid, test)."""
-    if d.n < 3:
+def split_rows(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded disjoint partition of ``range(n)`` into (train, valid, test)."""
+    if n < 3:
         raise DataError("need at least 3 rows to split into three parts")
-    rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(d.n)
-    n_train = int(spec.train_fraction * d.n)
-    n_valid = int(spec.valid_fraction * d.n)
-    n_test = d.n - n_train - n_valid
+    perm = np.random.default_rng(spec.seed).permutation(n)
+    n_train = int(spec.train_fraction * n)
+    n_valid = int(spec.valid_fraction * n)
+    n_test = n - n_train - n_valid
     if min(n_train, n_valid, n_test) < 1:
         raise DataError(
-            f"split of {d.n} rows leaves an empty part "
+            f"split of {n} rows leaves an empty part "
             f"(sizes {n_train}/{n_valid}/{n_test})"
         )
-    train = d.take(perm[:n_train])
-    valid = d.take(perm[n_train : n_train + n_valid])
-    test = d.take(perm[n_train + n_valid :])
-    return train, valid, test
+    return perm[:n_train], perm[n_train : n_train + n_valid], perm[n_train + n_valid :]
+
+
+def split_dataset(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded disjoint row partition into (train, valid, test)."""
+    return tuple(d.take(rows) for rows in split_rows(d.n, spec))
 
 
 def synth_biased(cfg: SynthConfig) -> Dataset:

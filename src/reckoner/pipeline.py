@@ -412,7 +412,7 @@ def predict(model: ReckonerModel,
     work = model.high.scoring_buffers(rows_max)
     scores = np.empty(n, dtype=np.float64)
     for lo, hi in bounds:
-        rows = x.fill(lo, hi, buf[:hi - lo]) if coded else x[lo:hi]
+        rows = x.fill(slice(lo, hi), buf[:hi - lo]) if coded else x[lo:hi]
         scores[lo:hi] = model.high.score(model.high_input(rows, buf[:hi - lo]), work)
     return predict_labels(scores), scores
 

@@ -594,7 +594,7 @@ class TestSweep:
                     == (alone / name).read_bytes(), (point, name)
 
     def test_data_read_and_identifier_fitted_once(self, workdir, monkeypatch):
-        calls = {"lr_fit": 0, "load_csv": 0}
+        calls = {"lr_fit": 0, "code_csv": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -605,11 +605,11 @@ class TestSweep:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(reckoner.pipeline, "lr_fit")
-        counted(reckoner.cli, "load_csv")
+        counted(reckoner.cli, "code_csv")
         code, out = self.sweep(workdir, self.GRID)
         assert code == 0
         assert len(self.summary(out)) == 4
-        assert calls == {"lr_fit": 1, "load_csv": 1}
+        assert calls == {"lr_fit": 1, "code_csv": 1}
 
     def test_unreadable_data_fails_every_point(self, workdir):
         tmp_path, _, data = workdir
@@ -723,6 +723,9 @@ MALFORMED_INPUTS = {
     "predictions-nan-score": (2, lambda t, d: _predictions(
         _file(t / "p.csv", "pred,label,group,score\n1,1,0,nan\n0,0,0,0.2\n"
                            "1,1,1,0.9\n0,0,1,0.3\n"))),
+    "audit-nan-bucket-threshold": (1, lambda t, d: [
+        *_predictions(_file(t / "p.csv", PREDICTIONS)),
+        "--bucket-thresholds", "0.5", "nan", "0.7"]),
 }
 
 

@@ -85,6 +85,10 @@ class TestBucketSpec:
             BucketSpec((0.5, 0.5))
         with pytest.raises(ConfigError):
             BucketSpec((0.5, 1.0))
+        for t in ((0.5, float("nan"), 0.7), (0.5, 0.6, float("nan")), (0.5, float("inf")),
+                  (float("nan"), 0.6), (0.5, float("-inf"))):
+            with pytest.raises(ConfigError):
+                BucketSpec(t)
 
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(DataError):

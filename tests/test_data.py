@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reckoner import data
+from reckoner.cli import _prepare_data
 from reckoner.data import (
     ColumnSpec,
     Dataset,
@@ -431,18 +432,20 @@ def coded_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=coded_tables(), chunk=st.integers(1, 5))
-def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk):
+@given(case=coded_tables(), chunk=st.integers(1, 5), pick=st.data())
+def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk, pick):
     """The coded-form finiteness check agrees with the check on the whole
-    standardized matrix, and every chunk of rows equals the matrix's rows,
-    bit for bit."""
+    standardized matrix, and every chunk of rows, and rows picked by index
+    in any order, equal the matrix's rows, bit for bit."""
     schema, rows, mean, std = case
     path = tmp_path_factory.mktemp("std") / "d.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     table = data.code_csv(path, schema)
+    perm = pick.draw(st.permutations(range(table.n)))
+    picked = np.array(perm[:pick.draw(st.integers(0, table.n))], dtype=np.int64)
     with np.errstate(all="ignore"):
-        whole = np.subtract(table.dataset().x, mean)
+        whole = np.subtract(load_csv(path, schema).x, mean)
         whole /= std
         try:
             coded = data.StandardizedRows(table, mean, std)
@@ -455,7 +458,70 @@ def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk):
     buf = np.full((chunk, schema.m), np.nan)
     for lo in range(0, table.n, chunk):
         hi = min(lo + chunk, table.n)
-        assert coded.fill(lo, hi, buf[:hi - lo]).tobytes() == whole[lo:hi].tobytes()
+        assert coded.fill(slice(lo, hi), buf[:hi - lo]).tobytes() \
+            == whole[lo:hi].tobytes()
+    out = np.full((picked.size, schema.m), np.nan)
+    assert coded.fill(picked, out).tobytes() == whole[picked].tobytes()
+
+
+def prepare_from_matrix(schema, split, path):
+    """Train and sweep's data preparation as it was: the whole raw matrix,
+    three split copies, then three standardized copies."""
+    tr, va, te = split_dataset(load_csv(path, schema), split)
+    (tr, va, te), mean, std = standardize(tr, [va, te])
+    return tr, va, te, mean, std
+
+
+SPLITS = st.builds(lambda fractions, seed: SplitSpec(*fractions, seed=seed),
+                   st.sampled_from([(0.7, 0.15, 0.15), (0.34, 0.33, 0.33),
+                                    (0.2, 0.5, 0.3)]),
+                   st.integers(0, 2**32 - 1))
+CONSTANT_COLUMN = (
+    Schema(columns=(ColumnSpec("c0", "numeric"), ColumnSpec("c1", "categorical"),
+                    ColumnSpec("c2", "numeric"), ColumnSpec("y", "label"),
+                    ColumnSpec("s", "sensitive")), hash_buckets=4),
+    [["c0", "c1", "c2", "y", "s"],
+     *([" 2.5", "ab"[i % 2], str(i * 0.7 - 1), str(i % 2), "gh"[i % 3 == 0]]
+       for i in range(9))],
+)
+NO_NUMERIC_COLUMN = (
+    Schema(columns=(ColumnSpec("c0", "categorical"), ColumnSpec("c1", "categorical"),
+                    ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")), hash_buckets=2),
+    [["s", "c0", "y", "c1"],
+     *(["gh"[i % 2], "abc"[i % 3], "01"[i % 4 < 2], "xy"[i % 5 == 0]] for i in range(7))],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables() | coded_tables().map(lambda case: case[:2]),
+       split=SPLITS)
+@example(table=CONSTANT_COLUMN, split=SplitSpec(0.34, 0.33, 0.33, seed=4))
+@example(table=NO_NUMERIC_COLUMN, split=SplitSpec(0.7, 0.15, 0.15, seed=0))
+def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
+    """``train``'s preparation from the codes gives the splits, mean and std
+    of ``load_csv`` -> ``split_dataset`` -> ``standardize``, bit for bit, or
+    the same DataError, on tables with bad cells and on valid ones."""
+    schema, rows = table
+    path = tmp_path_factory.mktemp("prep") / "d.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    outcomes = []
+    for prepare in (prepare_from_matrix, _prepare_data):
+        try:
+            with np.errstate(all="ignore"):  # as under the CLI
+                outcomes.append(prepare(schema, split, path)[:5])
+        except DataError as exc:
+            outcomes.append(str(exc))
+    want, got = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for w, g in zip(want[:3], got[:3]):
+        assert g.x.shape == w.x.shape and g.x.tobytes() == w.x.tobytes()
+        assert g.y.tobytes() == w.y.tobytes() and g.s.tobytes() == w.s.tobytes()
+    for w, g in zip(want[3:], got[3:]):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_one_bucket_column_skips_its_zero(tmp_path):
@@ -470,7 +536,7 @@ def test_one_bucket_column_skips_its_zero(tmp_path):
     mean[hot], std[hot] = sign, 1e-310  # the hot cells give 0.0, the zero overflows
     with np.errstate(all="ignore"):
         rows = data.StandardizedRows(table, mean, std)
-        assert rows.fill(0, 2, np.empty((2, 2)))[:, hot].tolist() == [0.0, 0.0]
+        assert rows.fill(slice(0, 2), np.empty((2, 2)))[:, hot].tolist() == [0.0, 0.0]
         with pytest.raises(DataError, match="x contains non-finite values"):
             data.StandardizedRows(table, mean[::-1].copy(), std[::-1].copy())
 

@@ -18,6 +18,7 @@ from reckoner.data import (
     SynthConfig,
     apply_standardization,
     code_csv,
+    load_csv,
     split_dataset,
     standardize,
     synth_biased,
@@ -316,7 +317,7 @@ print("ok")
         model = ReckonerModel(FeedForwardClassifier.initialized(schema.m, 16, 8, 1),
                               FeedForwardClassifier(schema.m, 16, 8),
                               NoiseWrapper.initialized(schema.m, 4, 2), TrainConfig())
-        matrix = apply_standardization(table.dataset(), mean, std).x
+        matrix = apply_standardization(load_csv(path, schema), mean, std).x
         labels, scores = predict(model, StandardizedRows(table, mean, std))
         want_labels, want = predict(model, matrix)
         assert scores.tobytes() == want.tobytes()
