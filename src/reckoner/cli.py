@@ -30,8 +30,8 @@ from .data import (
     code_csv,
     read_csv_rows,
     split_rows,
-    standardize,
     synth_biased,
+    train_statistics,
 )
 from .errors import ConfigError, DataError, NumericError, ReckonerError
 from .metrics import FairnessReport, fairness_report
@@ -88,16 +88,17 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
 
 
 def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
-    """Code the CSV, split its row indices, build only the train rows raw for
-    ``standardize``'s statistics, and valid and test standardized from the
-    codes: (train, valid, test, mean, std, sha256)."""
+    """Code the CSV, split its row indices, take the mean and std from the
+    train rows' numeric columns, and build all three splits standardized from
+    the codes: (train, valid, test, mean, std, sha256)."""
     table = code_csv(data_path, schema)
     tr, va, te = split_rows(table.n, split)
-    raw = StandardizedRows(table, np.zeros(schema.m), np.ones(schema.m))
-    (tr,), mean, std = standardize(raw.dataset(tr))
+    # Column-major like standardize's x[:, pos]: the bits of mean(axis=0)
+    # depend on the memory order.
+    numeric = np.array([col[tr] for col in table.numeric.values()]).T
+    mean, std = train_statistics(schema, numeric)
     rows = StandardizedRows(table, mean, std)
-    va, te = rows.dataset(va), rows.dataset(te)
-    return tr, va, te, mean, std, sha256_hex(data_path.read_bytes())
+    return (*(rows.dataset(r) for r in (tr, va, te)), mean, std, table.sha256)
 
 
 def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec, data: tuple,
@@ -169,7 +170,7 @@ def _finite_cell(cell: str) -> float:
 
 
 def _load_predictions_csv(path: Path):
-    header, rows = read_csv_rows(path, "predictions file")
+    header, rows, sha256 = read_csv_rows(path, "predictions file")
     need = {"pred", "label", "group"}
     if not need <= set(header):
         raise DataError(f"predictions file needs columns {sorted(need)}, got {header}")
@@ -188,7 +189,7 @@ def _load_predictions_csv(path: Path):
     if not preds:
         raise DataError(f"predictions file {path} has no rows")
     return (np.array(preds), np.array(labels), np.array(groups),
-            np.array(scores) if has_score else None)
+            np.array(scores) if has_score else None, sha256)
 
 
 def cmd_audit(args) -> int:
@@ -212,11 +213,10 @@ def cmd_audit(args) -> int:
         preds, prob = predict(loaded.model, x)
         labels, groups = table.y, table.s
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
-                  "data_sha256": sha256_hex(Path(args.data).read_bytes())}
+                  "data_sha256": table.sha256}
     elif args.predictions:
-        preds, labels, groups, prob = _load_predictions_csv(Path(args.predictions))
-        source = {"predictions": str(args.predictions),
-                  "data_sha256": sha256_hex(Path(args.predictions).read_bytes())}
+        preds, labels, groups, prob, sha256 = _load_predictions_csv(Path(args.predictions))
+        source = {"predictions": str(args.predictions), "data_sha256": sha256}
     else:
         raise ConfigError("audit needs either --predictions or --checkpoint with --data")
     conf = confidence_of(prob) if prob is not None else None

@@ -9,6 +9,8 @@ separately and consulted only at evaluation time.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,15 +263,35 @@ def _map_labels(distinct: list[str], which: np.ndarray) -> np.ndarray:
     return np.array(mapping, dtype=np.int64)[which]
 
 
-def _csv_blocks(path: str | Path, what: str, block_rows: int):
+class _HashingReader(io.RawIOBase):
+    """A raw binary stream that feeds every byte read through it to a hash,
+    so a file is hashed as it is read, pipes included."""
+
+    def __init__(self, raw, digest) -> None:
+        self.raw, self.digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self.raw.readinto(b)
+        if n:
+            self.digest.update(memoryview(b)[:n])
+        return n
+
+
+def _csv_blocks(path: str | Path, what: str, block_rows: int, digest):
     """Yield the header of a UTF-8 CSV, then its nonblank rows in lists of
-    at most ``block_rows``. A missing, empty or unreadable file is a
-    DataError naming ``what`` it was, raised where the reading stops."""
+    at most ``block_rows``; every byte read goes to ``digest``, a hashlib
+    hash. A missing, empty or unreadable file is a DataError naming
+    ``what`` it was, raised where the reading stops."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing {what}: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open("rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_HashingReader(raw, digest)),
+                encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -281,12 +303,16 @@ def _csv_blocks(path: str | Path, what: str, block_rows: int):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_csv_rows(path: str | Path, what: str = "file") -> tuple[list[str], list[list[str]]]:
-    """Header and nonblank rows of a UTF-8 CSV; a missing, empty or
-    unreadable file is a DataError naming ``what`` it was."""
-    blocks = _csv_blocks(path, what, CODE_BLOCK_ROWS)
+def read_csv_rows(path: str | Path,
+                  what: str = "file") -> tuple[list[str], list[list[str]], str]:
+    """Header, nonblank rows and the SHA-256 of the bytes read of a UTF-8
+    CSV; a missing, empty or unreadable file is a DataError naming ``what``
+    it was."""
+    digest = hashlib.sha256()
+    blocks = _csv_blocks(path, what, CODE_BLOCK_ROWS, digest)
     header = next(blocks)
-    return header, [row for block in blocks for row in block]
+    rows = [row for block in blocks for row in block]
+    return header, rows, digest.hexdigest()
 
 
 class _Codes:
@@ -372,13 +398,15 @@ class CodedTable:
     the group ids, each numeric column's floats and, for each categorical
     column, each row's cell code with the (bucket, sign) of each code.
     Columns are keyed by name, in schema order; every code occurs in some
-    row. ``StandardizedRows`` builds rows of the matrix from it."""
+    row. ``sha256`` is the hex SHA-256 of the bytes the coder read.
+    ``StandardizedRows`` builds rows of the matrix from it."""
 
     schema: Schema
     y: np.ndarray
     s: np.ndarray
     numeric: dict[str, np.ndarray]
     categorical: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sha256: str
 
     @property
     def n(self) -> int:
@@ -396,7 +424,8 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     schema order. Rows are numbered among the nonblank rows, the header
     being row 1.
     """
-    blocks = _csv_blocks(path, "file", CODE_BLOCK_ROWS)
+    digest = hashlib.sha256()
+    blocks = _csv_blocks(path, "file", CODE_BLOCK_ROWS, digest)
     header = [h.strip() for h in next(blocks)]
     want = [c.name for c in schema.columns]
     if sorted(header) != sorted(want):
@@ -444,7 +473,7 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
         pairs = [hash_features(v, c.name, schema.hash_buckets) for v in coder.index]
         bucket, sign = np.array(pairs, dtype=np.int64).T
         categorical[c.name] = (coder.which(), bucket, sign)
-    return CodedTable(schema, y, group.which(), numeric, categorical)
+    return CodedTable(schema, y, group.which(), numeric, categorical, digest.hexdigest())
 
 
 def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> Dataset:
@@ -543,15 +572,27 @@ def standardize(
     """
     if train.n == 0:
         raise DataError("cannot standardize an empty training set")
-    pos = train.schema.numeric_positions()
-    mean = np.zeros(train.m, dtype=np.float64)
-    std = np.ones(train.m, dtype=np.float64)
-    if pos.size:
-        mean[pos] = train.x[:, pos].mean(axis=0)
-        sd = train.x[:, pos].std(axis=0)
-        std[pos] = np.where(sd == 0.0, 1.0, sd)
+    mean, std = train_statistics(train.schema, train.x[:, train.schema.numeric_positions()])
     out = [apply_standardization(d, mean, std) for d in (train, *others)]
     return out, mean, std
+
+
+def train_statistics(schema: Schema, numeric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width mean and stdev vectors from the train rows' numeric columns,
+    a ``(rows, numeric columns)`` block in schema order.
+
+    Uses the population standard deviation and 1 where a column has zero
+    variance; hashed blocks get mean 0 and std 1. The block's memory order
+    sets the bits of its column means: ``x[:, pos]`` is column-major.
+    """
+    pos = schema.numeric_positions()
+    mean = np.zeros(schema.m, dtype=np.float64)
+    std = np.ones(schema.m, dtype=np.float64)
+    if pos.size:
+        mean[pos] = numeric.mean(axis=0)
+        sd = numeric.std(axis=0)
+        std[pos] = np.where(sd == 0.0, 1.0, sd)
+    return mean, std
 
 
 def apply_standardization(d: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:

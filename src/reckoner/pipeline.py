@@ -98,14 +98,10 @@ class TrainConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class PseudoLearnState:
-    """Outcome of one pseudo-learning cycle of the low-confidence classifier.
-
-    ``best_low`` is the model's ``best_low`` buffer, which the next cycle
-    overwrites.
-    """
+    """Outcome of one pseudo-learning cycle of the low-confidence classifier;
+    its best step's parameters are in the model's ``best_low``."""
 
     k: int
-    best_low: ModelParams
     losses: tuple[float, ...]
 
 
@@ -248,8 +244,8 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
 
     ``x_high`` is ``model.high_input(x)``. Ground-truth labels are not an
     input. The cycle assumes the low classifier sits at its snapshot (the
-    rollback invariant) and leaves it at the final step's parameters; the
-    caller rolls it back.
+    rollback invariant) and leaves it at the final step's parameters, and
+    the best step's in ``model.best_low``; the caller rolls it back.
 
     The loss after step k is read from the forward pass of step k+1's
     gradient, which runs at the same parameters on the same input, so only
@@ -263,7 +259,6 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
     x_low = x_high if cfg.low_conf_sees_noise else x
-    best_params = model.best_low
     losses: list[float] = []
     best_loss = math.inf
     best_k = 1
@@ -281,8 +276,8 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
         if loss < best_loss:
             best_loss = loss
             best_k = step
-            np.copyto(best_params.values, model.low.params.values)
-    return PseudoLearnState(k=best_k, best_low=best_params, losses=tuple(losses))
+            np.copyto(model.best_low.values, model.low.params.values)
+    return PseudoLearnState(k=best_k, losses=tuple(losses))
 
 
 def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
@@ -306,7 +301,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     log: dict = {}
     if run_pseudo:
         state = pseudo_learning_cycle(model, x, x_high)
-        blend(model.high.params, state.best_low, cfg.alpha, out=model.high.params)
+        blend(model.high.params, model.best_low, cfg.alpha, out=model.high.params)
         log["k"] = state.k
         log["pseudo_loss"] = state.losses[state.k - 1]
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -522,6 +523,99 @@ def test_overflowing_standardization_exits_2(workdir):
     assert_clean_failure(proc, 2)
     assert 'reason="x contains non-finite values"' in proc.stderr
     assert not (tmp_path / "audit").exists()
+
+
+def _write_all(fd: int, content: bytes) -> None:
+    """Write ``content`` to ``fd`` and close it; stop early if the reader
+    has gone."""
+    view = memoryview(content)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def run_cli_on_fd(argv, fd: int, piped: bytes | None = None) -> subprocess.CompletedProcess:
+    """``run_cli`` in a child that inherits ``fd``, which it reads as
+    ``/dev/fd/<fd>``. With ``piped``, ``fd`` is first replaced by the read
+    end of a new pipe, which only the child keeps, and a thread writes
+    ``piped`` into the pipe and closes it."""
+    src = Path(reckoner.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    writer = None
+    if piped is not None:
+        r, w = os.pipe()
+        os.dup2(r, fd)
+        os.close(r)
+        writer = threading.Thread(target=_write_all, args=(w, piped))
+    proc = subprocess.Popen([sys.executable, "-m", "reckoner.cli", *map(str, argv)],
+                            env=env, pass_fds=(fd,), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    if writer is not None:
+        os.close(fd)  # the child's copy is the pipe's only read end
+        writer.start()
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once the child has exited
+        if writer is not None:
+            writer.join(timeout=60)
+    assert writer is None or not writer.is_alive()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def _scored_predictions(n: int = 200, seed: int = 3) -> str:
+    rng = random.Random(seed)
+    rows = [f"{int(rng.random() < 0.5)},{int(rng.random() < 0.5)},"
+            f"{int(rng.random() < 0.5)},{0.5 + rng.random() / 2:.4f}" for _ in range(n)]
+    return "pred,label,group,score\n" + "\n".join(rows) + "\n"
+
+
+# Per command reading a CSV: its argv for the input path and output
+# directory, the input's content, and where its manifest records the
+# input's SHA-256.
+PIPED_INPUTS = {
+    "train": (lambda t, ckpt, src, out: [
+        "train", "--config", _file(t / "cfg.json", HASHED_TRAIN_CFG), "--data", src,
+        "--out", out], hashed_csv, ("manifest.json", "dataset_sha256")),
+    "audit-checkpoint": (lambda t, ckpt, src, out: [
+        "audit", "--checkpoint", ckpt, "--data", src, "--out", out,
+        "--histogram-feature", "n0"], lambda: hashed_csv(300, seed=9),
+        ("audit_manifest.json", "source", "data_sha256")),
+    "audit-predictions": (lambda t, ckpt, src, out: [
+        "audit", "--predictions", src, "--out", out], _scored_predictions,
+        ("audit_manifest.json", "source", "data_sha256")),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="opens /dev/fd/<n> as on Linux")
+@pytest.mark.parametrize("case", PIPED_INPUTS.values(), ids=PIPED_INPUTS.keys())
+def test_piped_input_is_hashed_as_read(case, hashed_checkpoint, tmp_path):
+    """An input read from a pipe is read once: the recorded SHA-256 is that
+    of its bytes, and every artifact equals that of the same run on a
+    regular file at the same ``/dev/fd/<n>`` path, so with the same argv."""
+    argv_of, content_of, (manifest, *keys) = case
+    content = content_of().encode()
+    fd = os.open(_file(tmp_path / "input.csv", content), os.O_RDONLY)
+    src = f"/dev/fd/{fd}"
+    runs = {"file": run_cli_on_fd(argv_of(tmp_path, hashed_checkpoint, src,
+                                          tmp_path / "file"), fd),
+            "pipe": run_cli_on_fd(argv_of(tmp_path, hashed_checkpoint, src,
+                                          tmp_path / "pipe"), fd, piped=content)}
+    for name, proc in runs.items():
+        assert proc.returncode == 0, (name, proc.stderr)
+        recorded = json.loads((tmp_path / name / manifest).read_text())
+        for key in keys:
+            recorded = recorded[key]
+        assert recorded == hashlib.sha256(content).hexdigest(), name
+    files = sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert sorted(p.name for p in (tmp_path / "pipe").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "pipe" / name).read_bytes() \
+            == (tmp_path / "file" / name).read_bytes(), name
 
 
 class TestSweep:

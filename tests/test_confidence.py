@@ -251,7 +251,8 @@ class TestFeatureHistograms:
                         hash_buckets=2)
         table = CodedTable(schema, y=np.array([0, 1]), s=np.array([0, 1]),
                            numeric={"f0": np.array([1.0, 2.0])},
-                           categorical={"c": (np.array([0, 0]), np.array([1]), np.array([-1]))})
+                           categorical={"c": (np.array([0, 0]), np.array([1]), np.array([-1]))},
+                           sha256="")
         rows = StandardizedRows(table, np.zeros(schema.m), np.ones(schema.m))
         assert rows.feature("f0").tolist() == [1.0, 2.0]
         for name in ("nope", "c"):

@@ -378,14 +378,15 @@ class TestConfigFlags:
         # With the wrapper off, the high classifier's input is raw x, so
         # low_conf_sees_noise must not reach the (untrained) wrapper.
         tr, _, _ = small_sets(seed=17)
-        states = []
+        models, states = [], []
         for sees in (True, False):
             cfg = TrainConfig(seed=22, low_conf_sees_noise=sees, use_noise=False, **FAST)
             model = initialize(tr, cfg)
             model.noise.params.view("c2")[:] = 0.3
+            models.append(model)
             states.append(cycle(model, tr.x[:32]))
         assert states[0].losses == states[1].losses
-        assert np.array_equal(states[0].best_low.values, states[1].best_low.values)
+        assert np.array_equal(models[0].best_low.values, models[1].best_low.values)
 
     def test_epoch_cadence_runs_pseudo_once_per_epoch(self):
         tr, va, _ = small_sets(seed=18)
@@ -449,7 +450,8 @@ def ref_pseudo_learning_cycle(model, x):
             best_k = step
             best_params = model.low.params.snapshot()
     assert best_params is not None
-    return PseudoLearnState(k=best_k, best_low=best_params, losses=tuple(losses))
+    model.best_low.restore(best_params)
+    return PseudoLearnState(k=best_k, losses=tuple(losses))
 
 
 def ref_refinement_step(model, x, y, run_pseudo=None):
@@ -463,7 +465,7 @@ def ref_refinement_step(model, x, y, run_pseudo=None):
     log = {}
     if run_pseudo:
         state = ref_pseudo_learning_cycle(model, x)
-        model.high.params.restore(blend(model.high.params, state.best_low, cfg.alpha))
+        model.high.params.restore(blend(model.high.params, model.best_low, cfg.alpha))
         log["k"] = state.k
         log["pseudo_loss"] = state.losses[state.k - 1]
 
