@@ -48,6 +48,7 @@ from .serial import (
     write_jsonl,
     write_text,
 )
+from .workers import WorkerFailure, fork_map
 
 log = logging.getLogger("reckoner")
 
@@ -295,31 +296,45 @@ def cmd_sweep(args) -> int:
     out_dir = make_dir(args.out)
     header = ["point", *SWEEPABLE, "status", "accuracy", "demographic_parity",
               "equalized_odds", "reason"]
-    rows = [header]
-    succeeded = 0
+    points = [{**cfg.to_dict(), **point} for point in grid]
     # Neither the split nor the identifier's settings are sweepable, so the
-    # points share one data preparation (retried until it succeeds) and one
-    # identifier, fitted by the first point that succeeds.
-    data = identifier = None
-    for i, point in enumerate(grid):
-        merged = {**cfg.to_dict(), **point}
-        run_dir = out_dir / f"point_{i:03d}"
-        cells = [str(i), *(_cell(merged[k]) for k in SWEEPABLE)]
+    # points share one data preparation, made before the workers fork; a
+    # failed one fails every point. Each worker fits the identifier at its
+    # first point that succeeds and keeps it for the rest: the fit has no
+    # seed, so every worker's has the same bits.
+    try:
+        data = _prepare_data(schema, split, Path(args.data))
+    except ReckonerError as exc:
+        data = exc
+    identifier = None
+
+    def failed(i: int, reason: str) -> list[str]:
+        log.warning("sweep point %d failed: %s", i, reason)
+        return ["error", "", "", "", reason]
+
+    def run_point(i: int) -> list[str]:
+        """The point's status, test metrics and failure reason."""
+        nonlocal identifier
         try:
-            point_cfg = TrainConfig.from_dict(merged)
-            make_dir(run_dir)
-            if data is None:
-                data = _prepare_data(schema, split, Path(args.data))
+            point_cfg = TrainConfig.from_dict(points[i])
+            run_dir = make_dir(out_dir / f"point_{i:03d}")
+            if isinstance(data, ReckonerError):
+                raise data
             report, identifier = _run_training(point_cfg, schema, split, data,
                                                run_dir, identifier)
-            rows.append([*cells, "ok", format_float(report.accuracy),
-                         format_float(report.dp), format_float(report.eodds), ""])
-            succeeded += 1
         except ReckonerError as exc:
-            log.warning("sweep point %d failed: %s", i, exc)
-            rows.append([*cells, "error", "", "", "", str(exc)])
-    _write_csv(out_dir / "summary.csv", rows)
-    if succeeded == 0:
+            return failed(i, str(exc))
+        return ["ok", format_float(report.accuracy), format_float(report.dp),
+                format_float(report.eodds), ""]
+
+    outcomes = [None] * len(grid)
+    for i, outcome in fork_map(run_point, len(grid)):
+        outcomes[i] = failed(i, outcome.reason) if isinstance(outcome, WorkerFailure) \
+            else outcome
+    _write_csv(out_dir / "summary.csv", [header] + [
+        [str(i), *(_cell(point[k]) for k in SWEEPABLE), *outcome]
+        for i, (point, outcome) in enumerate(zip(points, outcomes))])
+    if not any(outcome[0] == "ok" for outcome in outcomes):
         raise ConfigError("all sweep points failed; see summary.csv")
     return 0
 

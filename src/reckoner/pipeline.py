@@ -140,6 +140,9 @@ class ReckonerModel:
     rolls back to ``low_snapshot``, taken here from its current weights.
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
+    ``scoring`` holds the input buffer and activations ``predict`` scores
+    in while ``train`` runs, so that scoring the validation rows each epoch
+    allocates nothing.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -157,6 +160,7 @@ class ReckonerModel:
         self.high_step_count = 0
         self.history: list[dict] = []
         self.identifier: LinearClassifier | None = None
+        self.scoring: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -314,7 +318,9 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         raise NumericError("non-finite refinement loss")
     adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
-        adam_step(model.noise.params, model.noise.backward(d_input), model.noise_state)
+        # The wrapper's parameters have not changed since high_input's apply.
+        adam_step(model.noise.params, model.noise.backward(d_input, reuse_forward=True),
+                  model.noise_state)
     model.high_step_count += 1
 
     if run_pseudo:
@@ -354,6 +360,7 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     epoch_len = math.ceil(train_set.n / batch_size)
     epoch_losses: list[float] = []
     k_counts: dict[int, int] = {}
+    model.scoring = _scoring_buffers(model, _chunk_rows(valid.n))
     for step in range(refine_steps):
         idx = next(batches)
         first_of_epoch = step % epoch_len == 0
@@ -374,7 +381,26 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
             entry.update(_validation_entry(model, valid))
             model.history.append(entry)
             epoch_losses, k_counts = [], {}
+    model.scoring = None
     return model
+
+
+def _chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """``predict``'s chunks of ``n`` rows, as (start, end) pairs."""
+    starts = list(range(0, n, PREDICT_CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < PREDICT_CHUNK_ROWS // 2:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows in the largest of ``predict``'s chunks of ``n`` rows."""
+    return max((hi - lo for lo, hi in _chunk_bounds(n)), default=0)
+
+
+def _scoring_buffers(model: ReckonerModel, rows: int) -> tuple:
+    """An input buffer and activations for scoring up to ``rows`` rows."""
+    return np.empty((rows, model.m)), model.high.scoring_buffers(rows)
 
 
 def predict(model: ReckonerModel,
@@ -388,7 +414,8 @@ def predict(model: ReckonerModel,
     block, but not in a tiny chunk (1-row chunks take the matrix-vector
     path, and 7-row chunks differ too), so a tail shorter than half a
     chunk joins the chunk before it. One input buffer and one set of
-    activations, allocated once, serve every chunk; ``StandardizedRows``
+    activations serve every chunk: ``model.scoring`` when it is large
+    enough, else buffers allocated for this call. ``StandardizedRows``
     build each chunk's rows in that buffer, so their matrix never exists
     whole.
     """
@@ -398,15 +425,12 @@ def predict(model: ReckonerModel,
     if x.ndim != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
-    starts = list(range(0, n, PREDICT_CHUNK_ROWS))
-    if len(starts) > 1 and n - starts[-1] < PREDICT_CHUNK_ROWS // 2:
-        starts.pop()
-    bounds = list(zip(starts, starts[1:] + [n]))
-    rows_max = max((hi - lo for lo, hi in bounds), default=0)
-    buf = np.empty((rows_max, model.m))
-    work = model.high.scoring_buffers(rows_max)
+    need = _chunk_rows(n)
+    kept = model.scoring
+    buf, work = kept if kept is not None and kept[0].shape[0] >= need \
+        else _scoring_buffers(model, need)
     scores = np.empty(n, dtype=np.float64)
-    for lo, hi in bounds:
+    for lo, hi in _chunk_bounds(n):
         rows = x.fill(slice(lo, hi), buf[:hi - lo]) if coded else x[lo:hi]
         scores[lo:hi] = model.high.score(model.high_input(rows, buf[:hi - lo]), work)
     return predict_labels(scores), scores

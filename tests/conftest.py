@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,9 @@ def make_separable(n=200, seed=0, m=2):
     cols = [ColumnSpec(f"f{i}", "numeric") for i in range(m)]
     cols += [ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")]
     return Dataset(x=x, y=y, s=s, schema=Schema(columns=tuple(cols)))
+
+
+def assert_no_child_processes() -> None:
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -47,6 +47,7 @@ from reckoner.pipeline import (
     refinement_step,
     train,
 )
+from reckoner.workers import WorkerFailure, fork_map
 
 
 @pytest.fixture
@@ -256,26 +257,31 @@ def test_c5_ablation_degeneracy(report):
 
 # --- C6: fairness-improvement property ---------------------------------------
 
+def _c6_seed(seed):
+    """EOdds and accuracy of reckoner and of ERM on one seed's test split."""
+    d = synth_biased(SynthConfig(n=20_000, flip_rate_g0=0.0, flip_rate_g1=0.3,
+                                 seed=seed))
+    tr, va, te = split_dataset(d, SplitSpec(0.7, 0.15, 0.15, seed=seed))
+    (tr, va, te), _, _ = standardize(tr, [va, te])
+    cfg = TrainConfig(seed=seed, alpha=0.7, total_iterations=3000,
+                      learning_rate=0.003, batch_size=128,
+                      identifier_epochs=300, identifier_lr=0.05)
+    model = train(tr, va, cfg)
+    preds, _ = predict(model, te.x)
+    g_i, g_j = largest_pair(te.s)
+    baseline = erm_baseline(tr, cfg)
+    base_preds = predict_labels(np.asarray(baseline.score(te.x)))
+    return (equalized_odds(preds, te.y, te.s, g_i, g_j), accuracy(preds, te.y),
+            equalized_odds(base_preds, te.y, te.s, g_i, g_j), accuracy(base_preds, te.y))
+
+
 def test_c6_fairness_improvement(report):
     start = time.time()
-    r_eo, r_acc, e_eo, e_acc = [], [], [], []
-    for seed in range(10):
-        d = synth_biased(SynthConfig(n=20_000, flip_rate_g0=0.0, flip_rate_g1=0.3,
-                                     seed=seed))
-        tr, va, te = split_dataset(d, SplitSpec(0.7, 0.15, 0.15, seed=seed))
-        (tr, va, te), _, _ = standardize(tr, [va, te])
-        cfg = TrainConfig(seed=seed, alpha=0.7, total_iterations=3000,
-                          learning_rate=0.003, batch_size=128,
-                          identifier_epochs=300, identifier_lr=0.05)
-        model = train(tr, va, cfg)
-        preds, _ = predict(model, te.x)
-        g_i, g_j = largest_pair(te.s)
-        r_eo.append(equalized_odds(preds, te.y, te.s, g_i, g_j))
-        r_acc.append(accuracy(preds, te.y))
-        baseline = erm_baseline(tr, cfg)
-        base_preds = predict_labels(np.asarray(baseline.score(te.x)))
-        e_eo.append(equalized_odds(base_preds, te.y, te.s, g_i, g_j))
-        e_acc.append(accuracy(base_preds, te.y))
+    # The 10 seeds are independent; two forked workers share them.
+    per_seed = dict(fork_map(_c6_seed, 10, max_workers=2))
+    failed = {seed: r for seed, r in per_seed.items() if isinstance(r, WorkerFailure)}
+    assert not failed, failed
+    r_eo, r_acc, e_eo, e_acc = zip(*(per_seed[seed] for seed in range(10)))
     elapsed = time.time() - start
     med = lambda v: float(np.median(v))
     reduction = 1.0 - med(r_eo) / med(e_eo)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,9 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_processes
 import reckoner
 import reckoner.cli
 import reckoner.pipeline
+import reckoner.serial
+import reckoner.workers
 from reckoner.cli import SWEEPABLE, _sweep_grid, main
 from reckoner.errors import ConfigError
 from reckoner.pipeline import TrainConfig
@@ -131,6 +135,14 @@ def assert_clean_failure(proc: subprocess.CompletedProcess, code: int) -> None:
     assert proc.returncode == code, proc.stderr
     assert sum("error kind=" in line for line in proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def _wait_for(condition, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise TimeoutError("condition not met in time")
+        time.sleep(0.01)
 
 
 def assert_no_manifest(out: Path) -> None:
@@ -687,23 +699,104 @@ class TestSweep:
                 assert (out / f"point_{i:03d}" / name).read_bytes() \
                     == (alone / name).read_bytes(), (point, name)
 
-    def test_data_read_and_identifier_fitted_once(self, workdir, monkeypatch):
-        calls = {"lr_fit": 0, "code_csv": 0}
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        """Sweeps in the test fork two workers, whatever the host."""
+        monkeypatch.setattr(reckoner.workers, "usable_cpus", lambda: 2)
+
+    def around_points(self, monkeypatch, around) -> None:
+        """Run each point's training as ``around(i, train)`` in its worker."""
+        original = reckoner.cli._run_training
+
+        def wrapped(*args):
+            i = int(args[4].name.removeprefix("point_"))
+            return around(i, lambda: original(*args))
+        monkeypatch.setattr(reckoner.cli, "_run_training", wrapped)
+
+    def test_data_read_once_and_identifier_fitted_once_per_worker(
+            self, workdir, monkeypatch, two_workers):
+        """The parent codes the CSV once, before it forks; each worker fits
+        the identifier at its first point and keeps it. Every call appends
+        its process id to one file, so the counts cover every process."""
+        tmp_path = workdir[0]
+        calls = tmp_path / "calls.log"
 
         def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with calls.open("a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         counted(reckoner.pipeline, "lr_fit")
         counted(reckoner.cli, "code_csv")
+        ready = _dir(tmp_path / "ready")
+
+        def around(i, train):
+            # A worker's first point waits until both workers hold a point,
+            # so that both run points.
+            mine = ready / str(os.getpid())
+            if not mine.exists():
+                mine.touch()
+                _wait_for(lambda: len(list(ready.iterdir())) == 2)
+            return train()
+
+        self.around_points(monkeypatch, around)
         code, out = self.sweep(workdir, self.GRID)
         assert code == 0
-        assert len(self.summary(out)) == 4
-        assert calls == {"lr_fit": 1, "code_csv": 1}
+        assert [r["status"] for r in self.summary(out)] == ["ok"] * 4
+        made = [line.split() for line in calls.read_text().splitlines()]
+        assert [pid for name, pid in made if name == "code_csv"] == [str(os.getpid())]
+        fits = [pid for name, pid in made if name == "lr_fit"]
+        assert sorted(fits) == sorted(p.name for p in ready.iterdir())
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("kill", "worker killed by SIGKILL"),
+        ("raise", "worker raised RuntimeError: point 1 broke"),
+    ])
+    def test_failed_worker_fails_only_its_point(self, workdir, monkeypatch, two_workers,
+                                                fault, reason):
+        def around(i, train):
+            if i == 1 and fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if i == 1:
+                raise RuntimeError("point 1 broke")
+            return train()
+
+        self.around_points(monkeypatch, around)
+        code, out = self.sweep(workdir, self.GRID)
+        assert code == 0
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["ok", "error", "ok", "ok"]
+        assert rows[1]["reason"] == reason
+        assert_no_child_processes()
+
+    def test_summary_in_point_order_when_points_finish_out_of_order(
+            self, workdir, monkeypatch, two_workers):
+        finished = workdir[0] / "finished.log"
+
+        def around(i, train):
+            if i == 0:  # held back until the last point has finished
+                _wait_for(lambda: finished.exists() and "3" in finished.read_text().split())
+            result = train()
+            with finished.open("a") as fh:
+                fh.write(f"{i}\n")
+            return result
+
+        self.around_points(monkeypatch, around)
+        code, out = self.sweep(workdir, self.GRID)
+        assert code == 0
+        assert finished.read_text().split()[-1] == "0"
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert [(r["point"], r["seed"], r["confidence_threshold"]) for r in rows] == [
+            (str(i), str(p["seed"]), str(p["confidence_threshold"]))
+            for i, p in enumerate(_sweep_grid(self.GRID))]
+        for i, row in enumerate(rows):
+            report = json.loads((out / f"point_{i:03d}" / "fairness_report.json").read_text())
+            assert row["accuracy"] == reckoner.serial.format_float(report["accuracy"])
 
     def test_unreadable_data_fails_every_point(self, workdir):
         tmp_path, _, data = workdir

@@ -463,6 +463,32 @@ def ref_noise_backward(self, d_xtilde):
     return grad.values
 
 
+# ``NoiseWrapper.backward`` as it was before ``reuse_forward``, verbatim but
+# for ``self`` becoming an argument: it runs the forward pass again.
+
+def prev_noise_backward(self, d_xtilde: np.ndarray) -> np.ndarray:
+    """Chain upstream d(loss)/d(x~) rows into wrapper parameter gradients."""
+    d_xtilde = np.atleast_2d(np.asarray(d_xtilde, dtype=np.float64))
+    if d_xtilde.shape[1] != self.m:
+        raise ValueError("upstream gradient width mismatch")
+    pert, (z, u) = self._forward()
+    gV1, gc1, gV2, gc2 = self._grad.parts
+    d_out = np.add.reduce(d_xtilde, axis=0, out=self._d_out)
+    slope = np.multiply(pert, pert, out=self._slope)
+    np.subtract(1.0, slope, out=slope)
+    d_out *= slope
+    np.multiply(u[:, None], d_out, out=gV2)
+    gc2[:] = d_out
+    dz = np.matmul(self.params.view("V2"), d_out, out=self._du)
+    dz *= np.greater(z, 0, out=self._active)
+    np.multiply(self.eta[:, None], dz, out=gV1)
+    gc1[:] = dz
+    grad = self._grad.values
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient in NoiseWrapper.backward")
+    return grad.copy()
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -609,6 +635,25 @@ class TestKernelsMatchReference:
         assert same_bits(wrap.apply(x), x + pert)
         assert same_bits(wrap.backward(d), ref_noise_backward(wrap, d))
         assert same_bits(wrap.backward(d[0]), ref_noise_backward(wrap, d[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=WIDTHS, hidden=st.sampled_from([1, 5, 130]), n=ROW_COUNTS,
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]))
+    def test_noise_backward_reusing_the_forward_pass(self, m, hidden, n, seed, scale):
+        """After ``apply`` or ``perturbation``, a backward that reuses their
+        forward pass gives the bits of one that runs it again."""
+        rng = np.random.default_rng(seed)
+        wrap = NoiseWrapper(m, hidden, rng.standard_normal(m))
+        x = draw_array(rng, (n, m), 1.0, 0.05)
+        d = draw_array(rng, (n, m), 1e-2, 0.05)
+        for _ in range(2):
+            wrap.params.values[:] = draw_array(rng, wrap.params.values.size, scale, 0.05)
+            wrap.apply(x)
+            got = wrap.backward(d, reuse_forward=True)
+            assert same_bits(got, prev_noise_backward(wrap, d))
+            wrap.perturbation()
+            got = wrap.backward(d[0], reuse_forward=True)
+            assert same_bits(got, prev_noise_backward(wrap, d[0]))
 
 
 class TestOwnership:

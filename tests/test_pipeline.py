@@ -259,6 +259,23 @@ class TestPredict:
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(s1, s2)
 
+    def test_validation_scores_in_buffers_kept_across_epochs(self, monkeypatch):
+        """``train`` allocates ``predict``'s buffers once, not every epoch,
+        and drops them when it returns."""
+        tr, va, _ = small_sets(seed=11)
+        sizes = []
+        allocate = FeedForwardClassifier.scoring_buffers
+
+        def counted(self, rows):
+            sizes.append(rows)
+            return allocate(self, rows)
+
+        monkeypatch.setattr(FeedForwardClassifier, "scoring_buffers", counted)
+        model = train(tr, va, TrainConfig(seed=16, **FAST))
+        assert len(model.history) > 1
+        assert sizes == [va.n]
+        assert model.scoring is None
+
     def test_dimension_mismatch(self):
         tr, va, _ = small_sets(seed=11)
         model = initialize(tr, TrainConfig(seed=16, **FAST))
@@ -267,7 +284,8 @@ class TestPredict:
 
     def test_chunked_scores_are_bit_equal_to_whole_matrix(self):
         """Chunked ``predict`` against one product over all rows, around the
-        chunk size, with a short tail, and at audit scale (m = 130). Run with
+        chunk size, with a short tail, and at audit scale (m = 130), in
+        buffers for this call and in larger kept ones. Run with
         one BLAS thread, as the CLI tests and the benchmark run: a threaded
         matrix-vector product splits rows where the row count says, so the
         whole-matrix bits themselves then depend on the thread count."""
@@ -276,18 +294,20 @@ class TestPredict:
         script = f"""
 import numpy as np
 from reckoner.models import FeedForwardClassifier, NoiseWrapper, predict_labels
-from reckoner.pipeline import ReckonerModel, TrainConfig, predict
+from reckoner.pipeline import ReckonerModel, TrainConfig, _scoring_buffers, predict
 for m, use_noise in ((6, False), (130, True)):
     model = ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
                           FeedForwardClassifier(m, 64, 32),
                           NoiseWrapper.initialized(m, 16, 3),
                           TrainConfig(use_noise=use_noise))
     x = np.random.default_rng(m).standard_normal(({max(sizes)}, m))
+    kept = _scoring_buffers(model, {2 * chunk})
     for n in {sizes}:
         whole = model.high.score(model.high_input(x[:n]))
-        labels, scores = predict(model, x[:n])
-        assert scores.tobytes() == whole.tobytes(), (m, n)
-        assert np.array_equal(labels, predict_labels(whole)), (m, n)
+        for model.scoring in (None, kept):
+            labels, scores = predict(model, x[:n])
+            assert scores.tobytes() == whole.tobytes(), (m, n)
+            assert np.array_equal(labels, predict_labels(whole)), (m, n)
 print("ok")
 """
         env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
@@ -556,6 +576,21 @@ class TestReferenceEquivalence:
         # pseudo-labels, pseudo_iters low forwards, the last pseudo loss and
         # the high classifier's backward
         assert len(calls) == cfg.pseudo_iters + 3 == 6
+
+    def test_one_noise_forward_per_step(self, monkeypatch):
+        """The noise wrapper's backward reuses the step's ``apply``."""
+        tr, _, _ = small_sets(seed=21)
+        model = initialize(tr, TrainConfig(seed=26, **FAST))
+        calls = []
+        forward = NoiseWrapper._forward
+
+        def counted(self):
+            calls.append(1)
+            return forward(self)
+
+        monkeypatch.setattr(NoiseWrapper, "_forward", counted)
+        refinement_step(model, tr.x[:32], tr.y[:32])
+        assert len(calls) == 1
 
     def test_parameter_vectors_built_per_step(self, monkeypatch):
         """After a warm-up step, a refinement step builds at most one
