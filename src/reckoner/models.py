@@ -471,21 +471,18 @@ class NoiseWrapper:
         out = np.add(xb, self._forward()[0], out=out)
         return out[0] if np.asarray(x).ndim == 1 else out
 
-    def backward(self, d_xtilde: np.ndarray, *, reuse_forward: bool = False) -> np.ndarray:
+    def backward(self, d_xtilde: np.ndarray) -> np.ndarray:
         """Chain upstream d(loss)/d(x~) rows into wrapper parameter gradients.
 
-        With ``reuse_forward`` the perturbation and activations are those
-        the last ``apply`` or ``perturbation`` left in the wrapper's
-        buffers, not computed again; the parameters must not have changed
-        since that call.
+        The perturbation and activations are those the last ``apply`` or
+        ``perturbation`` left in the wrapper's buffers, not computed again:
+        call one of them first, and do not change the parameters between
+        that call and this one.
         """
         d_xtilde = np.atleast_2d(np.asarray(d_xtilde, dtype=np.float64))
         if d_xtilde.shape[1] != self.m:
             raise ValueError("upstream gradient width mismatch")
-        if reuse_forward:
-            pert, z, u = self._pert, self._z, self._u
-        else:
-            pert, (z, u) = self._forward()
+        pert, z, u = self._pert, self._z, self._u
         gV1, gc1, gV2, gc2 = self._grad.parts
         d_out = np.add.reduce(d_xtilde, axis=0, out=self._d_out)
         slope = np.multiply(pert, pert, out=self._slope)

@@ -140,9 +140,6 @@ class ReckonerModel:
     rolls back to ``low_snapshot``, taken here from its current weights.
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
-    ``scoring`` holds the input buffer and activations ``predict`` scores
-    in while ``train`` runs, so that scoring the validation rows each epoch
-    allocates nothing.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -160,7 +157,6 @@ class ReckonerModel:
         self.high_step_count = 0
         self.history: list[dict] = []
         self.identifier: LinearClassifier | None = None
-        self.scoring: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -319,8 +315,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
         # The wrapper's parameters have not changed since high_input's apply.
-        adam_step(model.noise.params, model.noise.backward(d_input, reuse_forward=True),
-                  model.noise_state)
+        adam_step(model.noise.params, model.noise.backward(d_input), model.noise_state)
     model.high_step_count += 1
 
     if run_pseudo:
@@ -330,8 +325,8 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     return log
 
 
-def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
-    preds, _ = predict(model, valid.x)
+def _validation_entry(model: ReckonerModel, valid: Dataset, buffers: tuple) -> dict:
+    preds, _ = predict(model, valid.x, buffers)
     try:
         report = fairness_report(preds, valid.y, valid.s)
     except ReckonerError:
@@ -347,8 +342,8 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
           on_high_step: StepHook | None = None) -> ReckonerModel:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
-    Validation metrics are logged per epoch; the final model is the last
-    state (no early stopping).
+    Validation metrics are logged per epoch, scored in one set of buffers
+    allocated here; the final model is the last state (no early stopping).
     """
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
@@ -360,7 +355,7 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     epoch_len = math.ceil(train_set.n / batch_size)
     epoch_losses: list[float] = []
     k_counts: dict[int, int] = {}
-    model.scoring = _scoring_buffers(model, _chunk_rows(valid.n))
+    buffers = _scoring_buffers(model, _chunk_rows(valid.n))
     for step in range(refine_steps):
         idx = next(batches)
         first_of_epoch = step % epoch_len == 0
@@ -378,10 +373,9 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
             entry = {"epoch": len(model.history),
                      "train_loss": float(np.mean(epoch_losses)),
                      "k_histogram": {str(k): v for k, v in sorted(k_counts.items())}}
-            entry.update(_validation_entry(model, valid))
+            entry.update(_validation_entry(model, valid, buffers))
             model.history.append(entry)
             epoch_losses, k_counts = [], {}
-    model.scoring = None
     return model
 
 
@@ -403,8 +397,8 @@ def _scoring_buffers(model: ReckonerModel, rows: int) -> tuple:
     return np.empty((rows, model.m)), model.high.scoring_buffers(rows)
 
 
-def predict(model: ReckonerModel,
-            x: np.ndarray | StandardizedRows) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: ReckonerModel, x: np.ndarray | StandardizedRows,
+            buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """High-confidence classifier scores and labels; ties at 0.5 go to 1.
 
     Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
@@ -414,10 +408,10 @@ def predict(model: ReckonerModel,
     block, but not in a tiny chunk (1-row chunks take the matrix-vector
     path, and 7-row chunks differ too), so a tail shorter than half a
     chunk joins the chunk before it. One input buffer and one set of
-    activations serve every chunk: ``model.scoring`` when it is large
-    enough, else buffers allocated for this call. ``StandardizedRows``
-    build each chunk's rows in that buffer, so their matrix never exists
-    whole.
+    activations serve every chunk: ``buffers``, from ``_scoring_buffers``
+    for at least the largest chunk, when given, else buffers allocated for
+    this call. ``StandardizedRows`` build each chunk's rows in that buffer,
+    so their matrix never exists whole.
     """
     coded = isinstance(x, StandardizedRows)
     if not coded:
@@ -425,10 +419,7 @@ def predict(model: ReckonerModel,
     if x.ndim != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
-    need = _chunk_rows(n)
-    kept = model.scoring
-    buf, work = kept if kept is not None and kept[0].shape[0] >= need \
-        else _scoring_buffers(model, need)
+    buf, work = buffers if buffers is not None else _scoring_buffers(model, _chunk_rows(n))
     scores = np.empty(n, dtype=np.float64)
     for lo, hi in _chunk_bounds(n):
         rows = x.fill(slice(lo, hi), buf[:hi - lo]) if coded else x[lo:hi]

@@ -52,21 +52,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def fork_map(fn: Callable[[int], Any], n_items: int,
-             max_workers: int | None = None) -> Iterator[tuple[int, Any]]:
+def fork_map(fn: Callable[[int], Any], n_items: int) -> Iterator[tuple[int, Any]]:
     """Yield ``(i, fn(i))`` for every ``i`` in ``range(n_items)``, in the
     order the items finish.
 
-    The items run in ``min(n_items, usable_cpus(), max_workers)`` forked
-    workers. In place of a result, an item yields a ``WorkerFailure`` when
-    ``fn`` raised for it or its worker died before reporting it. A worker
-    goes on to the next item after an ``Exception``; any other exception
+    The items run in ``min(n_items, usable_cpus())`` forked workers. In
+    place of a result, an item yields a ``WorkerFailure`` when ``fn``
+    raised for it or its worker died before reporting it. A worker goes on
+    to the next item after an ``Exception``; any other exception
     (``SystemExit``, ``KeyboardInterrupt``) ends the worker, as a signal
     does. Items still unclaimed once every worker has ended fail too.
     Closing the generator early, or an interrupt while it waits, kills and
     reaps every worker still running.
     """
-    n_workers = min(n_items, usable_cpus(), max_workers or n_items)
+    n_workers = min(n_items, usable_cpus())
     if n_workers < 1:
         return
     unclaimed = memoryview(b"".join(_CLAIM.pack(i) for i in range(n_items)))

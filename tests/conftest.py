@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import reckoner.workers
 from reckoner.data import ColumnSpec, Dataset, Schema
 
 
@@ -35,3 +36,9 @@ def assert_no_child_processes() -> None:
     """Every process this one forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def cap_workers(monkeypatch, n: int) -> None:
+    """``fork_map`` forks at most ``n`` workers in this test, whatever the
+    host."""
+    monkeypatch.setattr(reckoner.workers, "usable_cpus", lambda: n)

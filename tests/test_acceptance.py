@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import cap_workers
 from fd_utils import central_difference, max_relative_error, relu_margin
 from reckoner.cli import main as cli_main
 from reckoner.confidence import BucketSpec, bucket_analysis
@@ -275,10 +276,11 @@ def _c6_seed(seed):
             equalized_odds(base_preds, te.y, te.s, g_i, g_j), accuracy(base_preds, te.y))
 
 
-def test_c6_fairness_improvement(report):
-    start = time.time()
+def test_c6_fairness_improvement(report, monkeypatch):
     # The 10 seeds are independent; two forked workers share them.
-    per_seed = dict(fork_map(_c6_seed, 10, max_workers=2))
+    cap_workers(monkeypatch, 2)
+    start = time.time()
+    per_seed = dict(fork_map(_c6_seed, 10))
     failed = {seed: r for seed, r in per_seed.items() if isinstance(r, WorkerFailure)}
     assert not failed, failed
     r_eo, r_acc, e_eo, e_acc = zip(*(per_seed[seed] for seed in range(10)))

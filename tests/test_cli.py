@@ -19,12 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_processes
+from conftest import assert_no_child_processes, cap_workers
 import reckoner
 import reckoner.cli
 import reckoner.pipeline
 import reckoner.serial
-import reckoner.workers
 from reckoner.cli import SWEEPABLE, _sweep_grid, main
 from reckoner.errors import ConfigError
 from reckoner.pipeline import TrainConfig
@@ -702,7 +701,7 @@ class TestSweep:
     @pytest.fixture
     def two_workers(self, monkeypatch):
         """Sweeps in the test fork two workers, whatever the host."""
-        monkeypatch.setattr(reckoner.workers, "usable_cpus", lambda: 2)
+        cap_workers(monkeypatch, 2)
 
     def around_points(self, monkeypatch, around) -> None:
         """Run each point's training as ``around(i, train)`` in its worker."""

@@ -463,8 +463,9 @@ def ref_noise_backward(self, d_xtilde):
     return grad.values
 
 
-# ``NoiseWrapper.backward`` as it was before ``reuse_forward``, verbatim but
-# for ``self`` becoming an argument: it runs the forward pass again.
+# ``NoiseWrapper.backward`` as it was before it reused the forward pass of
+# ``apply``, verbatim but for ``self`` becoming an argument: it runs the
+# forward pass again.
 
 def prev_noise_backward(self, d_xtilde: np.ndarray) -> np.ndarray:
     """Chain upstream d(loss)/d(x~) rows into wrapper parameter gradients."""
@@ -633,15 +634,17 @@ class TestKernelsMatchReference:
         pert, _ = ref_noise_forward(wrap)
         assert same_bits(wrap.perturbation(), pert)
         assert same_bits(wrap.apply(x), x + pert)
+        wrap.perturbation()
         assert same_bits(wrap.backward(d), ref_noise_backward(wrap, d))
+        wrap.perturbation()
         assert same_bits(wrap.backward(d[0]), ref_noise_backward(wrap, d[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(m=WIDTHS, hidden=st.sampled_from([1, 5, 130]), n=ROW_COUNTS,
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]))
     def test_noise_backward_reusing_the_forward_pass(self, m, hidden, n, seed, scale):
-        """After ``apply`` or ``perturbation``, a backward that reuses their
-        forward pass gives the bits of one that runs it again."""
+        """After ``apply`` or ``perturbation``, the backward that reuses
+        their forward pass gives the bits of one that runs it again."""
         rng = np.random.default_rng(seed)
         wrap = NoiseWrapper(m, hidden, rng.standard_normal(m))
         x = draw_array(rng, (n, m), 1.0, 0.05)
@@ -649,10 +652,10 @@ class TestKernelsMatchReference:
         for _ in range(2):
             wrap.params.values[:] = draw_array(rng, wrap.params.values.size, scale, 0.05)
             wrap.apply(x)
-            got = wrap.backward(d, reuse_forward=True)
+            got = wrap.backward(d)
             assert same_bits(got, prev_noise_backward(wrap, d))
             wrap.perturbation()
-            got = wrap.backward(d[0], reuse_forward=True)
+            got = wrap.backward(d[0])
             assert same_bits(got, prev_noise_backward(wrap, d[0]))
 
 
@@ -668,11 +671,13 @@ class TestOwnership:
         first = net.backward(x1, y1, return_input_grad=True)
         kept = [a.copy() for a in first]
         first_score = net.score(x1)
+        wrap.perturbation()
         noise_grad = wrap.backward(first[2])
         noise_kept, pert = noise_grad.copy(), wrap.perturbation()
         for x, y in ((x2, y2), (x2[:5], y2[:5]), (x1, y1)):
             later = net.backward(x, y, return_input_grad=True)
             net.score(x)
+            wrap.perturbation()
             wrap.backward(later[2])
             wrap.params.values += 0.5
             for a, b in zip(first, later):

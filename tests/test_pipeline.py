@@ -260,8 +260,7 @@ class TestPredict:
         np.testing.assert_array_equal(s1, s2)
 
     def test_validation_scores_in_buffers_kept_across_epochs(self, monkeypatch):
-        """``train`` allocates ``predict``'s buffers once, not every epoch,
-        and drops them when it returns."""
+        """``train`` allocates ``predict``'s buffers once, not every epoch."""
         tr, va, _ = small_sets(seed=11)
         sizes = []
         allocate = FeedForwardClassifier.scoring_buffers
@@ -274,7 +273,6 @@ class TestPredict:
         model = train(tr, va, TrainConfig(seed=16, **FAST))
         assert len(model.history) > 1
         assert sizes == [va.n]
-        assert model.scoring is None
 
     def test_dimension_mismatch(self):
         tr, va, _ = small_sets(seed=11)
@@ -304,8 +302,8 @@ for m, use_noise in ((6, False), (130, True)):
     kept = _scoring_buffers(model, {2 * chunk})
     for n in {sizes}:
         whole = model.high.score(model.high_input(x[:n]))
-        for model.scoring in (None, kept):
-            labels, scores = predict(model, x[:n])
+        for buffers in (None, kept):
+            labels, scores = predict(model, x[:n], buffers)
             assert scores.tobytes() == whole.tobytes(), (m, n)
             assert np.array_equal(labels, predict_labels(whole)), (m, n)
 print("ok")
