@@ -4,29 +4,22 @@
 worker shares everything its parent built before the call copy-on-write,
 such as a sweep's prepared data, so nothing but the index and the result is
 pickled. The parent should have no threads of its own running when it
-calls ``fork_map``. Each worker claims the next unclaimed index from one
-shared pipe, so a slow item holds up only its own worker.
+calls ``fork_map``. The parent hands each worker its next index when it
+reports one, so a slow item holds up only its own worker.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import select
 import signal
-import struct
 import sys
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from contextlib import suppress
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-# A claim is one 4-byte index. The parent writes claims in blocks of
-# PIPE_BUF bytes, each atomic, and a worker reads exactly one claim, so no
-# claim is ever split between two workers.
-_CLAIM = struct.Struct("<I")
-# A message from a worker is a pickled (kind, index, value) tuple after its
-# 8-byte length.
-_LENGTH = struct.Struct("<Q")
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 @dataclass(frozen=True)
@@ -35,13 +28,6 @@ class WorkerFailure:
     names what the worker raised, or how it ended, before reporting it."""
 
     reason: str
-
-
-@dataclass
-class _Worker:
-    pid: int
-    claimed: int | None = None  # the index it runs and has not reported
-    inbox: bytearray = field(default_factory=bytearray)
 
 
 def usable_cpus() -> int:
@@ -61,89 +47,59 @@ def fork_map(fn: Callable[[int], Any], n_items: int) -> Iterator[tuple[int, Any]
     raised for it or its worker died before reporting it. A worker goes on
     to the next item after an ``Exception``; any other exception
     (``SystemExit``, ``KeyboardInterrupt``) ends the worker, as a signal
-    does. Items still unclaimed once every worker has ended fail too.
+    does. Items still unrun once every worker has ended fail too.
     Closing the generator early, or an interrupt while it waits, kills and
     reaps every worker still running.
     """
     n_workers = min(n_items, usable_cpus())
     if n_workers < 1:
         return
-    unclaimed = memoryview(b"".join(_CLAIM.pack(i) for i in range(n_items)))
-    claims_r, claims_w = os.pipe()
-    os.set_blocking(claims_w, False)
-    workers: dict[int, _Worker] = {}  # by the read end of its result pipe
-    reported: set[int] = set()
+    # Imported here, not with the module: the import takes over 10 ms,
+    # which every train and audit launch would pay without ever forking.
+    from multiprocessing.connection import Pipe, wait
+
+    unrun = iter(range(n_items))
+    pids: dict[Connection, int] = {}  # by the parent's end of its pipe
+    held: dict[Connection, int | None] = {}  # the index it runs, unreported
+
+    def hand(conn: Connection) -> None:  # its next index, or None to end it
+        held[conn] = next(unrun, None)
+        with suppress(OSError):  # a dead worker reads as ended at `wait`
+            conn.send(held[conn])
+
     try:
         sys.stdout.flush()
         sys.stderr.flush()
         for _ in range(n_workers):
-            result_r, result_w = os.pipe()
+            ours, theirs = Pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, claims_r, claims_w, result_w)
-            os.close(result_w)
-            workers[result_r] = _Worker(pid)
-        poller = select.poll()
-        poller.register(claims_w, select.POLLOUT)
-        for fd in workers:
-            poller.register(fd, select.POLLIN)
-        while workers:
-            for fd, _ in poller.poll():
-                if fd == claims_w:
-                    try:
-                        sent = os.write(claims_w, unclaimed[:select.PIPE_BUF])
-                    except BlockingIOError:
-                        continue
-                    unclaimed = unclaimed[sent:]
-                    if not unclaimed:
-                        poller.unregister(claims_w)
-                        os.close(claims_w)
-                        claims_w = -1
+                _work(fn, theirs, [ours, *pids])
+            theirs.close()
+            pids[ours] = pid
+            hand(ours)
+        while pids:
+            for conn in wait(list(pids)):
+                try:
+                    value, goes_on = conn.recv()
+                except (EOFError, OSError):  # the worker has ended
+                    _, status = os.waitpid(pids[conn], 0)
+                    del pids[conn]
+                    conn.close()
+                    if (i := held.pop(conn)) is not None:
+                        yield i, WorkerFailure(_ending(status))
                     continue
-                worker = workers[fd]
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    worker.inbox += chunk
-                    for i, value in _delivered(worker):
-                        reported.add(i)
-                        yield i, value
-                    continue
-                _, status = os.waitpid(worker.pid, 0)
-                poller.unregister(fd)
-                os.close(fd)
-                del workers[fd]
-                if worker.claimed is not None:
-                    reported.add(worker.claimed)
-                    yield worker.claimed, WorkerFailure(_ending(status))
-        for i in range(n_items):
-            if i not in reported:
-                yield i, WorkerFailure("no worker reported it before every worker ended")
+                i, held[conn] = held[conn], None
+                if goes_on:
+                    hand(conn)
+                yield i, value
+        for i in unrun:
+            yield i, WorkerFailure("no worker reported it before every worker ended")
     finally:
-        for fd, worker in workers.items():
-            os.kill(worker.pid, signal.SIGKILL)
-            os.waitpid(worker.pid, 0)
-            os.close(fd)
-        for fd in (claims_r, claims_w):
-            if fd >= 0:
-                os.close(fd)
-
-
-def _delivered(worker: _Worker) -> Iterator[tuple[int, Any]]:
-    """The items whose results are complete in the worker's inbox; a claim
-    message only records the index the worker runs."""
-    inbox = worker.inbox
-    while len(inbox) >= _LENGTH.size:
-        (size,) = _LENGTH.unpack_from(inbox)
-        end = _LENGTH.size + size
-        if len(inbox) < end:
-            return
-        kind, i, value = pickle.loads(inbox[_LENGTH.size:end])
-        del inbox[:end]
-        if kind == "claim":
-            worker.claimed = i
-        else:
-            worker.claimed = None
-            yield i, value
+        for conn, pid in pids.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            conn.close()
 
 
 def _ending(status: int) -> str:
@@ -157,31 +113,23 @@ def _raised(exc: BaseException) -> WorkerFailure:
     return WorkerFailure(f"worker raised {type(exc).__name__}: {exc}")
 
 
-def _send(out: int, message: tuple) -> None:
-    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    data = memoryview(_LENGTH.pack(len(body)) + body)
-    while data:
-        data = data[os.write(out, data):]
-
-
-def _work(fn: Callable[[int], Any], claims: int, claims_w: int, out: int) -> None:
-    """A worker's whole life: claim, run and report items until no claim
-    is left, then end the process without returning to the caller."""
+def _work(fn: Callable[[int], Any], conn: Connection, inherited: list[Connection]) -> None:
+    """A worker's whole life: run and report each index it is handed until
+    ``None``, then end the process without returning to the caller."""
     code = 0
     try:
-        os.close(claims_w)  # else the claims pipe never reads as ended
-        while claim := os.read(claims, _CLAIM.size):
-            (i,) = _CLAIM.unpack(claim)
-            _send(out, ("claim", i, None))
+        for parent_end in inherited:  # else no pipe would end with the parent
+            parent_end.close()
+        while (i := conn.recv()) is not None:
             try:
                 value = fn(i)
             except Exception as exc:
                 traceback.print_exc()
                 value = _raised(exc)
             except BaseException as exc:
-                _send(out, ("result", i, _raised(exc)))
+                conn.send((_raised(exc), False))
                 raise
-            _send(out, ("result", i, value))
+            conn.send((value, True))
     except BaseException:  # the worker ends here whatever happened
         code = 1
     finally:

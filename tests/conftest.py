@@ -1,10 +1,15 @@
 import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads: forked workers keep the thread
+# count of the process they fork from, so two workers would otherwise run
+# two BLAS threads each on a two-core host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import reckoner.workers
-from reckoner.data import ColumnSpec, Dataset, Schema
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import reckoner.workers  # noqa: E402
+from reckoner.data import ColumnSpec, Dataset, Schema  # noqa: E402
 
 
 @pytest.fixture
