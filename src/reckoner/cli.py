@@ -212,6 +212,7 @@ def cmd_audit(args) -> int:
         table = code_csv(Path(args.data), loaded.schema)
         x = StandardizedRows(table, loaded.mean, loaded.std)
         preds, prob = predict(loaded.model, x)
+        del loaded  # the reports need no model, nor its scoring buffers
         labels, groups = table.y, table.s
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "data_sha256": table.sha256}
@@ -401,10 +402,13 @@ def main(argv=None) -> int:
         # the way there would only add lines around its one error line.
         with np.errstate(all="ignore"):
             return args.func(args)
+    except MemoryError as exc:
+        error = ConfigError(f"not enough memory for this config: {exc}")
     except (ConfigError, DataError, NumericError) as exc:
-        print(f'error kind={exc.kind} exit={exc.exit_code} reason="{exc}"',
-              file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    print(f'error kind={error.kind} exit={error.exit_code} reason="{error}"',
+          file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ class BucketSpec:
 
     def assign(self, scores: np.ndarray) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64)
-        if scores.size and (scores.min() < 0.5 or scores.max() > 1.0):
+        if scores.size and not (scores.min() >= 0.5 and scores.max() <= 1.0):  # NaN fails
             raise DataError("confidence scores must lie in [0.5, 1]")
         idx = np.searchsorted(np.asarray(self.thresholds), scores, side="right") - 1
         return np.clip(idx, 0, self.count - 1).astype(np.int64)

@@ -263,12 +263,12 @@ class LinearClassifier:
 
 
 class _Batch:
-    """A FeedForwardClassifier's buffers for one row count ``n``: the forward
+    """A FeedForwardClassifier's buffers for up to ``n`` rows: the forward
     activations and sigmoid scratch, plus the backward pass's masks and
     upstream gradients when ``backward`` is set."""
 
     __slots__ = ("n", "z1", "a1", "z2", "a2", "z3", "denom", "nonneg",
-                 "dz3", "da2", "mask2", "da1", "mask1")
+                 "dz3", "da2", "mask2", "da1", "mask1", "_head")
 
     def __init__(self, n: int, h1: int, h2: int, backward: bool):
         self.n = n
@@ -280,26 +280,30 @@ class _Batch:
             self.dz3 = np.empty(n)
             self.da2, self.mask2 = np.empty((n, h2)), np.empty((n, h2), dtype=bool)
             self.da1, self.mask1 = np.empty((n, h1)), np.empty((n, h1), dtype=bool)
+        self._head: _Batch | None = None
 
     def head(self, n: int) -> "_Batch":
-        """Forward buffers for ``n <= self.n`` rows: views of the first ``n``
-        rows of these."""
+        """Buffers for ``n <= self.n`` rows: views of the first ``n`` rows of
+        these, kept until another row count is asked for."""
         if n == self.n:
             return self
-        view = _Batch.__new__(_Batch)
-        view.n = n
-        for name in ("z1", "a1", "z2", "a2", "z3", "denom", "nonneg"):
-            setattr(view, name, getattr(self, name)[:n])
-        return view
+        if self._head is None or self._head.n != n:
+            view = _Batch.__new__(_Batch)
+            view.n = n
+            for name in _Batch.__slots__[1:-1]:
+                if hasattr(self, name):
+                    setattr(view, name, getattr(self, name)[:n])
+            self._head = view
+        return self._head
 
 
 class FeedForwardClassifier:
     """Three affine layers (m -> h1 -> h2 -> 1), ReLU hidden, sigmoid output.
 
-    ``backward`` keeps the buffers of its last row count (a training batch)
-    and a gradient vector, and fills them in place; other row counts, as in
-    scoring, get buffers that live for one call, or the caller's
-    ``scoring_buffers``. Every returned array is new.
+    ``backward`` and ``score`` each own one set of buffers, and ``backward``
+    a gradient vector, all filled in place. A set grows to the most rows
+    asked of it; fewer rows use views of its first rows. Every returned
+    array is new.
     """
 
     def __init__(self, m: int, h1: int, h2: int, params: ModelParams | None = None):
@@ -312,7 +316,8 @@ class FeedForwardClassifier:
         self.params = params if params is not None else ModelParams(layout)
         if self.params.layout != layout:
             raise ValueError("parameter layout does not match architecture")
-        self._batch: _Batch | None = None
+        # score's buffers, then backward's, so that ``backward`` indexes them
+        self._work: list[_Batch | None] = [None, None]
         self._grad: ModelParams | None = None
 
     @classmethod
@@ -328,19 +333,15 @@ class FeedForwardClassifier:
     def param_count(self) -> int:
         return self.params.layout.size
 
-    def _buffers(self, n: int, keep: bool) -> _Batch:
-        work = self._batch
-        if work is None or work.n != n:
-            work = _Batch(n, self.h1, self.h2, backward=keep)
-            if keep:
-                self._batch = work
-        return work
-
-    def _forward(self, xb: np.ndarray, work: _Batch | None = None):
+    def _forward(self, xb: np.ndarray, backward: bool = False):
         """Output probabilities (a new array) and the activations
-        (z1, a1, z2, a2), which live in ``work``."""
-        if work is None:
-            work = self._buffers(xb.shape[0], keep=False)
+        (z1, a1, z2, a2), which live in ``backward``'s buffers when
+        ``backward`` is set, else in ``score``'s."""
+        n = xb.shape[0]
+        work = self._work[backward]
+        if work is None or work.n < n:
+            work = self._work[backward] = _Batch(n, self.h1, self.h2, backward)
+        work = work.head(n)
         W1, b1, W2, b2, W3, b3 = self.params.parts
         z1, a1, z2, a2 = work.z1, work.a1, work.z2, work.a2
         np.matmul(xb, W1, out=z1)
@@ -352,19 +353,13 @@ class FeedForwardClassifier:
         np.matmul(a2, W3, out=work.z3)
         z3 = work.z3[:, 0]
         z3 += b3[0]
-        prob = _sigmoid_into(z3, np.empty(xb.shape[0]), work.denom, work.nonneg)
+        prob = _sigmoid_into(z3, np.empty(n), work.denom, work.nonneg)
         return prob, (z1, a1, z2, a2)
 
-    def scoring_buffers(self, rows: int) -> _Batch:
-        """Forward buffers for up to ``rows`` rows, for ``score`` to reuse
-        from call to call."""
-        return _Batch(rows, self.h1, self.h2, backward=False)
-
-    def score(self, x: np.ndarray, work: _Batch | None = None) -> np.ndarray | float:
-        """Output probabilities; the activations go in ``work`` (from
-        ``scoring_buffers``) when given, else in buffers for this call."""
+    def score(self, x: np.ndarray) -> np.ndarray | float:
+        """Output probabilities."""
         xb = _as_batch(x, self.m)
-        prob, _ = self._forward(xb, None if work is None else work.head(xb.shape[0]))
+        prob, _ = self._forward(xb)
         return float(prob[0]) if np.asarray(x).ndim == 1 else prob
 
     def backward(
@@ -375,8 +370,8 @@ class FeedForwardClassifier:
         xb = _as_batch(x, self.m)
         y = np.asarray(y, dtype=np.float64)
         n = xb.shape[0]
-        work = self._buffers(n, keep=True)
-        prob, (z1, a1, z2, a2) = self._forward(xb, work)
+        prob, (z1, a1, z2, a2) = self._forward(xb, backward=True)
+        work = self._work[True].head(n)
         if self._grad is None:
             self._grad = ModelParams(self.params.layout)
         W1, _, W2, _, W3, _ = self.params.parts

@@ -154,9 +154,9 @@ class ReckonerModel:
         self.high_state = AdamState.zeros(high.params.layout.size, lr=lr)
         self.low_state = AdamState.zeros(low.params.layout.size, lr=lr)
         self.noise_state = AdamState.zeros(noise.params.layout.size, lr=lr)
-        self.high_step_count = 0
         self.history: list[dict] = []
         self.identifier: LinearClassifier | None = None
+        self._inputs = np.empty((0, high.m))
 
     @property
     def m(self) -> int:
@@ -166,6 +166,13 @@ class ReckonerModel:
         """The high classifier's input: ``x`` plus the noise when it is on,
         written into ``out`` when given."""
         return self.noise.apply(x, out) if self.config.use_noise else np.asarray(x, float)
+
+    def input_rows(self, n: int) -> np.ndarray:
+        """The first ``n`` rows of an input buffer that grows to the most
+        rows asked of it."""
+        if self._inputs.shape[0] < n:
+            self._inputs = np.empty((n, self.m))
+        return self._inputs[:n]
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
@@ -228,7 +235,6 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     steps = cfg.init_steps
     _init_phase(high, model.high_state, high_init, steps, cfg.batch_size,
                 cfg.seed + _SEED_STREAM_HIGH, on_high_step)
-    model.high_step_count = steps
     _init_phase(low, model.low_state, low_init, steps, cfg.batch_size,
                 cfg.seed + _SEED_STREAM_LOW)
     # Pseudo-learning cycles start from this exact state: snapshot the
@@ -316,7 +322,6 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     if cfg.use_noise:
         # The wrapper's parameters have not changed since high_input's apply.
         adam_step(model.noise.params, model.noise.backward(d_input), model.noise_state)
-    model.high_step_count += 1
 
     if run_pseudo:
         model.low.params.restore(model.low_snapshot)
@@ -325,8 +330,8 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     return log
 
 
-def _validation_entry(model: ReckonerModel, valid: Dataset, buffers: tuple) -> dict:
-    preds, _ = predict(model, valid.x, buffers)
+def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
+    preds, _ = predict(model, valid.x)
     try:
         report = fairness_report(preds, valid.y, valid.s)
     except ReckonerError:
@@ -342,8 +347,8 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
           on_high_step: StepHook | None = None) -> ReckonerModel:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
-    Validation metrics are logged per epoch, scored in one set of buffers
-    allocated here; the final model is the last state (no early stopping).
+    Validation metrics are logged per epoch; the final model is the last
+    state (no early stopping).
     """
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
@@ -355,7 +360,6 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
     epoch_len = math.ceil(train_set.n / batch_size)
     epoch_losses: list[float] = []
     k_counts: dict[int, int] = {}
-    buffers = _scoring_buffers(model, _chunk_rows(valid.n))
     for step in range(refine_steps):
         idx = next(batches)
         first_of_epoch = step % epoch_len == 0
@@ -373,7 +377,7 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
             entry = {"epoch": len(model.history),
                      "train_loss": float(np.mean(epoch_losses)),
                      "k_histogram": {str(k): v for k, v in sorted(k_counts.items())}}
-            entry.update(_validation_entry(model, valid, buffers))
+            entry.update(_validation_entry(model, valid))
             model.history.append(entry)
             epoch_losses, k_counts = [], {}
     return model
@@ -387,18 +391,8 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _chunk_rows(n: int) -> int:
-    """Rows in the largest of ``predict``'s chunks of ``n`` rows."""
-    return max((hi - lo for lo, hi in _chunk_bounds(n)), default=0)
-
-
-def _scoring_buffers(model: ReckonerModel, rows: int) -> tuple:
-    """An input buffer and activations for scoring up to ``rows`` rows."""
-    return np.empty((rows, model.m)), model.high.scoring_buffers(rows)
-
-
-def predict(model: ReckonerModel, x: np.ndarray | StandardizedRows,
-            buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: ReckonerModel,
+            x: np.ndarray | StandardizedRows) -> tuple[np.ndarray, np.ndarray]:
     """High-confidence classifier scores and labels; ties at 0.5 go to 1.
 
     Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
@@ -407,11 +401,11 @@ def predict(model: ReckonerModel, x: np.ndarray | StandardizedRows,
     a row the same bits in a chunk that starts at a multiple of its row
     block, but not in a tiny chunk (1-row chunks take the matrix-vector
     path, and 7-row chunks differ too), so a tail shorter than half a
-    chunk joins the chunk before it. One input buffer and one set of
-    activations serve every chunk: ``buffers``, from ``_scoring_buffers``
-    for at least the largest chunk, when given, else buffers allocated for
-    this call. ``StandardizedRows`` build each chunk's rows in that buffer,
-    so their matrix never exists whole.
+    chunk joins the chunk before it. Every chunk is scored in the model's
+    own buffers: the noisy input in ``model.input_rows`` and the
+    activations in the high classifier's. The largest chunk goes first, so
+    the buffers grow at most once per call. ``StandardizedRows`` build each
+    chunk's rows in the input buffer, so their matrix never exists whole.
     """
     coded = isinstance(x, StandardizedRows)
     if not coded:
@@ -419,11 +413,11 @@ def predict(model: ReckonerModel, x: np.ndarray | StandardizedRows,
     if x.ndim != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
-    buf, work = buffers if buffers is not None else _scoring_buffers(model, _chunk_rows(n))
     scores = np.empty(n, dtype=np.float64)
-    for lo, hi in _chunk_bounds(n):
-        rows = x.fill(slice(lo, hi), buf[:hi - lo]) if coded else x[lo:hi]
-        scores[lo:hi] = model.high.score(model.high_input(rows, buf[:hi - lo]), work)
+    for lo, hi in sorted(_chunk_bounds(n), key=lambda bounds: bounds[0] - bounds[1]):
+        buf = model.input_rows(hi - lo)
+        rows = x.fill(slice(lo, hi), buf) if coded else x[lo:hi]
+        scores[lo:hi] = model.high.score(model.high_input(rows, buf))
     return predict_labels(scores), scores
 
 

@@ -263,6 +263,19 @@ class TestTrain:
         assert "error kind=numeric exit=3" in proc.stderr
         assert_no_manifest(out)
 
+    def test_unallocatable_width_exits_1_cleanly(self, tmp_path):
+        """A width whose arrays cannot be allocated is a config error. 2**50
+        buckets ask for more than the address space, so the allocation
+        fails at once, without touching memory."""
+        data = _file(tmp_path / "data.csv", hashed_csv(n=60))
+        doc = dict(HASHED_TRAIN_CFG, schema=dict(HASHED_SCHEMA, hash_buckets=2**50))
+        out = tmp_path / "o"
+        proc = run_cli("train", "--config", _file(tmp_path / "wide.json", doc),
+                       "--data", data, "--out", out)
+        assert_clean_failure(proc, 1)
+        assert proc.stderr.startswith('error kind=config exit=1 reason="not enough memory')
+        assert not out.exists()
+
     def test_c9_artifacts_match_pinned_sha256(self, tmp_path):
         """The byte-identity rule as a check: C9's config, one BLAS thread.
 

@@ -94,6 +94,11 @@ class TestBucketSpec:
         with pytest.raises(DataError):
             BucketSpec().assign(np.array([0.4]))
 
+    def test_rejects_nan_scores(self):
+        for scores in ([0.7, np.nan], [np.nan], [np.nan, 0.4]):
+            with pytest.raises(DataError, match=r"must lie in \[0.5, 1\]"):
+                BucketSpec().assign(np.array(scores))
+
 
 # Hand fixture: (confidence, pred, label, group) spread over the four
 # default buckets, two groups.
@@ -269,4 +274,10 @@ class TestFeatureHistograms:
         values = np.array([1.0, 2.0])
         with pytest.raises(DataError):
             feature_histograms(values, self.groups_of(values), np.full(3, 0.6),
+                               BucketSpec(), "f0", bins=2)
+
+    def test_nan_score_rejected(self):
+        values = np.array([1.0, 2.0])
+        with pytest.raises(DataError, match=r"must lie in \[0.5, 1\]"):
+            feature_histograms(values, self.groups_of(values), np.array([0.7, np.nan]),
                                BucketSpec(), "f0", bins=2)

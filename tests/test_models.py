@@ -687,6 +687,28 @@ class TestOwnership:
         assert same_bits(noise_grad, noise_kept)
         assert not np.shares_memory(pert, wrap.perturbation())
 
+    def test_grown_buffers_leave_earlier_results(self):
+        """A larger ``score`` after a ``backward``, then a smaller
+        ``backward``, which runs in views of its kept buffers."""
+        rng = np.random.default_rng(5)
+        net = FeedForwardClassifier.initialized(6, 16, 8, seed=5)
+        x, y = rng.standard_normal((64, 6)), (rng.random(64) < 0.5) * 1.0
+        first = net.backward(x[:32], y[:32], return_input_grad=True)
+        kept = [a.copy() for a in first]
+        small_score = net.score(x[:16])
+        large_score = net.score(x)
+        smaller = net.backward(x[:5], y[:5], return_input_grad=True)
+        net.score(x[:16])
+        assert all(same_bits(a, b) for a, b in zip(first, kept))
+        fresh = FeedForwardClassifier.initialized(6, 16, 8, seed=5)
+        assert same_bits(large_score, fresh.score(x))
+        want = fresh.backward(x[:5], y[:5], return_input_grad=True)
+        assert all(same_bits(a, b) for a, b in zip(smaller, want))
+        results = [*first, small_score, large_score, *smaller]
+        for i, a in enumerate(results):
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_adam_step_allocates_nothing(self):
         size = 10_000
         params = ModelParams(ParamLayout((("w", (size,)),)))

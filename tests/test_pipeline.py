@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_separable
-from reckoner import pipeline
+from reckoner import models, pipeline
 from reckoner.data import (
     ColumnSpec,
     Schema,
@@ -105,7 +105,7 @@ class TestInitialize:
         tr, va, _ = small_sets()
         cfg = TrainConfig(seed=1, **FAST)
         model = initialize(tr, cfg)
-        assert model.high_step_count == cfg.init_steps == 10
+        assert model.high_state.t == cfg.init_steps == 10
 
     def test_threshold_half_aborts_with_empty_low(self):
         tr, _, _ = small_sets()
@@ -196,9 +196,9 @@ class TestRefinementStep:
         tr, _, _ = small_sets(seed=5)
         cfg = TrainConfig(seed=10, **FAST)
         model = initialize(tr, cfg)
-        before = model.high_step_count
+        before = model.high_state.t
         refinement_step(model, tr.x[:16], tr.y[:16])
-        assert model.high_step_count == before + 1
+        assert model.high_state.t == before + 1
 
     def test_empty_batch_rejected(self):
         tr, _, _ = small_sets(seed=5)
@@ -212,7 +212,7 @@ class TestTrain:
         tr, va, _ = small_sets(seed=6)
         cfg = TrainConfig(seed=11, **FAST)
         model = train(tr, va, cfg)
-        assert model.high_step_count == cfg.total_iterations
+        assert model.high_state.t == cfg.total_iterations
 
     def test_separable_accuracy(self):
         tr, va, te = small_sets(seed=7, n=500)
@@ -260,19 +260,26 @@ class TestPredict:
         np.testing.assert_array_equal(s1, s2)
 
     def test_validation_scores_in_buffers_kept_across_epochs(self, monkeypatch):
-        """``train`` allocates ``predict``'s buffers once, not every epoch."""
+        """A whole ``train`` whose epochs end in a short batch allocates
+        each classifier's buffers for its batch size once: the backward set
+        of each classifier, the low one's score set, and the high one's
+        score set, which grows once more for the validation rows. Short
+        batches and later epochs use views of these."""
         tr, va, _ = small_sets(seed=11)
+        # Both confidence subsets hold at least one batch.
+        cfg = TrainConfig(seed=16, **{**FAST, "batch_size": 16})
+        assert tr.n % cfg.batch_size and va.n > cfg.batch_size
         sizes = []
-        allocate = FeedForwardClassifier.scoring_buffers
+        init = models._Batch.__init__
 
-        def counted(self, rows):
-            sizes.append(rows)
-            return allocate(self, rows)
+        def counted(self, n, *args, **kwargs):
+            sizes.append(n)
+            init(self, n, *args, **kwargs)
 
-        monkeypatch.setattr(FeedForwardClassifier, "scoring_buffers", counted)
-        model = train(tr, va, TrainConfig(seed=16, **FAST))
+        monkeypatch.setattr(models._Batch, "__init__", counted)
+        model = train(tr, va, cfg)
         assert len(model.history) > 1
-        assert sizes == [va.n]
+        assert sorted(sizes) == [cfg.batch_size] * 4 + [va.n]
 
     def test_dimension_mismatch(self):
         tr, va, _ = small_sets(seed=11)
@@ -283,7 +290,8 @@ class TestPredict:
     def test_chunked_scores_are_bit_equal_to_whole_matrix(self):
         """Chunked ``predict`` against one product over all rows, around the
         chunk size, with a short tail, and at audit scale (m = 130), in
-        buffers for this call and in larger kept ones. Run with
+        a fresh model and in one model reused across all sizes, ascending
+        and descending, whose buffers hold more rows than a chunk. Run with
         one BLAS thread, as the CLI tests and the benchmark run: a threaded
         matrix-vector product splits rows where the row count says, so the
         whole-matrix bits themselves then depend on the thread count."""
@@ -292,20 +300,24 @@ class TestPredict:
         script = f"""
 import numpy as np
 from reckoner.models import FeedForwardClassifier, NoiseWrapper, predict_labels
-from reckoner.pipeline import ReckonerModel, TrainConfig, _scoring_buffers, predict
+from reckoner.pipeline import ReckonerModel, TrainConfig, predict
+def fresh(m, use_noise):
+    return ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
+                         FeedForwardClassifier(m, 64, 32),
+                         NoiseWrapper.initialized(m, 16, 3),
+                         TrainConfig(use_noise=use_noise))
 for m, use_noise in ((6, False), (130, True)):
-    model = ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
-                          FeedForwardClassifier(m, 64, 32),
-                          NoiseWrapper.initialized(m, 16, 3),
-                          TrainConfig(use_noise=use_noise))
     x = np.random.default_rng(m).standard_normal(({max(sizes)}, m))
-    kept = _scoring_buffers(model, {2 * chunk})
+    wholes = {{}}
     for n in {sizes}:
-        whole = model.high.score(model.high_input(x[:n]))
-        for buffers in (None, kept):
-            labels, scores = predict(model, x[:n], buffers)
-            assert scores.tobytes() == whole.tobytes(), (m, n)
-            assert np.array_equal(labels, predict_labels(whole)), (m, n)
+        model = fresh(m, use_noise)
+        wholes[n] = model.high.score(model.high_input(x[:n]))
+    reused = fresh(m, use_noise)
+    for n in {sizes} + {sizes}[::-1]:
+        for model in (fresh(m, use_noise), reused):
+            labels, scores = predict(model, x[:n])
+            assert scores.tobytes() == wholes[n].tobytes(), (m, n)
+            assert np.array_equal(labels, predict_labels(wholes[n])), (m, n)
 print("ok")
 """
         env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
@@ -499,7 +511,6 @@ def ref_refinement_step(model, x, y, run_pseudo=None):
     else:
         grad_high, _ = model.high.backward(x_in, y)
         adam_step(model.high.params, grad_high, model.high_state)
-    model.high_step_count += 1
 
     if run_pseudo:
         model.low.params.restore(model.low_snapshot)
@@ -515,7 +526,6 @@ def assert_same_state(a, b):
         sa, sb = getattr(a, f"{name}_state"), getattr(b, f"{name}_state")
         assert np.array_equal(sa.m, sb.m) and np.array_equal(sa.v, sb.v), name
         assert sa.t == sb.t, name
-    assert a.high_step_count == b.high_step_count
 
 
 EQUIVALENCE_CONFIGS = {
