@@ -12,7 +12,6 @@ import dataclasses
 import io
 import itertools
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -28,12 +27,12 @@ from .data import (
     StandardizedRows,
     SynthConfig,
     code_csv,
-    read_csv_rows,
+    read_predictions,
     split_rows,
     synth_biased,
     train_statistics,
 )
-from .errors import ConfigError, DataError, NumericError, ReckonerError
+from .errors import ConfigError, ReckonerError
 from .metrics import FairnessReport, fairness_report
 from .models import LinearClassifier
 from .pipeline import TrainConfig, predict, train
@@ -151,48 +150,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _integer_cell(cell: str) -> int:
-    """An integral number such as ``1`` or ``1.0`` that fits in int64;
-    ``0.9``, ``inf`` or ``1e19`` is a ValueError."""
-    value = float(cell)
-    if not value.is_integer():
-        raise ValueError(f"non-integral cell {cell!r}")
-    if not -2.0**63 <= value < 2.0**63:
-        raise ValueError(f"integer cell {cell!r} outside the int64 range")
-    return int(value)
-
-
-def _finite_cell(cell: str) -> float:
-    """A finite number; ``nan`` or ``inf`` is a ValueError."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite cell {cell!r}")
-    return value
-
-
-def _load_predictions_csv(path: Path):
-    header, rows, sha256 = read_csv_rows(path, "predictions file")
-    need = {"pred", "label", "group"}
-    if not need <= set(header):
-        raise DataError(f"predictions file needs columns {sorted(need)}, got {header}")
-    col = {name: header.index(name) for name in (*need, "score") if name in header}
-    has_score = "score" in col
-    preds, labels, groups, scores = [], [], [], []
-    for row in rows:
-        try:
-            preds.append(_integer_cell(row[col["pred"]]))
-            labels.append(_integer_cell(row[col["label"]]))
-            groups.append(_integer_cell(row[col["group"]]))
-            if has_score:
-                scores.append(_finite_cell(row[col["score"]]))
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"unparseable predictions row {row!r}") from exc
-    if not preds:
-        raise DataError(f"predictions file {path} has no rows")
-    return (np.array(preds), np.array(labels), np.array(groups),
-            np.array(scores) if has_score else None, sha256)
-
-
 def cmd_audit(args) -> int:
     """Score or read predictions, then compute every report and only then
     create ``--out`` and write them, the manifest last, so a failed audit
@@ -202,6 +159,10 @@ def cmd_audit(args) -> int:
     runs, and its feature matrix is never built whole."""
     if args.histogram_feature and not args.checkpoint:
         raise ConfigError("--histogram-feature requires --checkpoint mode")
+    if args.checkpoint and args.predictions:
+        raise ConfigError("--predictions cannot be combined with --checkpoint")
+    if args.data and not args.checkpoint:
+        raise ConfigError("--data requires --checkpoint")
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
         else BucketSpec()
 
@@ -217,7 +178,7 @@ def cmd_audit(args) -> int:
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "data_sha256": table.sha256}
     elif args.predictions:
-        preds, labels, groups, prob, sha256 = _load_predictions_csv(Path(args.predictions))
+        preds, labels, groups, prob, sha256 = read_predictions(Path(args.predictions))
         source = {"predictions": str(args.predictions), "data_sha256": sha256}
     else:
         raise ConfigError("audit needs either --predictions or --checkpoint with --data")
@@ -305,8 +266,8 @@ def cmd_sweep(args) -> int:
     # seed, so every worker's has the same bits.
     try:
         data = _prepare_data(schema, split, Path(args.data))
-    except ReckonerError as exc:
-        data = exc
+    except (ReckonerError, MemoryError) as exc:
+        data = _reported(exc)
     identifier = None
 
     def failed(i: int, reason: str) -> list[str]:
@@ -323,8 +284,8 @@ def cmd_sweep(args) -> int:
                 raise data
             report, identifier = _run_training(point_cfg, schema, split, data,
                                                run_dir, identifier)
-        except ReckonerError as exc:
-            return failed(i, str(exc))
+        except (ReckonerError, MemoryError) as exc:
+            return failed(i, str(_reported(exc)))
         return ["ok", format_float(report.accuracy), format_float(report.dp),
                 format_float(report.eodds), ""]
 
@@ -393,6 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported(exc: ReckonerError | MemoryError) -> ReckonerError:
+    """The error the CLI reports for ``exc``: a MemoryError comes from a
+    width whose arrays cannot be allocated, so it is a config error."""
+    if isinstance(exc, MemoryError):
+        return ConfigError(f"not enough memory for this config: {exc}")
+    return exc
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
@@ -402,10 +371,8 @@ def main(argv=None) -> int:
         # the way there would only add lines around its one error line.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except MemoryError as exc:
-        error = ConfigError(f"not enough memory for this config: {exc}")
-    except (ConfigError, DataError, NumericError) as exc:
-        error = exc
+    except (ReckonerError, MemoryError) as exc:
+        error = _reported(exc)
     print(f'error kind={error.kind} exit={error.exit_code} reason="{error}"',
           file=sys.stderr)
     return error.exit_code

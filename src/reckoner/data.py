@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .models import float_zeros
 from .serial import JsonConfig
 
 COLUMN_KINDS = ("numeric", "categorical", "label", "sensitive")
@@ -97,6 +99,8 @@ class Schema(JsonConfig):
             raise ConfigError("hash_buckets must be a power of two >= 2")
         if self.m < 1:
             raise ConfigError("schema has no feature columns")
+        if self.m >= 2**63:  # past any int64 offset
+            raise ConfigError(f"schema is {self.m} slots wide, past 2**63 - 1")
 
     @property
     def label_column(self) -> str:
@@ -303,16 +307,61 @@ def _csv_blocks(path: str | Path, what: str, block_rows: int, digest):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_csv_rows(path: str | Path,
-                  what: str = "file") -> tuple[list[str], list[list[str]], str]:
-    """Header, nonblank rows and the SHA-256 of the bytes read of a UTF-8
-    CSV; a missing, empty or unreadable file is a DataError naming ``what``
-    it was."""
-    digest = hashlib.sha256()
-    blocks = _csv_blocks(path, what, CODE_BLOCK_ROWS, digest)
-    header = next(blocks)
-    rows = [row for block in blocks for row in block]
-    return header, rows, digest.hexdigest()
+def _integer_cell(cell: str) -> int:
+    """An integral number such as ``1`` or ``1.0`` that fits in int64;
+    ``0.9``, ``inf`` or ``1e19`` is a ValueError."""
+    value = float(cell)
+    if not value.is_integer():
+        raise ValueError(f"non-integral cell {cell!r}")
+    if not -2.0**63 <= value < 2.0**63:
+        raise ValueError(f"integer cell {cell!r} outside the int64 range")
+    return int(value)
+
+
+def _finite_cell(cell: str) -> float:
+    """A finite number; ``nan`` or ``inf`` is a ValueError."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
+
+
+def read_predictions(path: str | Path):
+    """The int64 pred, label and group columns, the float64 score column (or
+    None) and the SHA-256 of the bytes read of a predictions CSV, parsed in
+    blocks of ``CODE_BLOCK_ROWS`` rows. Errors keep the precedence of reading
+    the whole file first: a read error anywhere, then missing columns, the
+    first row in file order with a bad or missing cell, then no rows."""
+    path, digest = Path(path), hashlib.sha256()
+    blocks = _csv_blocks(path, "predictions file", CODE_BLOCK_ROWS, digest)
+    header, need = next(blocks), ["group", "label", "pred"]
+    error = None if set(need) <= set(header) \
+        else f"predictions file needs columns {need}, got {header}"
+    ip, il, ig, js = (header.index(name) if name in header else None
+                      for name in ("pred", "label", "group", "score"))
+    parts = []
+    for block in blocks:
+        if error is not None or not block:
+            continue  # a read error later in the file comes first
+        pred, label, group, score = [], [], [], []
+        try:
+            for row in block:
+                pred.append(_integer_cell(row[ip]))
+                label.append(_integer_cell(row[il]))
+                group.append(_integer_cell(row[ig]))
+                if js is not None:
+                    score.append(_finite_cell(row[js]))
+        except (IndexError, ValueError):
+            error = f"unparseable predictions row {row!r}"
+            continue
+        parts.append((np.array(pred, np.int64), np.array(label, np.int64),
+                      np.array(group, np.int64), np.array(score, np.float64)))
+    if error is not None:
+        raise DataError(error)
+    if not parts:
+        raise DataError(f"predictions file {path} has no rows")
+    pred, label, group, score = (np.concatenate(col) for col in zip(*parts))
+    return pred, label, group, score if js is not None else None, digest.hexdigest()
 
 
 class _Codes:
@@ -586,7 +635,7 @@ def train_statistics(schema: Schema, numeric: np.ndarray) -> tuple[np.ndarray, n
     sets the bits of its column means: ``x[:, pos]`` is column-major.
     """
     pos = schema.numeric_positions()
-    mean = np.zeros(schema.m, dtype=np.float64)
+    mean = float_zeros(schema.m)
     std = np.ones(schema.m, dtype=np.float64)
     if pos.size:
         mean[pos] = numeric.mean(axis=0)

@@ -49,6 +49,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
                          np.empty(z.shape, dtype=bool))
 
 
+def float_zeros(size: int) -> np.ndarray:
+    """``np.zeros(size)``; a size past numpy's largest array is a MemoryError,
+    as one past the free memory is."""
+    if size > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {size} float64 values")
+    return np.zeros(size, dtype=np.float64)
+
+
 def bce(p, y) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0, 1}."""
     p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
@@ -99,7 +107,7 @@ class ModelParams:
     def __init__(self, layout: ParamLayout, values: np.ndarray | None = None):
         self.layout = layout
         if values is None:
-            values = np.zeros(layout.size, dtype=np.float64)
+            values = float_zeros(layout.size)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (layout.size,):
             raise ValueError(f"expected {layout.size} values, got shape {values.shape}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_processes, cap_workers
@@ -477,13 +477,32 @@ def test_audit_artifacts_match_pinned_sha256(rows, hashed_checkpoint, tmp_path):
     assert digests == AUDIT_SHA256[rows]
 
 
-PEAK_RSS = """
-import resource, sys
-from reckoner.cli import main
-code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-sys.exit(code)
+# Runs ``python`` with its arguments in a forked child and prints the
+# child's exit code and peak RSS (KiB) as ``os.wait4`` reports them. A
+# child's peak starts at the resident set of the process that forked it (at
+# that process's own peak when spawned with vfork, as ``subprocess`` does),
+# so a small launcher forks it, not the test.
+WAIT4_PEAK = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+
+def peak_rss_kib(*args, cwd=None) -> int:
+    src = Path(reckoner.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", WAIT4_PEAK, *map(str, args)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return peak
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -492,17 +511,24 @@ def test_audit_memory_grows_by_less_than_half_a_row(hashed_checkpoint, tmp_path)
     encoded row (m float64s) per added row: the table is kept as per-row
     codes and scored a chunk at a time, not as a matrix (about 2 KB a row
     at m = 130 for the whole-matrix audit)."""
-    src = Path(reckoner.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     peak = {}
     for rows in (16_000, 48_000):
         run = audit_dir(tmp_path / str(rows), hashed_checkpoint, rows)
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *AUDIT_ARGS], cwd=run,
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        peak[rows] = int(proc.stdout.split()[-1]) * 1024
+        peak[rows] = peak_rss_kib("-m", "reckoner.cli", *AUDIT_ARGS, cwd=run) * 1024
     per_row = (peak[48_000] - peak[16_000]) / 32_000
     assert per_row < 130 * 8 / 2, peak
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_predictions_audit_memory_stays_near_the_import(tmp_path):
+    """A predictions file is parsed a block at a time into columns: a
+    100,000-row audit peaks within 15 MB of importing the CLI alone (about
+    26 MB above it when every row was first held as a list of strings)."""
+    preds = _file(tmp_path / "p.csv", _scored_predictions(100_000))
+    imported = peak_rss_kib("-c", "import reckoner.cli")
+    audited = peak_rss_kib("-m", "reckoner.cli", "audit", "--predictions", preds,
+                           "--out", tmp_path / "out")
+    assert audited - imported <= 15 * 1024, (imported, audited)
 
 
 FAILED_INPUTS = {
@@ -835,6 +861,25 @@ class TestSweep:
             f"cannot create output directory {out / 'point_001'}: ")
         assert not list(out.rglob("*.tmp"))
 
+    def test_unallocatable_width_fails_each_point_in_one_line(self, workdir):
+        """A point's MemoryError is the config error ``train`` reports for it:
+        its reason is the point's row, and no worker prints a traceback.
+        2**57 float64s are past any x86-64 address space, so each
+        allocation fails at once, without touching memory."""
+        tmp_path, _, data = workdir
+        doc = dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], hidden1=2**57))
+        cfg = _file(tmp_path / "wide.json", doc)
+        proc = run_cli("sweep", "--config", cfg, "--data", data, "--out", tmp_path / "o",
+                       "--sweep", _file(tmp_path / "grid.json", {"seed": [0, 1]}))
+        assert_clean_failure(proc, 1)
+        assert proc.stderr.startswith("error kind=config exit=1 ")
+        alone = run_cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "t")
+        assert_clean_failure(alone, 1)
+        reason = alone.stderr.split('reason="', 1)[1].rstrip().removesuffix('"')
+        assert reason.startswith("not enough memory for this config: ")
+        rows = self.summary(tmp_path / "o")
+        assert [(r["status"], r["reason"]) for r in rows] == [("error", reason)] * 2
+
     def test_emptied_subset_fails_only_its_point(self, workdir):
         code, out = self.sweep(workdir, {"confidence_threshold": [0.6, 0.99]})
         assert code == 0
@@ -881,6 +926,12 @@ def _predictions(path: Path) -> list:
     return ["audit", "--predictions", path, "--out", path.parent / "audit"]
 
 
+def _checkpoint(tmp: Path, data: Path) -> Path:
+    """The checkpoint of a ``TRAIN_CFG`` run on ``data``."""
+    assert main([str(a) for a in _train(tmp, data)]) == 0
+    return tmp / "o" / "checkpoint.json"
+
+
 MALFORMED_INPUTS = {
     "train-seed-float": (1, lambda t, d: _train(t, d, seed=1.5)),
     "train-seed-negative": (1, lambda t, d: _train(t, d, seed=-5)),
@@ -925,6 +976,17 @@ MALFORMED_INPUTS = {
     "audit-nan-bucket-threshold": (1, lambda t, d: [
         *_predictions(_file(t / "p.csv", PREDICTIONS)),
         "--bucket-thresholds", "0.5", "nan", "0.7"]),
+    "audit-data-without-checkpoint": (1, lambda t, d: [
+        *_predictions(_file(t / "p.csv", PREDICTIONS)), "--data", d]),
+    "audit-predictions-with-checkpoint": (1, lambda t, d: [
+        *_predictions(_file(t / "p.csv", PREDICTIONS)),
+        "--checkpoint", _checkpoint(t, d), "--data", d]),
+    "train-hidden-past-numpy-arrays": (1, lambda t, d: _train(t, d, hidden1=2**60)),
+    "train-hidden-product-past-numpy-arrays": (1, lambda t, d: _train(
+        t, d, hidden1=2**57, hidden2=2**57)),
+    "train-schema-past-int64-offsets": (1, lambda t, d: _train(t, d, dict(
+        TRAIN_CFG, schema=dict(TRAIN_CFG["schema"], hash_buckets=2**63, columns=[
+            {"name": "f0", "kind": "categorical"}, *TRAIN_CFG["schema"]["columns"][1:]])))),
 }
 
 
@@ -1248,3 +1310,55 @@ def test_fuzz_data_csv(fuzz_checkpoint, table, command):
                     "--histogram-feature", "f0", "--out", Path(tmp) / "o")
         code, err = run_main(*argv)
     assert_bad_data_exit(code, err)
+
+
+# Fuzzed base configs for ``sweep``: its ``train`` section and the schema's
+# width. Every width is tiny or past any x86-64 address space (2**57 float64s
+# and up), never in between, where a config could really allocate gigabytes
+# or train for minutes. Worker stderr is read at the file descriptor.
+fuzz_widths = st.integers(1, 64) | st.integers(2**57, 2**70)
+fuzz_hash_buckets = st.sampled_from([2, 4, 64]) \
+    | st.sampled_from([2**k for k in (57, 60, 62, 63, 64, 70)])
+
+
+@st.composite
+def fuzz_base_trains(draw):
+    """A ``train`` section, now and then with one value of the wrong type
+    or out of range."""
+    train = draw(st.fixed_dictionaries(
+        {"total_iterations": st.integers(10, 16), "batch_size": st.integers(1, 16),
+         "identifier_epochs": st.just(20), "hidden1": fuzz_widths,
+         "hidden2": fuzz_widths},
+        optional={"noise_hidden": fuzz_widths, "use_noise": st.booleans(),
+                  "use_pseudo_learning": st.booleans(),
+                  "learning_rate": st.sampled_from([0.01, 10.0, 1e300]),
+                  "alpha": st.sampled_from([0.0, 0.5, 1.0]),
+                  "confidence_threshold": st.sampled_from([0.6, 0.7]),
+                  "pseudo_label_kind": st.sampled_from(["hard", "soft"])}))
+    if draw(st.integers(0, 3)) == 3:
+        train[draw(st.sampled_from(sorted(train)))] = draw(
+            st.sampled_from([0, -1, 1.5, "8", None, True]))
+    return train
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(train=fuzz_base_trains(), hash_buckets=fuzz_hash_buckets)
+@example(train=dict(FUZZ_TRAIN_CFG["train"], hidden1=2**57), hash_buckets=4)
+@example(train=dict(FUZZ_TRAIN_CFG["train"], hidden1=2**57, hidden2=2**57), hash_buckets=4)
+@example(train=FUZZ_TRAIN_CFG["train"], hash_buckets=2**63)
+def test_fuzz_sweep_base_config(monkeypatch, capfd, train, hash_buckets):
+    cap_workers(monkeypatch, 2)
+    doc = dict(FUZZ_TRAIN_CFG, train=train, schema=dict(FUZZ_SCHEMA, hash_buckets=hash_buckets))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        with data.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([FUZZ_HEADER, *fuzz_valid_rows()])
+        capfd.readouterr()
+        code = main([str(a) for a in (
+            "sweep", "--config", _file(Path(tmp) / "cfg.json", doc), "--data", data,
+            "--sweep", _file(Path(tmp) / "grid.json", {"seed": [0, 1]}),
+            "--out", Path(tmp) / "o")])
+        err = capfd.readouterr().err
+    assert_documented_exit(code, err)
+    assert "Traceback" not in err

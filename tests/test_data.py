@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import random
 import tracemalloc
 from pathlib import Path
@@ -19,7 +21,7 @@ from reckoner.data import (
     SynthConfig,
     hash_features,
     load_csv,
-    read_csv_rows,
+    read_predictions,
     split_dataset,
     standardize,
     synth_biased,
@@ -390,12 +392,87 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, table, impute_mis
         assert got.s.tobytes() == want.s.tobytes() and got.s.dtype == want.s.dtype
 
 
-def test_read_csv_rows_spans_blocks(tmp_path):
-    """``read_csv_rows`` joins the coder's blocks back into every nonblank row."""
-    p = write_csv(tmp_path / "r.csv", "a,b\n1,2\n\n3\n4,5,6\n\n")
-    with mock.patch.object(data, "CODE_BLOCK_ROWS", 1):
-        assert read_csv_rows(p)[:2] == (["a", "b"], [["1", "2"], ["3"], ["4", "5", "6"]])
-    assert read_csv_rows(p)[:2] == read_csv_rows_whole(p)
+def read_predictions_whole(path):
+    """The predictions reader as it was before the block reader: the
+    whole-file reader (above), then each row's cells parsed in turn."""
+    header, rows = read_csv_rows_whole(path, "predictions file")
+    need = {"pred", "label", "group"}
+    if not need <= set(header):
+        raise DataError(f"predictions file needs columns {sorted(need)}, got {header}")
+    col = {name: header.index(name) for name in (*need, "score") if name in header}
+    has_score = "score" in col
+    preds, labels, groups, scores = [], [], [], []
+    for row in rows:
+        try:
+            preds.append(data._integer_cell(row[col["pred"]]))
+            labels.append(data._integer_cell(row[col["label"]]))
+            groups.append(data._integer_cell(row[col["group"]]))
+            if has_score:
+                scores.append(data._finite_cell(row[col["score"]]))
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"unparseable predictions row {row!r}") from exc
+    if not preds:
+        raise DataError(f"predictions file {path} has no rows")
+    return (np.array(preds), np.array(labels), np.array(groups),
+            np.array(scores) if has_score else None,
+            hashlib.sha256(Path(path).read_bytes()).hexdigest())
+
+
+def predictions_outcome(reader, path):
+    try:
+        return reader(path)
+    except DataError as exc:
+        return str(exc)
+
+
+PREDICTION_CELLS = st.sampled_from(["0", "1", "1.0", "-3", "0.5", "", " 1", "x", "nan",
+                                    "inf", "1e19", "0.75"])
+VALID_PREDICTION = {"pred": "1", "label": "0.0", "group": "-2", "score": "0.75", "x": "z"}
+
+
+@st.composite
+def predictions_files(draw):
+    """The bytes of a predictions CSV: a header with a column missing, an
+    extra one or none, in any order; valid rows around a few short, long,
+    blank or fuzzed ones; now and then an invalid UTF-8 tail."""
+    names = draw(st.permutations(["pred", "label", "group", "score", "x"]))
+    header = draw(st.lists(st.sampled_from(names), min_size=3, max_size=5, unique=True))
+    valid = [VALID_PREDICTION[name] for name in header]
+    rows = [valid] * draw(st.sampled_from([0, 1, 5, 1100]))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.lists(PREDICTION_CELLS, min_size=0, max_size=6))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    text = buf.getvalue().encode()
+    return text + b"\xff,1,0\n" if draw(st.sampled_from([0, 0, 0, 1])) else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=predictions_files())
+@example(content=b"pred,label,group\n1,0,1\n\n0,1\n1,1,1,9\n")
+@example(content=b"pred,label,group,score\n\n\n")
+@example(content=b"pred,label,score\n1,0,0.5\n")
+@example(content=b"pred,label,group\n0.5,1,0\n" + b"1,0,1\n" * 2000 + b"\xff,1,0\n")
+def test_read_predictions_matches_whole_file_reference(tmp_path_factory, content):
+    """Columns, dtypes and SHA-256, or the error message, match the
+    whole-file reader, with the blocks cut after every row, every 2 rows,
+    or at the default size."""
+    path = tmp_path_factory.mktemp("pred") / "p.csv"
+    path.write_bytes(content)
+    want = predictions_outcome(read_predictions_whole, path)
+    for block_rows in (1, 2, data.CODE_BLOCK_ROWS):
+        with mock.patch.object(data, "CODE_BLOCK_ROWS", block_rows):
+            got = predictions_outcome(read_predictions, path)
+        if isinstance(want, str):
+            assert got == want, block_rows
+            continue
+        assert not isinstance(got, str), (block_rows, got)
+        assert got[4] == want[4]
+        for g, w in zip(got[:4], want[:4]):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), block_rows
 
 
 # Standardization statistics that make (x - mean) / std overflow or divide
