@@ -12,6 +12,7 @@ import dataclasses
 import io
 import itertools
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,7 @@ from .serial import (
     write_jsonl,
     write_text,
 )
+from . import workers
 from .workers import WorkerFailure, fork_map
 
 log = logging.getLogger("reckoner")
@@ -101,52 +103,56 @@ def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
     return (*(rows.dataset(r) for r in (tr, va, te)), mean, std, table.sha256)
 
 
-def _run_training(cfg: TrainConfig, schema: Schema, split: SplitSpec, data: tuple,
-                  out_dir: Path, identifier: LinearClassifier | None = None,
-                  ) -> tuple[FairnessReport, LinearClassifier]:
-    """Shared train flow for cmd_train and sweep points on ``_prepare_data``'s
-    tuple; returns the test report and the identifier the run used.
+def _run_training(cfgs: list[TrainConfig], schema: Schema, split: SplitSpec, data: tuple,
+                  out_dirs: list[Path], identifier: LinearClassifier | None = None,
+                  ) -> tuple[list[FairnessReport], LinearClassifier]:
+    """Shared train flow for cmd_train and sweep chunks on ``_prepare_data``'s
+    tuple: trains the runs of ``cfgs``, which differ only in ``seed``, in
+    lockstep, and writes each run's artifacts to its own directory in
+    ``out_dirs``. Returns each run's test report and the identifier the
+    runs used.
 
-    Every artifact is written after the run has succeeded, the manifest
-    last, so a failed run leaves no manifest behind.
+    Every artifact is written after the runs have succeeded, each run's
+    manifest last, so a failed run leaves no manifest behind.
     """
     tr, va, te, mean, std, dataset_sha256 = data
-    manifest = {
-        "tool_version": __version__,
-        "config": cfg.to_dict(),
-        "schema": schema.to_dict(),
-        "split": split.to_dict(),
-        "dataset_sha256": dataset_sha256,
-        "seed": cfg.seed,
-        "artifacts": {
-            "checkpoint": "checkpoint.json",
-            "training_log": "training_log.jsonl",
-            "fairness_report": "fairness_report.json",
-        },
-    }
-    manifest_hash = sha256_of_obj(manifest)
+    models = train(tr, va, cfgs, identifier=identifier)
+    reports = []
+    for cfg, model, out_dir in zip(cfgs, models, out_dirs):
+        manifest = {
+            "tool_version": __version__,
+            "config": cfg.to_dict(),
+            "schema": schema.to_dict(),
+            "split": split.to_dict(),
+            "dataset_sha256": dataset_sha256,
+            "seed": cfg.seed,
+            "artifacts": {
+                "checkpoint": "checkpoint.json",
+                "training_log": "training_log.jsonl",
+                "fairness_report": "fairness_report.json",
+            },
+        }
+        manifest_hash = sha256_of_obj(manifest)
+        preds, _ = predict(model, te.x)
+        report = fairness_report(preds, te.y, te.s)
 
-    model = train(tr, va, cfg, identifier=identifier)
-    preds, _ = predict(model, te.x)
-    report = fairness_report(preds, te.y, te.s)
-
-    save_checkpoint(out_dir / "checkpoint.json", model, schema, mean, std,
-                    manifest_sha256=manifest_hash)
-
-    write_jsonl(out_dir / "training_log.jsonl",
-                [{k: (round_float(v) if isinstance(v, float) else v)
-                  for k, v in entry.items()} for entry in model.history])
-    write_json(out_dir / "fairness_report.json",
-               {"manifest_sha256": manifest_hash, **report.to_dict()})
-    write_json(out_dir / "manifest.json", manifest)
-    log.info("train run complete: %s", out_dir)
-    return report, model.identifier
+        save_checkpoint(out_dir / "checkpoint.json", model, schema, mean, std,
+                        manifest_sha256=manifest_hash)
+        write_jsonl(out_dir / "training_log.jsonl",
+                    [{k: (round_float(v) if isinstance(v, float) else v)
+                      for k, v in entry.items()} for entry in model.history])
+        write_json(out_dir / "fairness_report.json",
+                   {"manifest_sha256": manifest_hash, **report.to_dict()})
+        write_json(out_dir / "manifest.json", manifest)
+        log.info("train run complete: %s", out_dir)
+        reports.append(report)
+    return reports, models[0].identifier
 
 
 def cmd_train(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
     data = _prepare_data(schema, split, Path(args.data))
-    _run_training(cfg, schema, split, data, make_dir(args.out))
+    _run_training([cfg], schema, split, data, [make_dir(args.out)])
     return 0
 
 
@@ -252,6 +258,23 @@ def _sweep_grid(doc) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*axes)]
 
 
+def _lockstep_chunks(points: list[dict], cpus: int) -> list[list[int]]:
+    """The indices of ``points`` in chunks to train in lockstep: points
+    whose configs differ only in ``seed`` form a group, and each group is
+    cut into chunks of ceil(points / cpus), so that every CPU gets work. A
+    point whose config does not parse is a chunk of its own."""
+    size = math.ceil(len(points) / cpus)
+    groups: dict[object, list[int]] = {}
+    for i, point in enumerate(points):
+        try:
+            key: object = dataclasses.replace(TrainConfig.from_dict(point), seed=0)
+        except ReckonerError:
+            key = i
+        groups.setdefault(key, []).append(i)
+    return [group[start:start + size] for group in groups.values()
+            for start in range(0, len(group), size)]
+
+
 def cmd_sweep(args) -> int:
     cfg, schema, split = _resolve_train_config(args)
     grid = _sweep_grid(read_json(args.sweep, "sweep spec"))
@@ -262,7 +285,7 @@ def cmd_sweep(args) -> int:
     # Neither the split nor the identifier's settings are sweepable, so the
     # points share one data preparation, made before the workers fork; a
     # failed one fails every point. Each worker fits the identifier at its
-    # first point that succeeds and keeps it for the rest: the fit has no
+    # first chunk that succeeds and keeps it for the rest: the fit has no
     # seed, so every worker's has the same bits.
     try:
         data = _prepare_data(schema, split, Path(args.data))
@@ -274,25 +297,38 @@ def cmd_sweep(args) -> int:
         log.warning("sweep point %d failed: %s", i, reason)
         return ["error", "", "", "", reason]
 
-    def run_point(i: int) -> list[str]:
-        """The point's status, test metrics and failure reason."""
+    def run_chunk(chunk: list[int]) -> list[list[str]] | None:
+        """Each point's status, test metrics and failure reason, the points
+        trained in lockstep; None when a chunk of several points fails."""
         nonlocal identifier
         try:
-            point_cfg = TrainConfig.from_dict(points[i])
-            run_dir = make_dir(out_dir / f"point_{i:03d}")
+            cfgs = [TrainConfig.from_dict(points[i]) for i in chunk]
+            run_dirs = [make_dir(out_dir / f"point_{i:03d}") for i in chunk]
             if isinstance(data, ReckonerError):
                 raise data
-            report, identifier = _run_training(point_cfg, schema, split, data,
-                                               run_dir, identifier)
+            reports, identifier = _run_training(cfgs, schema, split, data,
+                                                run_dirs, identifier)
         except (ReckonerError, MemoryError) as exc:
-            return failed(i, str(_reported(exc)))
-        return ["ok", format_float(report.accuracy), format_float(report.dp),
-                format_float(report.eodds), ""]
+            return None if len(chunk) > 1 else [failed(chunk[0], str(_reported(exc)))]
+        return [["ok", format_float(report.accuracy), format_float(report.dp),
+                 format_float(report.eodds), ""] for report in reports]
 
-    outcomes = [None] * len(grid)
-    for i, outcome in fork_map(run_point, len(grid)):
-        outcomes[i] = failed(i, outcome.reason) if isinstance(outcome, WorkerFailure) \
-            else outcome
+    chunks = _lockstep_chunks(points, workers.usable_cpus())
+    outcomes: list = [None] * len(points)
+    while chunks:
+        # A failed chunk of several points runs again point by point, so
+        # that only a failing point fails: runs are deterministic, so each
+        # point gets the bytes a lone train gives it, in a chunk or alone.
+        rerun: list[int] = []
+        for c, rows in fork_map(lambda c: run_chunk(chunks[c]), len(chunks)):
+            if isinstance(rows, list):
+                for i, row in zip(chunks[c], rows):
+                    outcomes[i] = row
+            elif len(chunks[c]) > 1:
+                rerun.extend(chunks[c])
+            else:
+                outcomes[chunks[c][0]] = failed(chunks[c][0], rows.reason)
+        chunks = [[i] for i in sorted(rerun)]
     _write_csv(out_dir / "summary.csv", [header] + [
         [str(i), *(_cell(point[k]) for k in SWEEPABLE), *outcome]
         for i, (point, outcome) in enumerate(zip(points, outcomes))])

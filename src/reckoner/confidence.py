@@ -30,8 +30,8 @@ class ConfidenceSplit:
 
 def split_by_confidence(d: Dataset, model, threshold: float) -> ConfidenceSplit:
     """Partition rows at a confidence threshold; ties go to the high side."""
-    if not (0.5 <= threshold < 1.0):
-        raise ConfigError(f"confidence threshold must lie in [0.5, 1), got {threshold}")
+    if not (0.5 < threshold < 1.0):
+        raise ConfigError(f"confidence threshold must lie in (0.5, 1), got {threshold}")
     is_high = confidence_of(model.score(d.x)) >= threshold
     idx = np.arange(d.n, dtype=np.int64)
     return ConfidenceSplit(low=idx[~is_high], high=idx[is_high])

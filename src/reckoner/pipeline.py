@@ -8,13 +8,19 @@ classifier, its best step is blended back into the high-confidence weights,
 the high-confidence classifier (and the noise wrapper, when enabled) takes
 a gradient step on ground truth, and the low-confidence classifier rolls
 back to its initialization snapshot.
+
+Runs whose configs differ only in ``seed`` train in lockstep as one stack
+(see ``ReckonerModel``): each step is one kernel call for all of them, and
+each run gets the bits it gets alone. One run is the same code without the
+run axis.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,8 +77,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("init_fraction must lie in (0, 1)")
         if self.pseudo_iters < 1:
             raise ConfigError("pseudo_iters must be >= 1")
-        if not (0.5 <= self.confidence_threshold < 1.0):
-            raise ConfigError("confidence_threshold must lie in [0.5, 1)")
+        if not (0.5 < self.confidence_threshold < 1.0):
+            raise ConfigError("confidence_threshold must lie in (0.5, 1)")
         for name in ("total_iterations", "batch_size", "hidden1", "hidden2",
                      "identifier_epochs"):
             if getattr(self, name) < 1:
@@ -96,13 +102,32 @@ class TrainConfig(JsonConfig):
         return sha256_of_obj(self.to_dict())
 
 
+def _run_configs(cfg: TrainConfig | Sequence[TrainConfig]) -> list[TrainConfig]:
+    """The configs of the runs ``cfg`` asks for: one, or a nonempty sequence
+    that differ only in ``seed``."""
+    if isinstance(cfg, TrainConfig):
+        return [cfg]
+    configs = list(cfg)
+    if not configs or len({dataclasses.replace(c, seed=0) for c in configs}) != 1:
+        raise ValueError("runs trained together need configs that differ only in seed")
+    return configs
+
+
+def _seeds(configs: list[TrainConfig], role: int) -> int | list[int]:
+    """The runs' seeds for one seed role: an int for one run, a list for a
+    stack."""
+    seeds = [c.seed + role for c in configs]
+    return seeds[0] if len(seeds) == 1 else seeds
+
+
 @dataclass(frozen=True)
 class PseudoLearnState:
     """Outcome of one pseudo-learning cycle of the low-confidence classifier;
-    its best step's parameters are in the model's ``best_low``."""
+    its best step's parameters are in the model's ``best_low``. For a
+    stack, ``k`` holds each run's best step and each loss each run's."""
 
-    k: int
-    losses: tuple[float, ...]
+    k: int | np.ndarray
+    losses: tuple[float | np.ndarray, ...]
 
 
 def _batches(n: int, batch_size: int, seed: int):
@@ -140,6 +165,13 @@ class ReckonerModel:
     rolls back to ``low_snapshot``, taken here from its current weights.
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
+
+    The classifiers and the wrapper may hold a stack of S runs whose
+    configs differ only in ``seed``, which nothing reads after
+    initialization: every parameter vector, Adam moment and buffer then has
+    a leading run axis, inputs are (S, n, m) and labels (S, n), and
+    ``config`` is the first run's. ``run(i, config)`` is run i as a model of
+    its own, on views of its rows, for ``predict``, checkpoints and history.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -149,14 +181,27 @@ class ReckonerModel:
         self.noise = noise
         self.config = config
         self.low_snapshot = low.params.snapshot()
-        self.best_low = ModelParams(low.params.layout)
+        self.best_low = ModelParams(low.params.layout, np.zeros_like(low.params.values))
         lr = config.learning_rate
-        self.high_state = AdamState.zeros(high.params.layout.size, lr=lr)
-        self.low_state = AdamState.zeros(low.params.layout.size, lr=lr)
-        self.noise_state = AdamState.zeros(noise.params.layout.size, lr=lr)
+        self.high_state = AdamState.zeros(high.params.values.shape, lr=lr)
+        self.low_state = AdamState.zeros(low.params.values.shape, lr=lr)
+        self.noise_state = AdamState.zeros(noise.params.values.shape, lr=lr)
         self.history: list[dict] = []
         self.identifier: LinearClassifier | None = None
-        self._inputs = np.empty((0, high.m))
+        self._inputs = [np.empty((0, high.m))]  # one buffer, shared with a stack's runs
+
+    def run(self, i: int, config: TrainConfig) -> "ReckonerModel":
+        """Run ``i`` of a stack, with its ``config``. Its Adam states are
+        views of the stack's moments at the stack's step count as of this
+        call. The runs share the stack's scoring buffers: score one at a
+        time."""
+        run = ReckonerModel(self.high.run(i), self.low.run(i), self.noise.run(i), config)
+        run.low_snapshot, run.best_low = self.low_snapshot.run(i), self.best_low.run(i)
+        run.high_state, run.low_state, run.noise_state = (
+            state.run(i) for state in (self.high_state, self.low_state, self.noise_state))
+        run.identifier = self.identifier
+        run._inputs = self._inputs
+        return run
 
     @property
     def m(self) -> int:
@@ -170,20 +215,46 @@ class ReckonerModel:
     def input_rows(self, n: int) -> np.ndarray:
         """The first ``n`` rows of an input buffer that grows to the most
         rows asked of it."""
-        if self._inputs.shape[0] < n:
-            self._inputs = np.empty((n, self.m))
-        return self._inputs[:n]
+        if self._inputs[0].shape[0] < n:
+            self._inputs[0] = np.empty((n, self.m))
+        return self._inputs[0][:n]
+
+
+class _Batches:
+    """Seeded mini-batches of ``d``'s rows and float labels, from one batch
+    stream (see ``_batches``) per run of ``seed``: (n, m) rows and (n,)
+    labels for one seed; for a sequence of S seeds, (S, n, m) and (S, n),
+    each run's batch gathered into its slice of one buffer by one ``take``.
+    The streams share ``n`` and the batch size, so their batches do too."""
+
+    def __init__(self, d: Dataset, batch_size: int, seed: int | Sequence[int]):
+        self.lead = () if np.ndim(seed) == 0 else (len(seed),)
+        self.streams = [_batches(d.n, batch_size, s) for s in np.atleast_1d(seed).tolist()]
+        self.x, self.y = d.x, d.y.astype(np.float64)
+        self._x = np.empty((len(self.streams) * batch_size, d.m))
+        self._y = np.empty(len(self.streams) * batch_size)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[np.ndarray, np.ndarray]:
+        idx = [next(stream) for stream in self.streams]
+        n = idx[0].size
+        flat = idx[0] if len(idx) == 1 else np.concatenate(idx)
+        x = self.x.take(flat, axis=0, out=self._x[:flat.size], mode="clip")
+        y = self.y.take(flat, out=self._y[:flat.size], mode="clip")
+        return x.reshape(self.lead + (n, -1)), y.reshape(self.lead + (n,))
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
-                steps: int, batch_size: int, stream_seed: int,
+                steps: int, batch_size: int, stream_seed: int | Sequence[int],
                 on_step: StepHook | None = None) -> None:
-    """Plain supervised Adam training on raw inputs."""
-    batches = _batches(d.n, min(batch_size, d.n), stream_seed)
-    y = d.y.astype(np.float64)
+    """Plain supervised Adam training on raw inputs, each run of a stack in
+    lockstep on its own seeded batch stream over ``d``."""
+    batches = _Batches(d, min(batch_size, d.n), stream_seed)
     for _ in range(steps):
-        idx = next(batches)
-        grad, _ = model.backward(d.x[idx], y[idx])
+        x, y = next(batches)
+        grad, _ = model.backward(x, y)
         adam_step(model.params, grad, state)
         if on_step is not None:
             on_step(model.params.values.copy())
@@ -195,7 +266,7 @@ def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
     return lr_fit(train, epochs=cfg.identifier_epochs, learning_rate=cfg.identifier_lr)
 
 
-def initialize(train: Dataset, cfg: TrainConfig, *,
+def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
                identifier: LinearClassifier | None = None,
                init_override: Dataset | None = None,
                on_high_step: StepHook | None = None) -> ReckonerModel:
@@ -206,7 +277,13 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     high classifier's initialization data; it exists so the ERM comparison
     can share the exact training trajectory, and is not part of the
     standard two-stage flow.
+
+    A sequence of several configs that differ only in ``seed`` gives one
+    model holding their stack of runs, initialized in lockstep on the same
+    subsets; ``on_high_step`` then gets the stack's rows.
     """
+    configs = _run_configs(cfg)
+    cfg = configs[0]
     if train.n == 0:
         raise DataError("training set is empty")
     m = train.m
@@ -224,24 +301,29 @@ def initialize(train: Dataset, cfg: TrainConfig, *,
     low_init = train.take(split.low)
 
     high = FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2,
-                                             cfg.seed + _SEED_HIGH_INIT)
+                                             _seeds(configs, _SEED_HIGH_INIT))
     low = FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2,
-                                            cfg.seed + _SEED_LOW_INIT)
+                                            _seeds(configs, _SEED_LOW_INIT))
     noise_hidden = cfg.noise_hidden if cfg.noise_hidden is not None else m
-    noise = NoiseWrapper.initialized(m, noise_hidden, cfg.seed + _SEED_NOISE)
+    noise = NoiseWrapper.initialized(m, noise_hidden, _seeds(configs, _SEED_NOISE))
 
     model = ReckonerModel(high, low, noise, cfg)
     model.identifier = identifier
     steps = cfg.init_steps
     _init_phase(high, model.high_state, high_init, steps, cfg.batch_size,
-                cfg.seed + _SEED_STREAM_HIGH, on_high_step)
+                _seeds(configs, _SEED_STREAM_HIGH), on_high_step)
     _init_phase(low, model.low_state, low_init, steps, cfg.batch_size,
-                cfg.seed + _SEED_STREAM_LOW)
+                _seeds(configs, _SEED_STREAM_LOW))
     # Pseudo-learning cycles start from this exact state: snapshot the
     # initialized low classifier and zero its optimizer.
     model.low_snapshot = low.params.snapshot()
     model.low_state.reset()
     return model
+
+
+def _per_run(value: float | np.ndarray) -> list:
+    """Each run's value: a stack's (S,) array as a list, one run's alone."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
 
 
 def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
@@ -265,9 +347,8 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
     x_low = x_high if cfg.low_conf_sees_noise else x
-    losses: list[float] = []
-    best_loss = math.inf
-    best_k = 1
+    losses: list[float | np.ndarray] = []
+    best_loss: list[float] | None = None  # each run's, as are best_k and better
     grad, _ = model.low.backward(x_low, y_tilde)
     for step in range(1, cfg.pseudo_iters + 1):
         adam_step(model.low.params, grad, model.low_state)
@@ -276,14 +357,22 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
         else:
             prob = model.low.score(x_low)
         loss = bce(prob, y_tilde)
-        if not np.isfinite(loss):
+        run_losses = _per_run(loss)
+        if not all(map(math.isfinite, run_losses)):
             raise NumericError("non-finite pseudo-learning loss")
         losses.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_k = step
+        if best_loss is None:
+            best_loss, best_k = [math.inf] * len(run_losses), [1] * len(run_losses)
+        better = [new < old for new, old in zip(run_losses, best_loss)]
+        best_loss = [min(new, old) for new, old in zip(run_losses, best_loss)]
+        best_k = [step if b else k for b, k in zip(better, best_k)]
+        if all(better):
             np.copyto(model.best_low.values, model.low.params.values)
-    return PseudoLearnState(k=best_k, losses=tuple(losses))
+        elif any(better):  # a stack's runs only: one run's step is better or not
+            np.copyto(model.best_low.values, model.low.params.values,
+                      where=np.array(better)[:, None])
+    k = np.array(best_k) if isinstance(loss, np.ndarray) else best_k[0]
+    return PseudoLearnState(k=k, losses=tuple(losses))
 
 
 def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
@@ -299,7 +388,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     cfg = model.config
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == 0:
+    if x.size == 0:
         raise DataError("empty batch")
     if run_pseudo is None:
         run_pseudo = cfg.use_pseudo_learning
@@ -309,14 +398,15 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         state = pseudo_learning_cycle(model, x, x_high)
         blend(model.high.params, model.best_low, cfg.alpha, out=model.high.params)
         log["k"] = state.k
-        log["pseudo_loss"] = state.losses[state.k - 1]
+        log["pseudo_loss"] = (state.losses[state.k - 1] if isinstance(state.k, int)
+                              else np.choose(state.k - 1, state.losses))
 
     if cfg.use_noise:
         grad_high, prob, d_input = model.high.backward(x_high, y, return_input_grad=True)
     else:
         grad_high, prob = model.high.backward(x_high, y)
     loss = bce(prob, y)
-    if not np.isfinite(loss):
+    if not all(map(math.isfinite, _per_run(loss))):
         raise NumericError("non-finite refinement loss")
     adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
@@ -341,46 +431,62 @@ def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
             "valid_dp": report.dp, "valid_eodds": report.eodds}
 
 
-def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig, *,
+def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
           identifier: LinearClassifier | None = None,
           init_override: Dataset | None = None,
-          on_high_step: StepHook | None = None) -> ReckonerModel:
+          on_high_step: StepHook | None = None) -> ReckonerModel | list[ReckonerModel]:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
     Validation metrics are logged per epoch; the final model is the last
     state (no early stopping).
+
+    A sequence of configs that differ only in ``seed`` gives a list of each
+    run's model, trained in lockstep as one stack when there are several;
+    each has the bits a ``train`` of its config alone gives.
+    ``on_high_step`` follows one run only.
     """
+    configs = _run_configs(cfg)
+    listed = not isinstance(cfg, TrainConfig)
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
-    model = initialize(train_set, cfg, identifier=identifier,
+    if on_high_step is not None and len(configs) > 1:
+        raise ValueError("on_high_step follows one run: pass one config")
+    model = initialize(train_set, configs, identifier=identifier,
                        init_override=init_override, on_high_step=on_high_step)
+    runs = [model] if len(configs) == 1 else [model.run(i, c) for i, c in enumerate(configs)]
+    cfg = configs[0]
     refine_steps = cfg.total_iterations - cfg.init_steps
     batch_size = min(cfg.batch_size, train_set.n)
-    batches = _batches(train_set.n, batch_size, cfg.seed + _SEED_STREAM_REFINE)
+    batches = _Batches(train_set, batch_size, _seeds(configs, _SEED_STREAM_REFINE))
     epoch_len = math.ceil(train_set.n / batch_size)
-    epoch_losses: list[float] = []
-    k_counts: dict[int, int] = {}
+    epoch_losses: list[list[float]] = [[] for _ in runs]
+    k_counts: list[dict[int, int]] = [{} for _ in runs]
     for step in range(refine_steps):
-        idx = next(batches)
+        x, y = next(batches)
         first_of_epoch = step % epoch_len == 0
         run_pseudo = cfg.use_pseudo_learning and (
             cfg.pseudo_cadence == "batch" or first_of_epoch
         )
-        log = refinement_step(model, train_set.x[idx], train_set.y[idx],
-                              run_pseudo=run_pseudo)
+        log = refinement_step(model, x, y, run_pseudo=run_pseudo)
         if on_high_step is not None:
             on_high_step(model.high.params.values.copy())
-        epoch_losses.append(log["loss"])
+        for losses, loss in zip(epoch_losses, _per_run(log["loss"])):
+            losses.append(loss)
         if "k" in log:
-            k_counts[log["k"]] = k_counts.get(log["k"], 0) + 1
+            for counts, k in zip(k_counts, _per_run(log["k"])):
+                counts[k] = counts.get(k, 0) + 1
         if (step + 1) % epoch_len == 0 or step + 1 == refine_steps:
-            entry = {"epoch": len(model.history),
-                     "train_loss": float(np.mean(epoch_losses)),
-                     "k_histogram": {str(k): v for k, v in sorted(k_counts.items())}}
-            entry.update(_validation_entry(model, valid))
-            model.history.append(entry)
-            epoch_losses, k_counts = [], {}
-    return model
+            for run, losses, counts in zip(runs, epoch_losses, k_counts):
+                entry = {"epoch": len(run.history),
+                         "train_loss": float(np.mean(losses)),
+                         "k_histogram": {str(k): v for k, v in sorted(counts.items())}}
+                entry.update(_validation_entry(run, valid))
+                run.history.append(entry)
+            epoch_losses, k_counts = [[] for _ in runs], [{} for _ in runs]
+    for run in runs:  # a stack's views took their step counts at their making
+        run.high_state.t, run.noise_state.t = model.high_state.t, model.noise_state.t
+        run.low_state.t = model.low_state.t
+    return runs if listed else model
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:

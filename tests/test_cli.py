@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 from conftest import assert_no_child_processes, cap_workers
 import reckoner
 import reckoner.cli
+import reckoner.data
+import reckoner.models
 import reckoner.pipeline
 import reckoner.serial
 from reckoner.cli import SWEEPABLE, _sweep_grid, main
@@ -743,12 +746,18 @@ class TestSweep:
         cap_workers(monkeypatch, 2)
 
     def around_points(self, monkeypatch, around) -> None:
-        """Run each point's training as ``around(i, train)`` in its worker."""
+        """Run each point's training as ``around(i, train)`` in its worker.
+        A point trains in its lockstep chunk, so ``train`` is the chunk's
+        training, inside the ``around`` of each of its points, nested in
+        point order."""
         original = reckoner.cli._run_training
 
         def wrapped(*args):
-            i = int(args[4].name.removeprefix("point_"))
-            return around(i, lambda: original(*args))
+            train = functools.partial(original, *args)
+            for out_dir in reversed(args[4]):
+                train = functools.partial(around, int(out_dir.name.removeprefix("point_")),
+                                          train)
+            return train()
         monkeypatch.setattr(reckoner.cli, "_run_training", wrapped)
 
     def test_data_read_once_and_identifier_fitted_once_per_worker(
@@ -888,6 +897,151 @@ class TestSweep:
         assert rows[1]["reason"].startswith(
             "confidence split left the high-confidence subset empty at threshold 0.99")
         assert_no_manifest(out / "point_001")
+
+    def traced(self, monkeypatch, log: Path, module, name: str, note=lambda *a: "") -> None:
+        """Append ``name``, the process id and ``note(*args)`` to ``log`` at
+        each call of ``module.name``, in any process."""
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{name} {os.getpid()} {note(*args)}\n")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_failed_chunk_reruns_point_by_point(self, workdir, monkeypatch):
+        """A NumericError in one run of a 3-run lockstep chunk fails the
+        chunk, whose points then run one by one: only the failing point is
+        an error row, and the others' files are a standalone train's."""
+        tmp_path, _, data = workdir
+        cap_workers(monkeypatch, 1)
+        poisoned_seed = 10 + reckoner.pipeline._SEED_HIGH_INIT
+        initialized = reckoner.models.FeedForwardClassifier.initialized.__func__
+
+        def poisoned(cls, m, h1, h2, seed):
+            model = initialized(cls, m, h1, h2, seed)
+            rows = model.params.values.reshape(-1, model.param_count)
+            rows[np.atleast_1d(seed) == poisoned_seed] = np.nan
+            return model
+        monkeypatch.setattr(reckoner.models.FeedForwardClassifier, "initialized",
+                            classmethod(poisoned))
+        calls = tmp_path / "calls.log"
+        self.traced(monkeypatch, calls, reckoner.cli, "train", lambda tr, va, cfgs: len(cfgs))
+        grid = {"seed": [0, 10, 20]}
+        code, out = self.sweep(workdir, grid)
+        assert code == 0
+        assert [line.split()[2] for line in calls.read_text().splitlines()] == \
+            ["3", "1", "1", "1"]
+        rows = self.summary(out)
+        assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+        assert rows[1]["reason"] == "non-finite gradient in FeedForwardClassifier.backward"
+        assert_no_manifest(out / "point_001")
+        for i, seed in ((0, 0), (2, 20)):
+            doc = dict(TRAIN_CFG, train=dict(TRAIN_CFG["train"], seed=seed))
+            alone = tmp_path / f"alone_{i}"
+            assert main(["train", "--config", str(_file(tmp_path / "point.json", doc)),
+                         "--data", str(data), "--out", str(alone)]) == 0
+            for name in ARTIFACTS:
+                assert (out / f"point_{i:03d}" / name).read_bytes() \
+                    == (alone / name).read_bytes(), (seed, name)
+
+    def test_training_enters_through_cli_train_per_chunk(self, workdir, monkeypatch,
+                                                          two_workers):
+        """The benchmark stamps the end of a sweep's set-up at the first call
+        of ``reckoner.cli.train``: every chunk must enter training there,
+        and no process may fit or initialize anything before it does."""
+        calls = workdir[0] / "calls.log"
+        self.traced(monkeypatch, calls, reckoner.cli, "train")
+        for name in ("lr_fit", "initialize", "_init_phase"):
+            self.traced(monkeypatch, calls, reckoner.pipeline, name)
+        code, out = self.sweep(workdir, {"seed": [0, 1, 2, 3, 4, 5]})
+        assert code == 0
+        assert [r["status"] for r in self.summary(out)] == ["ok"] * 6
+        made = [line.split()[:2] for line in calls.read_text().splitlines()]
+        assert [name for name, _ in made].count("train") == 2  # chunks of 3
+        assert made[0][0] == "train"
+        first = {}
+        for name, pid in made:
+            first.setdefault(pid, name)
+        assert set(first.values()) == {"train"}
+
+
+# Lockstep training: the runs of a chunk, each in its slice of one stacked
+# model, against lone runs of the same configs, for every setting that
+# changes which kernels a step runs, at m = 6 and at the hashed width.
+LOCKSTEP_TRAIN = {"total_iterations": 40, "batch_size": 32, "hidden1": 8, "hidden2": 4,
+                  "identifier_epochs": 30, "learning_rate": 0.01}
+LOCKSTEP_SETTINGS = {
+    "default": {},
+    "no-noise": {"use_noise": False},
+    "no-pseudo": {"use_pseudo_learning": False},
+    "soft-labels": {"pseudo_label_kind": "soft"},
+    "epoch-cadence": {"pseudo_cadence": "epoch"},
+    "alpha-zero": {"alpha": 0.0},
+    "alpha-one": {"alpha": 1.0},
+    "low-sees-noise": {"low_conf_sees_noise": True},
+    # Large steps make the runs of a chunk disagree on their best pseudo step.
+    "large-steps": {"learning_rate": 0.2},
+}
+LOCKSTEP_CASES = [("m6", name) for name in LOCKSTEP_SETTINGS] + [
+    ("hashed", "default"), ("hashed", "low-sees-noise")]
+
+
+@pytest.fixture(scope="module")
+def lockstep_data(tmp_path_factory):
+    """Each width's schema, split and prepared data, as ``train`` has them."""
+    tmp = tmp_path_factory.mktemp("lockstep")
+    synth = _file(tmp / "synth.json", dict(SYNTH_CFG, m_numeric=6))
+    assert main(["synth", "--config", str(synth), "--out", str(tmp / "m6.csv")]) == 0
+    m6_schema = {"columns": [{"name": f"f{i}", "kind": "numeric"} for i in range(6)]
+                 + [{"name": "y", "kind": "label"}, {"name": "s", "kind": "sensitive"}]}
+    inputs = {"m6": (m6_schema, tmp / "m6.csv"),
+              "hashed": (HASHED_SCHEMA, _file(tmp / "hashed.csv", hashed_csv()))}
+    split = reckoner.data.SplitSpec.from_dict(TRAIN_CFG["split"])
+    prepared = {}
+    for width, (schema_doc, path) in inputs.items():
+        schema = reckoner.data.Schema.from_dict(schema_doc)
+        prepared[width] = (schema, split, reckoner.cli._prepare_data(schema, split, path))
+    return prepared
+
+
+@pytest.mark.parametrize("width, setting", LOCKSTEP_CASES,
+                         ids=[f"{w}-{s}" for w, s in LOCKSTEP_CASES])
+def test_lockstep_runs_match_lone_runs(lockstep_data, monkeypatch, tmp_path, width, setting):
+    """Chunks of 1, 2 and 3 runs: every run's parameter, Adam and rollback
+    bytes, history and artifacts are those of a lone ``train``."""
+    schema, split, data = lockstep_data[width]
+    tr, va = data[:2]
+    cfgs = [TrainConfig(**{**LOCKSTEP_TRAIN, **LOCKSTEP_SETTINGS[setting]}, seed=seed)
+            for seed in (3, 4, 5)]
+    trained = []
+    train = reckoner.cli.train
+    monkeypatch.setattr(reckoner.cli, "train",
+                        lambda *args, **kwargs: trained.append(train(*args, **kwargs))
+                        or trained[-1])
+
+    def run(chunk, name):
+        dirs = [reckoner.serial.make_dir(tmp_path / name / str(cfg.seed)) for cfg in chunk]
+        reckoner.cli._run_training(chunk, schema, split, data, dirs)
+        return trained[-1], dirs
+
+    alone = [(train(tr, va, cfg), run([cfg], "alone")[1][0]) for cfg in cfgs]
+    for size in (1, 2, 3):
+        models, dirs = run(cfgs[:size], f"chunk{size}")
+        for model, out, (lone, lone_out) in zip(models, dirs, alone):
+            for name in ("high", "low", "noise"):
+                assert getattr(model, name).params.values.tobytes() \
+                    == getattr(lone, name).params.values.tobytes(), name
+                state, lone_state = getattr(model, f"{name}_state"), getattr(lone, f"{name}_state")
+                assert state.m.tobytes() == lone_state.m.tobytes(), name
+                assert state.v.tobytes() == lone_state.v.tobytes(), name
+                assert state.t == lone_state.t, name
+            assert model.low_snapshot.values.tobytes() == lone.low_snapshot.values.tobytes()
+            assert model.best_low.values.tobytes() == lone.best_low.values.tobytes()
+            assert model.noise.eta.tobytes() == lone.noise.eta.tobytes()
+            assert model.history == lone.history
+            for name in ARTIFACTS:
+                assert (out / name).read_bytes() == (lone_out / name).read_bytes(), name
 
 
 # Malformed input documents: each exits with its documented code and one

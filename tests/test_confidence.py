@@ -52,18 +52,13 @@ class TestSplitByConfidence:
         assert split.low.tolist() == [0]
         assert split.high.tolist() == [1, 2]
 
-    def test_threshold_half_puts_everything_high(self):
-        d = make_dataset([0, 1], [0, 1])
-        split = split_by_confidence(d, StubModel([0.5, 0.7]), 0.5)
-        assert split.low.size == 0
-        assert split.high.tolist() == [0, 1]
-
     def test_threshold_out_of_range(self):
+        """0.5 is out of range too: every confidence is at least 0.5, so it
+        would put every row on the high side."""
         d = make_dataset([0, 1], [0, 1])
-        with pytest.raises(ConfigError):
-            split_by_confidence(d, StubModel([0.5, 0.7]), 0.4)
-        with pytest.raises(ConfigError):
-            split_by_confidence(d, StubModel([0.5, 0.7]), 1.0)
+        for threshold in (0.4, 0.5, 1.0):
+            with pytest.raises(ConfigError, match=r"must lie in \(0.5, 1\)"):
+                split_by_confidence(d, StubModel([0.5, 0.7]), threshold)
 
 
 class TestBucketSpec:

@@ -725,3 +725,75 @@ class TestOwnership:
             tracemalloc.stop()
         # one temporary vector would be 80 kB
         assert peak - before < 4_000
+
+
+class TestStackedKernels:
+    """A stack of S runs gives each run the bits the same kernels give it
+    alone, not merely close ones: the lockstep path is the lone path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.integers(1, 4), m=WIDTHS, hidden=st.sampled_from([1, 5, 130]),
+           rows=st.lists(ROW_COUNTS, min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 40.0]))
+    @example(runs=3, m=6, hidden=6, rows=[128, 48, 1], seed=7, scale=40.0)
+    def test_ffn_noise_and_bce(self, runs, m, hidden, rows, seed, scale):
+        rng = np.random.default_rng(seed)
+        net = FeedForwardClassifier.initialized(m, 16, 8, list(range(runs)))
+        net.params.values[:] = draw_array(rng, net.params.values.shape, scale / 4, 0.05)
+        wrap = NoiseWrapper.initialized(m, hidden, list(range(runs)))
+        wrap.params.values[:] = draw_array(rng, wrap.params.values.shape, scale, 0.05)
+        alone = [(FeedForwardClassifier(m, 16, 8, net.params.run(i).snapshot()),
+                  NoiseWrapper(m, hidden, wrap.eta[i], wrap.params.run(i).snapshot()))
+                 for i in range(runs)]
+        for n in rows:
+            x = draw_array(rng, (runs, n, m), scale, 0.05)
+            y = (rng.random((runs, n)) < 0.5) * 1.0
+            d = draw_array(rng, (runs, n, m), 1e-2, 0.05)
+            got = net.backward(x, y, return_input_grad=True)
+            score, noisy = net.score(x), wrap.apply(x)
+            noise_grad, loss = wrap.backward(d), bce(score, y)
+            for i, (net_i, wrap_i) in enumerate(alone):
+                want = net_i.backward(x[i], y[i], return_input_grad=True)
+                assert all(same_bits(g[i], w) for g, w in zip(got, want))
+                assert same_bits(score[i], net_i.score(x[i]))
+                assert same_bits(noisy[i], wrap_i.apply(x[i]))
+                assert same_bits(noise_grad[i], wrap_i.backward(d[i]))
+                assert same_bits(loss[i], bce(score[i], y[i]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.9, 1.0])
+    def test_adam_blend_and_rollback(self, alpha):
+        """The stack's rows step, blend and restore as each run does alone;
+        alpha 0 and 1 copy, so a -0.0 stays -0.0."""
+        rng = np.random.default_rng(4)
+        layout = ParamLayout((("w", (50,)),))
+        a, b = draw_array(rng, (3, 50), 1.0, 0.2), draw_array(rng, (3, 50), 1.0, 0.2)
+        stack, other = ModelParams(layout, a.copy()), ModelParams(layout, b.copy())
+        snap = stack.snapshot()
+        state = AdamState.zeros((3, 50), lr=0.01)
+        alone = [(ModelParams(layout, a[i].copy()), AdamState.zeros(50, lr=0.01))
+                 for i in range(3)]
+        for _ in range(3):
+            grad = draw_array(rng, (3, 50), 1.0, 0.1)
+            adam_step(stack, grad, state)
+            for i, (params, state_i) in enumerate(alone):
+                adam_step(params, grad[i], state_i)
+                assert same_bits(stack.values[i], params.values)
+                assert same_bits(state.m[i], state_i.m) and same_bits(state.v[i], state_i.v)
+        blended = blend(stack, other, alpha)
+        for i, (params, _) in enumerate(alone):
+            assert same_bits(blended.values[i], blend(params, other.run(i), alpha).values)
+        stack.restore(snap)
+        assert same_bits(stack.values, a)
+
+    def test_runs_are_views_of_the_stack(self):
+        net = FeedForwardClassifier.initialized(6, 8, 4, [1, 2])
+        wrap = NoiseWrapper.initialized(6, 6, [3, 4])
+        for i, seed in enumerate((1, 2)):
+            assert same_bits(net.run(i).params.values,
+                             FeedForwardClassifier.initialized(6, 8, 4, seed).params.values)
+            assert np.shares_memory(net.run(i).params.values, net.params.values)
+            lone = NoiseWrapper.initialized(6, 6, seed + 2)
+            assert same_bits(wrap.run(i).eta, lone.eta)
+            assert same_bits(wrap.run(i).params.values, lone.params.values)
+        with pytest.raises(ValueError, match=r"expected input of shape \(2, n, 6\)"):
+            net.score(np.zeros((3, 6)))

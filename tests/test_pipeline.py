@@ -108,10 +108,10 @@ class TestInitialize:
         assert model.high_state.t == cfg.init_steps == 10
 
     def test_threshold_half_aborts_with_empty_low(self):
-        tr, _, _ = small_sets()
-        cfg = TrainConfig(seed=1, confidence_threshold=0.5, **FAST)
-        with pytest.raises(DataError, match="low-confidence subset empty"):
-            initialize(tr, cfg)
+        """Every confidence is at least 0.5, so a threshold of 0.5 would
+        leave the low subset empty: the config itself is rejected."""
+        with pytest.raises(ConfigError, match=r"must lie in \(0.5, 1\)"):
+            TrainConfig(seed=1, confidence_threshold=0.5, **FAST)
 
     def test_deterministic(self):
         tr, _, _ = small_sets()
