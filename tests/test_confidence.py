@@ -52,11 +52,17 @@ class TestSplitByConfidence:
         assert split.low.tolist() == [0]
         assert split.high.tolist() == [1, 2]
 
-    def test_threshold_out_of_range(self):
-        """0.5 is out of range too: every confidence is at least 0.5, so it
-        would put every row on the high side."""
+    def test_threshold_half_puts_everything_high(self):
+        """Every confidence is at least 0.5, so a 0.5 threshold would put
+        every row on the high side; it is rejected as a config error."""
         d = make_dataset([0, 1], [0, 1])
-        for threshold in (0.4, 0.5, 1.0):
+        assert (confidence_of([0.5, 0.7]) >= 0.5).all()
+        with pytest.raises(ConfigError, match=r"must lie in \(0.5, 1\)"):
+            split_by_confidence(d, StubModel([0.5, 0.7]), 0.5)
+
+    def test_threshold_out_of_range(self):
+        d = make_dataset([0, 1], [0, 1])
+        for threshold in (0.4, 1.0):
             with pytest.raises(ConfigError, match=r"must lie in \(0.5, 1\)"):
                 split_by_confidence(d, StubModel([0.5, 0.7]), threshold)
 
