@@ -267,7 +267,7 @@ def _lockstep_chunks(points: list[dict], cpus: int) -> list[list[int]]:
     groups: dict[object, list[int]] = {}
     for i, point in enumerate(points):
         try:
-            key: object = dataclasses.replace(TrainConfig.from_dict(point), seed=0)
+            key: object = TrainConfig.from_dict(point).lockstep_key()
         except ReckonerError:
             key = i
         groups.setdefault(key, []).append(i)

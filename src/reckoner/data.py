@@ -284,24 +284,25 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
-def _csv_blocks(path: str | Path, what: str, block_rows: int, digest):
-    """Yield the header of a UTF-8 CSV, then its nonblank rows in lists of
-    at most ``block_rows``; every byte read goes to ``digest``, a hashlib
-    hash. A missing, empty or unreadable file is a DataError naming
-    ``what`` it was, raised where the reading stops."""
+def _csv_blocks(path: str | Path, what: str, digest):
+    """Yield the header of a UTF-8 CSV, its names stripped of spaces and of
+    a leading byte-order mark, then its nonblank rows in lists of at most
+    ``CODE_BLOCK_ROWS``; every byte read goes to ``digest``, a hashlib hash,
+    the mark included. A missing, empty or unreadable file is a DataError
+    naming ``what`` it was, raised where the reading stops."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing {what}: {path}")
     try:
         with path.open("rb", buffering=0) as raw, io.TextIOWrapper(
                 io.BufferedReader(_HashingReader(raw, digest)),
-                encoding="utf-8", newline="") as fh:
+                encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DataError(f"empty {what}: {path}")
-            yield header
-            while block := list(itertools.islice(reader, block_rows)):
+            yield [name.strip() for name in header]
+            while block := list(itertools.islice(reader, CODE_BLOCK_ROWS)):
                 yield [r for r in block if r]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
@@ -333,7 +334,7 @@ def read_predictions(path: str | Path):
     the whole file first: a read error anywhere, then missing columns, the
     first row in file order with a bad or missing cell, then no rows."""
     path, digest = Path(path), hashlib.sha256()
-    blocks = _csv_blocks(path, "predictions file", CODE_BLOCK_ROWS, digest)
+    blocks = _csv_blocks(path, "predictions file", digest)
     header, need = next(blocks), ["group", "label", "pred"]
     error = None if set(need) <= set(header) \
         else f"predictions file needs columns {need}, got {header}"
@@ -474,8 +475,8 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     being row 1.
     """
     digest = hashlib.sha256()
-    blocks = _csv_blocks(path, "file", CODE_BLOCK_ROWS, digest)
-    header = [h.strip() for h in next(blocks)]
+    blocks = _csv_blocks(path, "file", digest)
+    header = next(blocks)
     want = [c.name for c in schema.columns]
     if sorted(header) != sorted(want):
         for _ in blocks:  # a read error later in the file comes first

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .models import (
     predict_labels,
 )
 from .serial import JsonConfig, sha256_of_obj
-
-StepHook = Callable[[np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,11 @@ class TrainConfig(JsonConfig):
     def config_hash(self) -> str:
         return sha256_of_obj(self.to_dict())
 
+    def lockstep_key(self) -> "TrainConfig":
+        """This config with its seed cleared: runs whose configs share a key
+        can train in lockstep."""
+        return dataclasses.replace(self, seed=0)
+
 
 def _run_configs(cfg: TrainConfig | Sequence[TrainConfig]) -> list[TrainConfig]:
     """The configs of the runs ``cfg`` asks for: one, or a nonempty sequence
@@ -108,7 +111,7 @@ def _run_configs(cfg: TrainConfig | Sequence[TrainConfig]) -> list[TrainConfig]:
     if isinstance(cfg, TrainConfig):
         return [cfg]
     configs = list(cfg)
-    if not configs or len({dataclasses.replace(c, seed=0) for c in configs}) != 1:
+    if not configs or len({c.lockstep_key() for c in configs}) != 1:
         raise ValueError("runs trained together need configs that differ only in seed")
     return configs
 
@@ -247,8 +250,7 @@ class _Batches:
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
-                steps: int, batch_size: int, stream_seed: int | Sequence[int],
-                on_step: StepHook | None = None) -> None:
+                steps: int, batch_size: int, stream_seed: int | Sequence[int]) -> None:
     """Plain supervised Adam training on raw inputs, each run of a stack in
     lockstep on its own seeded batch stream over ``d``."""
     batches = _Batches(d, min(batch_size, d.n), stream_seed)
@@ -256,8 +258,6 @@ def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
         x, y = next(batches)
         grad, _ = model.backward(x, y)
         adam_step(model.params, grad, state)
-        if on_step is not None:
-            on_step(model.params.values.copy())
 
 
 def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
@@ -267,20 +267,15 @@ def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
 
 
 def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
-               identifier: LinearClassifier | None = None,
-               init_override: Dataset | None = None,
-               on_high_step: StepHook | None = None) -> ReckonerModel:
+               identifier: LinearClassifier | None = None) -> ReckonerModel:
     """Identification stage plus per-subset initialization of both classifiers.
 
     ``identifier`` is ``identify(train, cfg)`` when given; it is fitted here
-    when not. ``init_override`` replaces the high-confidence subset as the
-    high classifier's initialization data; it exists so the ERM comparison
-    can share the exact training trajectory, and is not part of the
-    standard two-stage flow.
+    when not.
 
     A sequence of several configs that differ only in ``seed`` gives one
     model holding their stack of runs, initialized in lockstep on the same
-    subsets; ``on_high_step`` then gets the stack's rows.
+    subsets.
     """
     configs = _run_configs(cfg)
     cfg = configs[0]
@@ -297,7 +292,7 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
             f"threshold {cfg.confidence_threshold}; lower the threshold or "
             f"inspect the identifier fit"
         )
-    high_init = train.take(split.high) if init_override is None else init_override
+    high_init = train.take(split.high)
     low_init = train.take(split.low)
 
     high = FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2,
@@ -311,7 +306,7 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
     model.identifier = identifier
     steps = cfg.init_steps
     _init_phase(high, model.high_state, high_init, steps, cfg.batch_size,
-                _seeds(configs, _SEED_STREAM_HIGH), on_high_step)
+                _seeds(configs, _SEED_STREAM_HIGH))
     _init_phase(low, model.low_state, low_init, steps, cfg.batch_size,
                 _seeds(configs, _SEED_STREAM_LOW))
     # Pseudo-learning cycles start from this exact state: snapshot the
@@ -398,8 +393,6 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         state = pseudo_learning_cycle(model, x, x_high)
         blend(model.high.params, model.best_low, cfg.alpha, out=model.high.params)
         log["k"] = state.k
-        log["pseudo_loss"] = (state.losses[state.k - 1] if isinstance(state.k, int)
-                              else np.choose(state.k - 1, state.losses))
 
     if cfg.use_noise:
         grad_high, prob, d_input = model.high.backward(x_high, y, return_input_grad=True)
@@ -432,9 +425,7 @@ def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
 
 
 def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
-          identifier: LinearClassifier | None = None,
-          init_override: Dataset | None = None,
-          on_high_step: StepHook | None = None) -> ReckonerModel | list[ReckonerModel]:
+          identifier: LinearClassifier | None = None) -> ReckonerModel | list[ReckonerModel]:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
     Validation metrics are logged per epoch; the final model is the last
@@ -443,16 +434,12 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
     A sequence of configs that differ only in ``seed`` gives a list of each
     run's model, trained in lockstep as one stack when there are several;
     each has the bits a ``train`` of its config alone gives.
-    ``on_high_step`` follows one run only.
     """
     configs = _run_configs(cfg)
     listed = not isinstance(cfg, TrainConfig)
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
-    if on_high_step is not None and len(configs) > 1:
-        raise ValueError("on_high_step follows one run: pass one config")
-    model = initialize(train_set, configs, identifier=identifier,
-                       init_override=init_override, on_high_step=on_high_step)
+    model = initialize(train_set, configs, identifier=identifier)
     runs = [model] if len(configs) == 1 else [model.run(i, c) for i, c in enumerate(configs)]
     cfg = configs[0]
     refine_steps = cfg.total_iterations - cfg.init_steps
@@ -468,8 +455,6 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
             cfg.pseudo_cadence == "batch" or first_of_epoch
         )
         log = refinement_step(model, x, y, run_pseudo=run_pseudo)
-        if on_high_step is not None:
-            on_high_step(model.high.params.values.copy())
         for losses, loss in zip(epoch_losses, _per_run(log["loss"])):
             losses.append(loss)
         if "k" in log:
@@ -527,8 +512,7 @@ def predict(model: ReckonerModel,
     return predict_labels(scores), scores
 
 
-def erm_baseline(train_set: Dataset, cfg: TrainConfig, *,
-                 on_high_step: StepHook | None = None) -> FeedForwardClassifier:
+def erm_baseline(train_set: Dataset, cfg: TrainConfig) -> FeedForwardClassifier:
     """Plain supervised trainer: same architecture, budget, and seed streams.
 
     Matches the pipeline with noise and pseudo-learning disabled and the
@@ -541,7 +525,7 @@ def erm_baseline(train_set: Dataset, cfg: TrainConfig, *,
     )
     state = AdamState.zeros(model.params.layout.size, lr=cfg.learning_rate)
     _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
-                cfg.seed + _SEED_STREAM_HIGH, on_high_step)
+                cfg.seed + _SEED_STREAM_HIGH)
     _init_phase(model, state, train_set, cfg.total_iterations - cfg.init_steps,
-                cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE, on_high_step)
+                cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE)
     return model

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import os
 
 # One BLAS thread, set before numpy loads: forked workers keep the thread
@@ -9,6 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import reckoner.workers  # noqa: E402
+from reckoner import pipeline  # noqa: E402
 from reckoner.data import ColumnSpec, Dataset, Schema  # noqa: E402
 
 
@@ -47,3 +50,36 @@ def cap_workers(monkeypatch, n: int) -> None:
     """``fork_map`` forks at most ``n`` workers in this test, whatever the
     host."""
     monkeypatch.setattr(reckoner.workers, "usable_cpus", lambda: n)
+
+
+@contextlib.contextmanager
+def high_steps():
+    """The parameter values after each Adam step that ``reckoner.pipeline``
+    takes inside the block on the first ``ModelParams`` it steps, one copy
+    per step. That is the high classifier in ``train``, whose
+    initialization steps it first, and the one classifier in
+    ``erm_baseline``."""
+    steps: list[np.ndarray] = []
+    first = []
+    adam_step = pipeline.adam_step
+
+    def recording(params, grad, state):
+        adam_step(params, grad, state)
+        if not first:
+            first.append(params)
+        if params is first[0]:
+            steps.append(params.values.copy())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "adam_step", recording)
+        yield steps
+
+
+def init_high_on_all_rows(monkeypatch) -> None:
+    """``initialize`` puts every train row on the high side of its split, in
+    order, so the high classifier initializes on the whole train split, as
+    the ERM baseline does. The low side keeps its rows."""
+    split = pipeline.split_by_confidence
+    monkeypatch.setattr(pipeline, "split_by_confidence", lambda d, model, threshold:
+                        dataclasses.replace(split(d, model, threshold),
+                                            high=np.arange(d.n)))

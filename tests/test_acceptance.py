@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cap_workers
+from conftest import cap_workers, high_steps, init_high_on_all_rows
 from fd_utils import central_difference, max_relative_error, relu_margin
 from reckoner.cli import main as cli_main
 from reckoner.confidence import BucketSpec, bucket_analysis
@@ -237,19 +237,20 @@ def test_c4_rollback_and_blend_algebra(report):
 
 # --- C5: ablation degeneracy --------------------------------------------------
 
-def test_c5_ablation_degeneracy(report):
+def test_c5_ablation_degeneracy(report, monkeypatch):
     d = synth_biased(SynthConfig(n=3000, flip_rate_g1=0.3, seed=5))
     tr, va, _ = split_dataset(d, SplitSpec(0.7, 0.15, 0.15, seed=5))
     (tr, va), _, _ = standardize(tr, [va])
     cfg = TrainConfig(seed=6, total_iterations=200, batch_size=64, hidden1=16,
                       hidden2=8, identifier_epochs=100, learning_rate=0.005,
                       use_noise=False, use_pseudo_learning=False)
-    reck: list[np.ndarray] = []
-    erm: list[np.ndarray] = []
     # The ERM baseline is by definition the flag-disabled pipeline with its
     # initialization phase run on the full training set.
-    train(tr, va, cfg, init_override=tr, on_high_step=lambda v: reck.append(v))
-    erm_baseline(tr, cfg, on_high_step=lambda v: erm.append(v))
+    init_high_on_all_rows(monkeypatch)
+    with high_steps() as reck:
+        train(tr, va, cfg)
+    with high_steps() as erm:
+        erm_baseline(tr, cfg)
     same_len = len(reck) == len(erm) == cfg.total_iterations
     exact = same_len and all(np.array_equal(a, b) for a, b in zip(reck, erm))
     report("C5 ablation-degeneracy", exact,

@@ -671,6 +671,60 @@ def test_piped_input_is_hashed_as_read(case, hashed_checkpoint, tmp_path):
             == (tmp_path / "file" / name).read_bytes(), name
 
 
+def _spaced_header(text: str) -> bytes:
+    header, rest = text.split("\n", 1)
+    return f"{header.replace(',', ' , ')}\n{rest}".encode()
+
+
+# An audit input as Excel's "CSV UTF-8" export writes it, with a byte-order
+# mark, and one with spaces around its header names.
+AUDIT_INPUT_VARIANTS = {
+    "bom": lambda text: b"\xef\xbb\xbf" + text.encode(),
+    "spaced-header": _spaced_header,
+}
+AUDIT_INPUTS = {
+    "checkpoint": (("audit", "--checkpoint", "checkpoint.json", "--data", "in.csv",
+                    "--out", "out", "--histogram-feature", "n0"),
+                   lambda: hashed_csv(300, seed=9)),
+    "predictions": (("audit", "--predictions", "in.csv", "--out", "out"),
+                    _scored_predictions),
+}
+
+
+@pytest.mark.parametrize("variant", AUDIT_INPUT_VARIANTS)
+@pytest.mark.parametrize("mode", AUDIT_INPUTS)
+def test_audit_reads_past_bom_and_header_spaces(mode, variant, hashed_checkpoint,
+                                                tmp_path, monkeypatch):
+    """Such an input audits as the plain file does: the manifest differs
+    only in the SHA-256, that of the input's own bytes, and the reports only
+    in the manifest's SHA-256."""
+    argv, content_of = AUDIT_INPUTS[mode]
+    plain = content_of()
+    inputs = {"plain": plain.encode(), "variant": AUDIT_INPUT_VARIANTS[variant](plain)}
+    for name, content in inputs.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "checkpoint.json").write_bytes(hashed_checkpoint.read_bytes())
+        _file(run / "in.csv", content)
+        monkeypatch.chdir(run)
+        code, err = run_main(*argv)
+        assert code == 0, err
+    manifests = [json.loads((tmp_path / name / "out" / "audit_manifest.json").read_text())
+                 for name in inputs]
+    for manifest, content in zip(manifests, inputs.values()):
+        assert manifest["source"].pop("data_sha256") == hashlib.sha256(content).hexdigest()
+    assert manifests[0] == manifests[1]
+    files = sorted(p.name for p in (tmp_path / "plain" / "out").iterdir())
+    assert sorted(p.name for p in (tmp_path / "variant" / "out").iterdir()) == files
+    assert files[0] == "audit_manifest.json"
+    for name in files[1:]:  # the manifest first, checked above
+        got, want = ((tmp_path / run / "out" / name).read_bytes() for run in inputs)
+        if name.endswith(".json"):
+            got, want = (json.loads(doc) for doc in (got, want))
+            assert got.pop("manifest_sha256") != want.pop("manifest_sha256"), name
+        assert got == want, name
+
+
 class TestSweep:
     def test_grid_size_and_summary(self, workdir):
         tmp_path, train_cfg, data = workdir

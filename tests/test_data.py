@@ -19,6 +19,7 @@ from reckoner.data import (
     Schema,
     SplitSpec,
     SynthConfig,
+    code_csv,
     hash_features,
     load_csv,
     read_predictions,
@@ -196,6 +197,28 @@ class TestLoadCsv:
             load_csv(p, schema)
         d = load_csv(p, schema, impute_missing=True)
         assert d.x[1, 0] == pytest.approx(2.0)  # mean of 1 and 3
+
+    @pytest.mark.parametrize("head", [b"\xef\xbb\xbfa,c,y,s\n", b" a , c,y,s \n",
+                                      b"\xef\xbb\xbf a,c , y,s\n"],
+                             ids=["bom", "spaced-header", "bom-and-spaces"])
+    def test_byte_order_mark_and_spaced_header(self, tmp_path, head):
+        """A leading UTF-8 byte-order mark and spaces around header names
+        are read past; the SHA-256 is still that of the file's bytes."""
+        schema = Schema(columns=(ColumnSpec("a", "numeric"), ColumnSpec("c", "categorical"),
+                                 ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                        hash_buckets=4)
+        body = b"1.5,k,0,x\n2.5,j,1,y\n3.5,k,1,x\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"a,c,y,s\n" + body)
+        other = tmp_path / "other.csv"
+        other.write_bytes(head + body)
+        want, got = code_csv(plain, schema), code_csv(other, schema)
+        assert got.sha256 == hashlib.sha256(head + body).hexdigest() != want.sha256
+        assert got.y.tolist() == want.y.tolist() and got.s.tolist() == want.s.tolist()
+        assert got.numeric["a"].tobytes() == want.numeric["a"].tobytes()
+        for g, w in zip(got.categorical["c"], want.categorical["c"]):
+            assert g.tolist() == w.tolist()
+        assert load_csv(other, schema).x.tobytes() == load_csv(plain, schema).x.tobytes()
 
     def test_encoding_is_pure(self, tmp_path):
         schema = Schema(columns=(ColumnSpec("a", "numeric"),
@@ -473,6 +496,24 @@ def test_read_predictions_matches_whole_file_reference(tmp_path_factory, content
             assert (g is None) == (w is None)
             if w is not None:
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), block_rows
+
+
+@pytest.mark.parametrize("head", [b"\xef\xbb\xbfpred,label,group,score\n",
+                                  b"pred, label, group, score\n",
+                                  b"\xef\xbb\xbf pred ,label,group , score\n"],
+                         ids=["bom", "spaced-header", "bom-and-spaces"])
+def test_read_predictions_reads_past_bom_and_header_spaces(tmp_path, head):
+    """The columns match those of the plain file, and the SHA-256 is that
+    of the file's own bytes, byte-order mark included."""
+    body = b"1,0,1,0.75\n0,0,0,0.5\n1,1,0,0.875\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"pred,label,group,score\n" + body)
+    other = tmp_path / "other.csv"
+    other.write_bytes(head + body)
+    want, got = read_predictions(plain), read_predictions(other)
+    assert got[4] == hashlib.sha256(head + body).hexdigest() != want[4]
+    for g, w in zip(got[:4], want[:4]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # Standardization statistics that make (x - mean) / std overflow or divide

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_separable
+from conftest import high_steps, init_high_on_all_rows, make_separable
 from reckoner import models, pipeline
 from reckoner.data import (
     ColumnSpec,
@@ -355,14 +355,14 @@ print("ok")
 
 
 class TestAblationDegeneracy:
-    def test_flags_off_matches_erm_trajectory(self):
+    def test_flags_off_matches_erm_trajectory(self, monkeypatch):
         tr, va, _ = small_sets(seed=12)
         cfg = TrainConfig(seed=17, use_noise=False, use_pseudo_learning=False, **FAST)
-        reck_steps: list[np.ndarray] = []
-        erm_steps: list[np.ndarray] = []
-        train(tr, va, cfg, init_override=tr,
-              on_high_step=lambda v: reck_steps.append(v))
-        erm_baseline(tr, cfg, on_high_step=lambda v: erm_steps.append(v))
+        init_high_on_all_rows(monkeypatch)
+        with high_steps() as reck_steps:
+            train(tr, va, cfg)
+        with high_steps() as erm_steps:
+            erm_baseline(tr, cfg)
         assert len(reck_steps) == len(erm_steps) == cfg.total_iterations
         for a, b in zip(reck_steps, erm_steps):
             np.testing.assert_array_equal(a, b)
@@ -372,10 +372,11 @@ class TestAblationDegeneracy:
         base = dict(seed=18, use_noise=False, **FAST)
         with_pseudo = TrainConfig(alpha=1.0, use_pseudo_learning=True, **base)
         without = TrainConfig(use_pseudo_learning=False, **base)
-        a_steps: list[np.ndarray] = []
-        b_steps: list[np.ndarray] = []
-        train(tr, va, with_pseudo, on_high_step=lambda v: a_steps.append(v))
-        train(tr, va, without, on_high_step=lambda v: b_steps.append(v))
+        with high_steps() as a_steps:
+            train(tr, va, with_pseudo)
+        with high_steps() as b_steps:
+            train(tr, va, without)
+        assert len(a_steps) == len(b_steps) == with_pseudo.total_iterations
         for a, b in zip(a_steps, b_steps):
             np.testing.assert_array_equal(a, b)
 
@@ -497,7 +498,6 @@ def ref_refinement_step(model, x, y, run_pseudo=None):
         state = ref_pseudo_learning_cycle(model, x)
         model.high.params.restore(blend(model.high.params, model.best_low, cfg.alpha))
         log["k"] = state.k
-        log["pseudo_loss"] = state.losses[state.k - 1]
 
     x_in = model.high_input(x)
     loss = bce(model.high.score(x_in), y)
@@ -675,5 +675,5 @@ class TestBatches:
         with pytest.raises(DataError) as want:
             _BatchStream(0, 32, seed=0)
         with pytest.raises(DataError) as got:
-            initialize(tr, TrainConfig(seed=27, **FAST), init_override=tr.take([]))
+            next(pipeline._Batches(tr.take([]), 32, 0))
         assert str(got.value) == str(want.value)
