@@ -23,6 +23,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .confidence import BucketSpec, bucket_analysis, confidence_of, feature_histograms
 from .data import (
+    ColumnSpec,
     Schema,
     SplitSpec,
     StandardizedRows,
@@ -176,6 +177,10 @@ def cmd_audit(args) -> int:
         if not args.data:
             raise ConfigError("--checkpoint requires --data")
         loaded = load_checkpoint(args.checkpoint)
+        feature = args.histogram_feature
+        if feature and ColumnSpec(feature, "numeric") not in loaded.schema.columns:
+            raise ConfigError(f"--histogram-feature {feature!r} is not a numeric "
+                              "feature of the checkpoint's schema")
         table = code_csv(Path(args.data), loaded.schema)
         x = StandardizedRows(table, loaded.mean, loaded.std)
         preds, prob = predict(loaded.model, x)
@@ -345,8 +350,15 @@ def _cell(v) -> str:
     return str(v)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: exit 1 with one ``error kind=`` line."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reckoner",
         description="Confidence-split dual-model fair classification pipeline.",
     )
@@ -400,9 +412,8 @@ def _reported(exc: ReckonerError | MemoryError) -> ReckonerError:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # A diverging run ends in NumericError; numpy's overflow warnings on
         # the way there would only add lines around its one error line.
         with np.errstate(all="ignore"):

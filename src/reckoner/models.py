@@ -66,14 +66,12 @@ def float_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
 
 
 def bce(p, y) -> float | np.ndarray:
-    """Mean binary cross-entropy with probabilities clamped away from {0, 1}:
-    a float for one run's probabilities, one mean per row for a stack's
-    (S, n)."""
+    """Mean binary cross-entropy over the last axis, with probabilities
+    clamped away from {0, 1}: a float (an ``np.float64``) for one run's
+    probabilities, one mean per row for a stack's (S, n)."""
     p = np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
     y = np.asarray(y, dtype=np.float64)
-    losses = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    if losses.ndim < 2:
-        return float(np.add.reduce(losses, axis=None) / losses.size)
+    losses = np.atleast_1d(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
     return np.add.reduce(losses, axis=-1) / losses.shape[-1]
 
 
@@ -249,13 +247,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _as_batch(x: np.ndarray, m: int) -> np.ndarray:
+def _rows_of(x: np.ndarray, m: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """``x`` as the rows a model takes, ``lead + (n, m)``, where ``lead`` is
+    its parameters' leading shape: () for one run, whose one (m,) row is
+    (1, m), and (S,) for a stack of S runs."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
+    if not lead and x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != m:
-        raise ValueError(f"expected input of width {m}, got shape {x.shape}")
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != m:
+        want = ", ".join(map(str, lead + ("n", m)))
+        raise ValueError(f"expected input of shape ({want}), got shape {x.shape}")
     return x
 
 
@@ -278,14 +279,14 @@ class LinearClassifier:
         return self.params.view("b")
 
     def score(self, x: np.ndarray) -> np.ndarray | float:
-        xb = _as_batch(x, self.m)
+        xb = _rows_of(x, self.m)
         p = sigmoid(xb @ self.w + self.b[0])
         return float(p[0]) if np.asarray(x).ndim == 1 else p
 
     def backward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of mean BCE with respect to the flat parameters, and the
         probabilities of the forward pass it was taken at."""
-        xb = _as_batch(x, self.m)
+        xb = _rows_of(x, self.m)
         y = np.asarray(y, dtype=np.float64)
         prob = sigmoid(xb @ self.w + self.b[0])
         r = (prob - y) / xb.shape[0]
@@ -295,17 +296,6 @@ class LinearClassifier:
         if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient in LinearClassifier.backward")
         return grad, prob
-
-
-def _rows_of(x: np.ndarray, m: int, runs: int | None) -> np.ndarray:
-    """``x`` as the rows a model takes: (n, m) for one run, whose one (m,)
-    row is (1, m), and (runs, n, m) for a stack of ``runs``."""
-    if runs is None:
-        return _as_batch(x, m)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != runs or x.shape[2] != m:
-        raise ValueError(f"expected input of shape ({runs}, n, {m}), got shape {x.shape}")
-    return x
 
 
 def _seeded_zeros(layout: ParamLayout, seed: int | Sequence[int],
@@ -381,7 +371,6 @@ class FeedForwardClassifier:
         if self.params.layout != layout:
             raise ValueError("parameter layout does not match architecture")
         self._lead = self.params.values.shape[:-1]
-        self._runs = self._lead[0] if self._lead else None
         W1, b1, W2, b2, W3, b3 = self.params.parts
         # The kernels' views: biases broadcast over rows, and W3 as a row.
         self._weights = (W1, b1[..., None, :], W2, b2[..., None, :], W3, b3,
@@ -447,7 +436,7 @@ class FeedForwardClassifier:
 
     def score(self, x: np.ndarray) -> np.ndarray | float:
         """Output probabilities."""
-        prob, _ = self._forward(_rows_of(x, self.m, self._runs))
+        prob, _ = self._forward(_rows_of(x, self.m, self._lead))
         return float(prob[0]) if np.asarray(x).ndim == 1 else prob
 
     def backward(
@@ -455,7 +444,7 @@ class FeedForwardClassifier:
     ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact gradient of mean BCE and the output probabilities of the
         forward pass it was taken at; optionally also d(loss)/d(input rows)."""
-        xb = _rows_of(x, self.m, self._runs)
+        xb = _rows_of(x, self.m, self._lead)
         y = np.asarray(y, dtype=np.float64)
         n = xb.shape[-2]
         prob, (z1, a1, z2, a2) = self._forward(xb, backward=True)
@@ -514,13 +503,12 @@ class NoiseWrapper:
         self.params = params if params is not None else ModelParams(layout)
         if self.params.layout != layout:
             raise ValueError("parameter layout does not match architecture")
-        lead = self.params.values.shape[:-1]
+        self._lead = lead = self.params.values.shape[:-1]
         eta = np.array(eta, dtype=np.float64)
         if eta.shape != lead + (m,):
             raise ValueError(f"eta must have shape {lead + (m,)}")
         eta.setflags(write=False)
         self.eta = eta
-        self._runs = lead[0] if lead else None
         self._z, self._u, self._du = (np.empty(lead + (hidden,)) for _ in range(3))
         self._active = np.empty(lead + (hidden,), dtype=bool)
         self._pert, self._d_out, self._slope = (np.empty(lead + (m,)) for _ in range(3))
@@ -577,7 +565,7 @@ class NoiseWrapper:
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x`` plus the perturbation, in ``out`` (which may be ``x``) when
         given, else in a new array."""
-        rows = _rows_of(x, self.m, self._runs)
+        rows = _rows_of(x, self.m, self._lead)
         self._forward()
         out = np.add(rows, self._rows[-1], out=out)
         return out[0] if np.asarray(x).ndim == 1 else out
@@ -590,12 +578,7 @@ class NoiseWrapper:
         call one of them first, and do not change the parameters between
         that call and this one.
         """
-        if self._runs is None:
-            d_xtilde = np.atleast_2d(np.asarray(d_xtilde, dtype=np.float64))
-            if d_xtilde.shape[1] != self.m:
-                raise ValueError("upstream gradient width mismatch")
-        else:
-            d_xtilde = _rows_of(d_xtilde, self.m, self._runs)
+        d_xtilde = _rows_of(d_xtilde, self.m, self._lead)
         pert, z = self._pert, self._z
         _, _, _, du_row, d_out_row, _ = self._rows
         eta_col, u_col, du_col, d_out_col = self._cols

@@ -237,9 +237,6 @@ class _Batches:
         self._x = np.empty((len(self.streams) * batch_size, d.m))
         self._y = np.empty(len(self.streams) * batch_size)
 
-    def __iter__(self):
-        return self
-
     def __next__(self) -> tuple[np.ndarray, np.ndarray]:
         idx = [next(stream) for stream in self.streams]
         n = idx[0].size

@@ -1251,6 +1251,49 @@ def test_unusable_output_path_exits_1(argv, workdir):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def _histogram(t: Path, ckpt: Path, feature: str, data: str = "d.csv") -> list:
+    """A checkpoint-mode audit of ``hashed_checkpoint`` with a histogram of
+    ``feature``; its ``--data`` exists unless named otherwise."""
+    _file(t / "d.csv", hashed_csv(50, seed=9))
+    return ["audit", "--checkpoint", ckpt, "--data", t / data,
+            "--histogram-feature", feature, "--out", t / "out"]
+
+
+# Usage errors, and histogram features that the checkpoint's schema has no
+# numeric column for: each is a config error, reported before any input is
+# read.
+USAGE_ERRORS = {
+    "no-subcommand": lambda t, ckpt: [],
+    "train-missing-data": lambda t, ckpt: [
+        "train", "--config", _file(t / "cfg.json", TRAIN_CFG), "--out", t / "out"],
+    "audit-bins-not-int": lambda t, ckpt: [
+        "audit", "--predictions", _file(t / "p.csv", PREDICTIONS), "--out", t / "out",
+        "--bins", "abc"],
+    "histogram-unknown-feature": lambda t, ckpt: _histogram(t, ckpt, "nosuch"),
+    "histogram-label": lambda t, ckpt: _histogram(t, ckpt, "label"),
+    "histogram-sensitive": lambda t, ckpt: _histogram(t, ckpt, "group"),
+    "histogram-categorical-feature": lambda t, ckpt: _histogram(t, ckpt, "c0"),
+    "histogram-checked-before-data": lambda t, ckpt: _histogram(
+        t, ckpt, "nosuch", data="missing.csv"),
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_1(argv, hashed_checkpoint, tmp_path):
+    proc = run_cli(*argv(tmp_path, hashed_checkpoint))
+    assert_clean_failure(proc, 1)
+    assert "error kind=config exit=1" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert "error kind=" not in capsys.readouterr().err
+
+
 def test_label_id_column_is_rejected_fast(tmp_path):
     """A label column of 100,000 distinct values is coded in one linear pass
     before it is rejected."""

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -558,6 +559,7 @@ class TestKernelsMatchReference:
     @given(size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
            steps=st.integers(1, 6), lr=st.sampled_from([1e-3, 0.05, 1.0]),
            scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e150, np.inf]))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_adam_step(self, size, seed, steps, lr, scale):
         """An infinite scale gives infinite gradients, which the reference
         rejects up front and ``adam_step`` through its non-finite step."""
@@ -797,3 +799,52 @@ class TestStackedKernels:
             assert same_bits(wrap.run(i).params.values, lone.params.values)
         with pytest.raises(ValueError, match=r"expected input of shape \(2, n, 6\)"):
             net.score(np.zeros((3, 6)))
+
+
+
+def _seeds(lead: tuple[int, ...]):
+    return [0, 1] if lead else 0
+
+
+def _noise_backward(wrap: NoiseWrapper, d: np.ndarray) -> np.ndarray:
+    wrap.perturbation()
+    return wrap.backward(d)
+
+
+# Every model input path, as a function of the parameters' leading shape
+# (() for one run, (2,) for a stack of two) and the input. Labels match the
+# input's rows, so only the input's shape can be wrong.
+INPUT_PATHS = {
+    "linear-score": lambda lead, x: LinearClassifier(6).score(x),
+    "linear-backward": lambda lead, x: LinearClassifier(6).backward(x, np.zeros(x.shape[:-1])),
+    "ffn-score": lambda lead, x: FeedForwardClassifier.initialized(
+        6, 4, 3, _seeds(lead)).score(x),
+    "ffn-backward": lambda lead, x: FeedForwardClassifier.initialized(
+        6, 4, 3, _seeds(lead)).backward(x, np.zeros(x.shape[:-1])),
+    "noise-apply": lambda lead, x: NoiseWrapper.initialized(6, 5, _seeds(lead)).apply(x),
+    "noise-backward": lambda lead, x: _noise_backward(
+        NoiseWrapper.initialized(6, 5, _seeds(lead)), x),
+}
+WRONG_SHAPES = {
+    "one-width": ((), (3, 7)),
+    "one-rank-3": ((), (2, 3, 6)),
+    "one-rank-0": ((), ()),
+    "stack-width": ((2,), (2, 3, 7)),
+    "stack-rank-2": ((2,), (3, 6)),
+    "stack-rank-1": ((2,), (6,)),
+    "stack-runs": ((2,), (3, 3, 6)),
+}
+WRONG_INPUTS = {f"{path}-{case}": (path, lead, shape)
+                for path in INPUT_PATHS for case, (lead, shape) in WRONG_SHAPES.items()
+                if not (lead and path.startswith("linear"))}  # a LinearClassifier holds one run
+
+
+@pytest.mark.parametrize("path, lead, shape", WRONG_INPUTS.values(), ids=WRONG_INPUTS.keys())
+def test_every_input_path_rejects_a_wrong_shape(path, lead, shape):
+    """One check, ``_rows_of``, takes every model input: each path rejects a
+    wrong width, a wrong rank and a stack's wrong run count with one
+    message that names the shape it expected."""
+    want = r"\(2, n, 6\)" if lead else r"\(n, 6\)"
+    with pytest.raises(ValueError, match=rf"^expected input of shape {want}, got shape "
+                                         rf"{re.escape(str(shape))}$"):
+        INPUT_PATHS[path](lead, np.zeros(shape))
