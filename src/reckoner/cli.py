@@ -170,6 +170,11 @@ def cmd_audit(args) -> int:
         raise ConfigError("--predictions cannot be combined with --checkpoint")
     if args.data and not args.checkpoint:
         raise ConfigError("--data requires --checkpoint")
+    if args.bins is not None and not args.histogram_feature:
+        raise ConfigError("--bins requires --histogram-feature")
+    bins = 10 if args.bins is None else args.bins
+    if bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {bins}")
     spec = BucketSpec(tuple(args.bucket_thresholds)) if args.bucket_thresholds \
         else BucketSpec()
 
@@ -205,7 +210,7 @@ def cmd_audit(args) -> int:
         bucket = bucket_analysis(preds, labels, groups, conf, spec, *report.pair)
     if args.histogram_feature:
         hist = feature_histograms(x.feature(args.histogram_feature), groups, conf, spec,
-                                  args.histogram_feature, bins=args.bins)
+                                  args.histogram_feature, bins=bins)
 
     out_dir = make_dir(args.out)
     write_json(out_dir / "fairness_report.json",
@@ -383,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--out", required=True, help="output directory")
     p_audit.add_argument("--histogram-feature", default=None,
                          help="numeric feature to histogram per bucket")
-    p_audit.add_argument("--bins", type=int, default=10)
+    p_audit.add_argument("--bins", type=int, default=None,
+                         help="histogram bins (default 10); needs --histogram-feature")
     p_audit.add_argument("--bucket-thresholds", type=float, nargs="+", default=None)
     p_audit.set_defaults(func=cmd_audit)
 

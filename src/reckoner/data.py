@@ -8,6 +8,7 @@ separately and consulted only at evaluation time.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -267,43 +268,136 @@ def _map_labels(distinct: list[str], which: np.ndarray) -> np.ndarray:
     return np.array(mapping, dtype=np.int64)[which]
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw binary stream that feeds every byte read through it to a hash,
-    so a file is hashed as it is read, pipes included."""
+# Bytes per decode: io.TextIOWrapper's chunk size. Decoding in the same
+# pieces makes a UnicodeDecodeError name the same byte position.
+_PIECE_BYTES = 8192
 
-    def __init__(self, raw, digest) -> None:
-        self.raw, self.digest = raw, digest
 
-    def readable(self) -> bool:
-        return True
+def _text_pieces(raw, digest):
+    """The UTF-8 text of a binary stream, a leading byte-order mark dropped,
+    decoded one read of ``_PIECE_BYTES`` at a time; ``digest`` gets every
+    byte read, so pipes are hashed too."""
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
+    while piece := raw.read(_PIECE_BYTES):
+        digest.update(piece)
+        yield decode(piece)
+    yield decode(b"", True)
 
-    def readinto(self, b) -> int:
-        n = self.raw.readinto(b)
-        if n:
-            self.digest.update(memoryview(b)[:n])
-        return n
+
+def _lines(text: str, pieces):
+    """The lines of ``text`` and then of ``pieces``, each cut after its LF,
+    CR or CRLF as io.TextIOWrapper(newline="") cuts them; a piece is read
+    only when no whole line is left."""
+    held = []
+    for piece in itertools.chain((text,), pieces):
+        held.append(piece)
+        if "\n" in piece or "\r" in piece or held[0].endswith("\r"):
+            text = "".join(held)
+            cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+            yield from io.StringIO(text[:cut], newline="")
+            held = [text[cut:]]
+    if text := "".join(held):
+        yield text
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of a plain line, as csv.reader reads them."""
+    return line.split(",") if line else []
+
+
+def _split_block(lines: list[str], width: int):
+    """A block of plain lines split at every comma: ``(rows, cells,
+    widths)`` as ``_csv_blocks`` yields it."""
+    if "" in lines:
+        lines = [line for line in lines if line]  # a blank line is no row
+    if not lines:
+        return 0, [], None
+    commas = list(map(str.count, lines, itertools.repeat(",")))
+    widths = None if commas.count(width - 1) == len(commas) else [k + 1 for k in commas]
+    return len(lines), ",".join(lines).split(","), widths
+
+
+def _row_block(rows: list[list[str]], width: int):
+    """A block of csv.reader rows as ``_csv_blocks`` yields it."""
+    rows = [r for r in rows if r]
+    widths = list(map(len, rows))
+    return (len(rows), list(itertools.chain.from_iterable(rows)),
+            None if widths.count(width) == len(widths) else widths)
+
+
+def _blocks(pieces):
+    """The header row of the text in ``pieces`` (None if it has no line),
+    then blocks of its rows as ``_csv_blocks`` yields them.
+
+    Lines without a ``"``, CR or NUL, none longer than the csv field
+    limit, are split at their commas into the rows csv.reader would give.
+    From the line start before the first piece that fails this test to the
+    end, the rows come from csv.reader."""
+    limit, size = csv.field_size_limit(), CODE_BLOCK_ROWS
+    lines, held, width = [], [], None
+    for piece in pieces:
+        held.append(piece)
+        if '"' in piece or "\r" in piece or "\x00" in piece:
+            break
+        if "\n" not in piece:
+            continue
+        text = "".join(held)
+        cut = text.rfind("\n")
+        more = text[:cut].split("\n")
+        if cut > limit and max(map(len, more)) > limit:
+            break
+        held = [text[cut + 1:]]
+        lines += more
+        if width is None:
+            header = _cells(lines.pop(0))
+            yield header
+            width = len(header)
+        while len(lines) >= size:
+            yield _split_block(lines[:size], width)
+            del lines[:size]
+    else:  # end of file: what is held is a last line without its \n
+        if len(tail := "".join(held)) <= limit:
+            held = []
+            lines += [tail] if tail else []
+    if width is None and lines:
+        header = _cells(lines.pop(0))
+        yield header
+        width = len(header)
+    for i in range(0, len(lines), size):
+        yield _split_block(lines[i:i + size], width)
+    if not held:
+        if width is None:
+            yield None
+        return
+    reader = csv.reader(_lines("".join(held), pieces))
+    if width is None:
+        header = next(reader, None)
+        yield header
+        width = len(header or ())
+    while block := list(itertools.islice(reader, size)):
+        yield _row_block(block, width)
 
 
 def _csv_blocks(path: str | Path, what: str, digest):
     """Yield the header of a UTF-8 CSV, its names stripped of spaces and of
-    a leading byte-order mark, then its nonblank rows in lists of at most
-    ``CODE_BLOCK_ROWS``; every byte read goes to ``digest``, a hashlib hash,
-    the mark included. A missing, empty or unreadable file is a DataError
-    naming ``what`` it was, raised where the reading stops."""
+    a leading byte-order mark, then its nonblank rows in blocks of at most
+    ``CODE_BLOCK_ROWS``, each as ``(rows, cells, widths)``: the number of
+    rows, all their cells row after row, and None if each row has as many
+    cells as the header, else each row's cell count. Every byte read goes
+    to ``digest``, a hashlib hash, the mark included. A missing, empty or
+    unreadable file is a DataError naming ``what`` it was, raised where the
+    reading stops."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing {what}: {path}")
     try:
-        with path.open("rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_HashingReader(raw, digest)),
-                encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with path.open("rb", buffering=0) as raw:
+            blocks = _blocks(_text_pieces(raw, digest))
+            header = next(blocks)
             if header is None:
                 raise DataError(f"empty {what}: {path}")
             yield [name.strip() for name in header]
-            while block := list(itertools.islice(reader, CODE_BLOCK_ROWS)):
-                yield [r for r in block if r]
+            yield from blocks
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -341,12 +435,14 @@ def read_predictions(path: str | Path):
     ip, il, ig, js = (header.index(name) if name in header else None
                       for name in ("pred", "label", "group", "score"))
     parts = []
-    for block in blocks:
-        if error is not None or not block:
+    for rows, cells, widths in blocks:
+        if error is not None or not rows:
             continue  # a read error later in the file comes first
+        cell = iter(cells)
         pred, label, group, score = [], [], [], []
         try:
-            for row in block:
+            for width in widths or itertools.repeat(len(header), rows):
+                row = list(itertools.islice(cell, width))
                 pred.append(_integer_cell(row[ip]))
                 label.append(_integer_cell(row[il]))
                 group.append(_integer_cell(row[ig]))
@@ -365,29 +461,57 @@ def read_predictions(path: str | Path):
     return pred, label, group, score if js is not None else None, digest.hexdigest()
 
 
+class _Column:
+    """One column's values, block after block, in one array that doubles in
+    place when it is full. No per-block parts are kept and joined, so the
+    coder leaves no heap of freed parts behind for later buffers to miss."""
+
+    def __init__(self, dtype) -> None:
+        self.values, self.n = np.empty(0, dtype), 0
+
+    def append(self, part: np.ndarray) -> None:
+        end = self.n + part.size
+        if end > self.values.size:
+            self.values.resize(max(2 * self.values.size, end), refcheck=False)
+        self.values[self.n:end] = part
+        self.n = end
+
+    def array(self) -> np.ndarray:
+        """The values, trimmed to length; the column takes no more."""
+        values, self.values = self.values, None
+        values.resize(self.n, refcheck=False)
+        return values
+
+
 class _Codes:
     """First-appearance codes of one column's cells, block by block: each
     distinct cell is keyed once per file, each row keeps one integer."""
 
     def __init__(self) -> None:
         self.index: dict[str, int] = {}
-        self.parts: list[np.ndarray] = []
+        self.codes = _Column(np.int64)
         self.first_empty: int | None = None
 
     def add(self, cells: list[str], base: int) -> None:
+        """Code a block's cells, spaces stripped. Keys are stripped, so a
+        cell that is a key needs no strip; only a block holding a cell that
+        is not strips its cells and runs the pass that keys new values."""
         index = self.index
-        for v in dict.fromkeys(cells):
-            if v not in index:
-                index[v] = len(index)
-                if v == "":
-                    self.first_empty = base + cells.index("")
-        self.parts.append(np.fromiter(map(index.__getitem__, cells), dtype=np.int64,
-                                      count=len(cells)))
+        try:
+            codes = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+        except KeyError:
+            cells = list(map(str.strip, cells))
+            for v in dict.fromkeys(cells):
+                if v not in index:
+                    index[v] = len(index)
+                    if v == "":
+                        self.first_empty = base + cells.index("")
+            codes = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+        self.codes.append(codes)
 
     def which(self) -> np.ndarray:
-        """Each row's code, joined once; the per-block parts are dropped."""
-        which, self.parts = np.concatenate(self.parts), []
-        return which
+        """Each row's code."""
+        return self.codes.array()
 
 
 class _Floats:
@@ -397,21 +521,23 @@ class _Floats:
 
     def __init__(self, name: str, impute_missing: bool) -> None:
         self.name, self.impute_missing = name, impute_missing
-        self.parts: list[np.ndarray] = []
+        self.values = _Column(np.float64)
         self.missing: list[int] = []
         self.error: str | None = None
 
     def add(self, cells: list[str], base: int) -> None:
+        """Parse a block's cells; ``float`` reads past the spaces that
+        ``str.strip`` strips, so only the per-cell loop strips them."""
         if self.error is not None:
             return
         try:
-            self.parts.append(np.fromiter(map(float, cells), dtype=np.float64,
-                                          count=len(cells)))
+            self.values.append(np.fromiter(map(float, cells), dtype=np.float64,
+                                           count=len(cells)))
             return
         except ValueError:
             pass
         col = np.empty(len(cells), dtype=np.float64)
-        for i, cell in enumerate(cells):
+        for i, cell in enumerate(map(str.strip, cells)):
             if cell == "":
                 if not self.impute_missing:
                     self.error = (f"missing cell in numeric column {self.name!r}, "
@@ -426,12 +552,12 @@ class _Floats:
                 self.error = (f"unparseable numeric cell {cell!r} in column "
                               f"{self.name!r}, row {base + i + 2}")
                 return
-        self.parts.append(col)
+        self.values.append(col)
 
     def column(self) -> np.ndarray:
         if self.error is not None:
             raise DataError(self.error)
-        col, self.parts = np.concatenate(self.parts), []
+        col = self.values.array()
         if self.missing:
             present = np.delete(col, self.missing)
             if present.size == 0:
@@ -487,18 +613,16 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     coders = {c.name: _Floats(c.name, impute_missing) if c.kind == "numeric" else _Codes()
               for c in schema.columns}
     at = [(header.index(name), coder) for name, coder in coders.items()]
-    n, ragged = 0, None
-    for block in blocks:
+    n, ragged, width = 0, None, len(header)
+    for rows, cells, widths in blocks:
         if ragged is None:
-            i = next((i for i, row in enumerate(block) if len(row) != len(header)), None)
-            if i is not None:
-                ragged = (f"row {n + i + 2}: expected {len(header)} cells, "
-                          f"got {len(block[i])}")
-            elif block:
-                cols = list(zip(*block))
+            if widths is not None:
+                i = next(i for i, k in enumerate(widths) if k != width)
+                ragged = f"row {n + i + 2}: expected {width} cells, got {widths[i]}"
+            elif rows:
                 for j, coder in at:
-                    coder.add(list(map(str.strip, cols[j])), n)
-        n += len(block)
+                    coder.add(cells[j::width], n)
+        n += rows
     if n == 0:
         raise DataError(f"empty file: {path} has a header but no rows")
     if ragged is not None:

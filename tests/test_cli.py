@@ -1275,6 +1275,11 @@ USAGE_ERRORS = {
     "histogram-categorical-feature": lambda t, ckpt: _histogram(t, ckpt, "c0"),
     "histogram-checked-before-data": lambda t, ckpt: _histogram(
         t, ckpt, "nosuch", data="missing.csv"),
+    "bins-zero-checked-before-data": lambda t, ckpt: [
+        *_histogram(t, ckpt, "n0", data="missing.csv"), "--bins", "0"],
+    "bins-without-histogram": lambda t, ckpt: [
+        "audit", "--predictions", _file(t / "p.csv", PREDICTIONS), "--out", t / "out",
+        "--bins", "5"],
 }
 
 
@@ -1506,7 +1511,7 @@ fuzz_headers = (st.just(FUZZ_HEADER) | st.permutations(FUZZ_HEADER)
 @st.composite
 def fuzz_tables(draw):
     """A header and rows (some from a valid table, some ragged or fuzzed),
-    encoded as bytes."""
+    with CRLF or LF line ends, encoded as bytes."""
     header = draw(fuzz_headers)
     rows = fuzz_valid_rows(draw(st.sampled_from([0, 3, 80])))
     for _ in range(draw(st.integers(0, 3))):
@@ -1517,7 +1522,8 @@ def fuzz_tables(draw):
         if j < len(rows[i]):
             rows[i][j] = draw(fuzz_cells)
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(
+        [header, *rows])
     text = buf.getvalue()
     encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "latin-1", "raw"]))
     if encoding == "raw":
