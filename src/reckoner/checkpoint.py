@@ -103,7 +103,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Read a version 1 or 2 checkpoint; any malformed one is a ConfigError."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in READABLE_VERSIONS:
+    if type(version) is not int or version not in READABLE_VERSIONS:  # true and 1.0 equal 1
         raise ConfigError(f"unsupported checkpoint version {version!r}")
     try:
         return _from_doc(doc)

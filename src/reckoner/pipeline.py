@@ -9,10 +9,11 @@ the high-confidence classifier (and the noise wrapper, when enabled) takes
 a gradient step on ground truth, and the low-confidence classifier rolls
 back to its initialization snapshot.
 
-Runs whose configs differ only in ``seed`` train in lockstep as one stack
-(see ``ReckonerModel``): each step is one kernel call for all of them, and
-each run gets the bits it gets alone. One run is the same code without the
-run axis.
+Training always runs a stack of S >= 1 runs whose configs differ only in
+``seed`` (see ``ReckonerModel``): each step is one kernel call for all of
+them, and each run gets the bits it gets alone. A lone config trains as a
+stack of one and gets that stack's run 0, a model without the run axis; the
+refinement step serves such a view and a stack alike.
 """
 
 from __future__ import annotations
@@ -116,21 +117,20 @@ def _run_configs(cfg: TrainConfig | Sequence[TrainConfig]) -> list[TrainConfig]:
     return configs
 
 
-def _seeds(configs: list[TrainConfig], role: int) -> int | list[int]:
-    """The runs' seeds for one seed role: an int for one run, a list for a
-    stack."""
-    seeds = [c.seed + role for c in configs]
-    return seeds[0] if len(seeds) == 1 else seeds
+def _seeds(configs: list[TrainConfig], role: int) -> list[int]:
+    """The runs' seeds for one seed role, one per run of the stack."""
+    return [c.seed + role for c in configs]
 
 
 @dataclass(frozen=True)
 class PseudoLearnState:
     """Outcome of one pseudo-learning cycle of the low-confidence classifier;
-    its best step's parameters are in the model's ``best_low``. For a
-    stack, ``k`` holds each run's best step and each loss each run's."""
+    its best step's parameters are in the model's ``best_low``. ``k`` holds
+    each run's best step and each loss each run's, with the model's leading
+    run shape: scalars for a lone run, (S,) arrays for a stack."""
 
-    k: int | np.ndarray
-    losses: tuple[float | np.ndarray, ...]
+    k: np.ndarray
+    losses: tuple[np.ndarray, ...]
 
 
 def _batches(n: int, batch_size: int, seed: int):
@@ -169,12 +169,13 @@ class ReckonerModel:
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
 
-    The classifiers and the wrapper may hold a stack of S runs whose
-    configs differ only in ``seed``, which nothing reads after
-    initialization: every parameter vector, Adam moment and buffer then has
-    a leading run axis, inputs are (S, n, m) and labels (S, n), and
-    ``config`` is the first run's. ``run(i, config)`` is run i as a model of
-    its own, on views of its rows, for ``predict``, checkpoints and history.
+    ``train`` and ``initialize`` build a stack of S >= 1 runs whose configs
+    differ only in ``seed``, which nothing reads after initialization: every
+    parameter vector, Adam moment and buffer has a leading run axis, inputs
+    are (S, n, m) and labels (S, n), and ``config`` is the first run's.
+    ``run(i, config)`` is run i as a model of its own, without the run axis,
+    on views of its rows, for ``predict``, checkpoints and history; a lone
+    config's model is run 0 of a stack of one.
     """
 
     def __init__(self, high: FeedForwardClassifier, low: FeedForwardClassifier,
@@ -225,14 +226,13 @@ class ReckonerModel:
 
 class _Batches:
     """Seeded mini-batches of ``d``'s rows and float labels, from one batch
-    stream (see ``_batches``) per run of ``seed``: (n, m) rows and (n,)
-    labels for one seed; for a sequence of S seeds, (S, n, m) and (S, n),
-    each run's batch gathered into its slice of one buffer by one ``take``.
-    The streams share ``n`` and the batch size, so their batches do too."""
+    stream (see ``_batches``) per seed: (S, n, m) rows and (S, n) labels for
+    S seeds, each run's batch gathered into its slice of one buffer by one
+    ``take``. The streams share ``n`` and the batch size, so their batches
+    do too."""
 
-    def __init__(self, d: Dataset, batch_size: int, seed: int | Sequence[int]):
-        self.lead = () if np.ndim(seed) == 0 else (len(seed),)
-        self.streams = [_batches(d.n, batch_size, s) for s in np.atleast_1d(seed).tolist()]
+    def __init__(self, d: Dataset, batch_size: int, seeds: list[int]):
+        self.streams = [_batches(d.n, batch_size, s) for s in seeds]
         self.x, self.y = d.x, d.y.astype(np.float64)
         self._x = np.empty((len(self.streams) * batch_size, d.m))
         self._y = np.empty(len(self.streams) * batch_size)
@@ -243,14 +243,14 @@ class _Batches:
         flat = idx[0] if len(idx) == 1 else np.concatenate(idx)
         x = self.x.take(flat, axis=0, out=self._x[:flat.size], mode="clip")
         y = self.y.take(flat, out=self._y[:flat.size], mode="clip")
-        return x.reshape(self.lead + (n, -1)), y.reshape(self.lead + (n,))
+        return x.reshape(len(idx), n, -1), y.reshape(len(idx), n)
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
-                steps: int, batch_size: int, stream_seed: int | Sequence[int]) -> None:
+                steps: int, batch_size: int, stream_seeds: list[int]) -> None:
     """Plain supervised Adam training on raw inputs, each run of a stack in
     lockstep on its own seeded batch stream over ``d``."""
-    batches = _Batches(d, min(batch_size, d.n), stream_seed)
+    batches = _Batches(d, min(batch_size, d.n), stream_seeds)
     for _ in range(steps):
         x, y = next(batches)
         grad, _ = model.backward(x, y)
@@ -270,10 +270,12 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
     ``identifier`` is ``identify(train, cfg)`` when given; it is fitted here
     when not.
 
-    A sequence of several configs that differ only in ``seed`` gives one
-    model holding their stack of runs, initialized in lockstep on the same
-    subsets.
+    A sequence of configs that differ only in ``seed`` gives one model
+    holding their stack of runs, initialized in lockstep on the same
+    subsets. A lone config is initialized as a stack of one, and its model
+    is that stack's run 0.
     """
+    lone = isinstance(cfg, TrainConfig)
     configs = _run_configs(cfg)
     cfg = configs[0]
     if train.n == 0:
@@ -310,12 +312,7 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
     # initialized low classifier and zero its optimizer.
     model.low_snapshot = low.params.snapshot()
     model.low_state.reset()
-    return model
-
-
-def _per_run(value: float | np.ndarray) -> list:
-    """Each run's value: a stack's (S,) array as a list, one run's alone."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value]
+    return model.run(0, cfg) if lone else model
 
 
 def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
@@ -339,8 +336,8 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
     else:
         y_tilde = np.asarray(p_high, dtype=np.float64)
     x_low = x_high if cfg.low_conf_sees_noise else x
-    losses: list[float | np.ndarray] = []
-    best_loss: list[float] | None = None  # each run's, as are best_k and better
+    losses: list[np.ndarray] = []
+    best_loss, best_k = np.inf, 1  # each run's, as is better
     grad, _ = model.low.backward(x_low, y_tilde)
     for step in range(1, cfg.pseudo_iters + 1):
         adam_step(model.low.params, grad, model.low_state)
@@ -349,22 +346,14 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
         else:
             prob = model.low.score(x_low)
         loss = bce(prob, y_tilde)
-        run_losses = _per_run(loss)
-        if not all(map(math.isfinite, run_losses)):
+        if not np.isfinite(loss).all():
             raise NumericError("non-finite pseudo-learning loss")
         losses.append(loss)
-        if best_loss is None:
-            best_loss, best_k = [math.inf] * len(run_losses), [1] * len(run_losses)
-        better = [new < old for new, old in zip(run_losses, best_loss)]
-        best_loss = [min(new, old) for new, old in zip(run_losses, best_loss)]
-        best_k = [step if b else k for b, k in zip(better, best_k)]
-        if all(better):
-            np.copyto(model.best_low.values, model.low.params.values)
-        elif any(better):  # a stack's runs only: one run's step is better or not
-            np.copyto(model.best_low.values, model.low.params.values,
-                      where=np.array(better)[:, None])
-    k = np.array(best_k) if isinstance(loss, np.ndarray) else best_k[0]
-    return PseudoLearnState(k=k, losses=tuple(losses))
+        better = loss < best_loss
+        best_loss = np.minimum(loss, best_loss)
+        best_k = np.where(better, step, best_k)
+        np.copyto(model.best_low.values, model.low.params.values, where=better[..., None])
+    return PseudoLearnState(k=best_k, losses=tuple(losses))
 
 
 def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
@@ -396,7 +385,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     else:
         grad_high, prob = model.high.backward(x_high, y)
     loss = bce(prob, y)
-    if not all(map(math.isfinite, _per_run(loss))):
+    if not np.isfinite(loss).all():
         raise NumericError("non-finite refinement loss")
     adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
@@ -429,15 +418,16 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
     state (no early stopping).
 
     A sequence of configs that differ only in ``seed`` gives a list of each
-    run's model, trained in lockstep as one stack when there are several;
-    each has the bits a ``train`` of its config alone gives.
+    run's model, trained in lockstep as one stack; each has the bits a
+    ``train`` of its config alone gives. A lone config trains as a stack of
+    one and gives that stack's run 0.
     """
     configs = _run_configs(cfg)
     listed = not isinstance(cfg, TrainConfig)
     if train_set.n == 0 or valid.n == 0:
         raise DataError("train and valid sets must be nonempty")
     model = initialize(train_set, configs, identifier=identifier)
-    runs = [model] if len(configs) == 1 else [model.run(i, c) for i, c in enumerate(configs)]
+    runs = [model.run(i, c) for i, c in enumerate(configs)]
     cfg = configs[0]
     refine_steps = cfg.total_iterations - cfg.init_steps
     batch_size = min(cfg.batch_size, train_set.n)
@@ -452,10 +442,10 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
             cfg.pseudo_cadence == "batch" or first_of_epoch
         )
         log = refinement_step(model, x, y, run_pseudo=run_pseudo)
-        for losses, loss in zip(epoch_losses, _per_run(log["loss"])):
+        for losses, loss in zip(epoch_losses, np.atleast_1d(log["loss"]).tolist()):
             losses.append(loss)
         if "k" in log:
-            for counts, k in zip(k_counts, _per_run(log["k"])):
+            for counts, k in zip(k_counts, np.atleast_1d(log["k"]).tolist()):
                 counts[k] = counts.get(k, 0) + 1
         if (step + 1) % epoch_len == 0 or step + 1 == refine_steps:
             for run, losses, counts in zip(runs, epoch_losses, k_counts):
@@ -465,10 +455,10 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
                 entry.update(_validation_entry(run, valid))
                 run.history.append(entry)
             epoch_losses, k_counts = [[] for _ in runs], [{} for _ in runs]
-    for run in runs:  # a stack's views took their step counts at their making
+    for run in runs:  # the views took the stack's step counts at their making
         run.high_state.t, run.noise_state.t = model.high_state.t, model.noise_state.t
         run.low_state.t = model.low_state.t
-    return runs if listed else model
+    return runs if listed else runs[0]
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
@@ -513,16 +503,17 @@ def erm_baseline(train_set: Dataset, cfg: TrainConfig) -> FeedForwardClassifier:
     """Plain supervised trainer: same architecture, budget, and seed streams.
 
     Matches the pipeline with noise and pseudo-learning disabled and the
-    initialization phase run on the full training set.
+    initialization phase run on the full training set. It trains a stack of
+    one, as ``train`` does a lone config, and returns its run 0.
     """
     if train_set.n == 0:
         raise DataError("training set is empty")
     model = FeedForwardClassifier.initialized(
-        train_set.m, cfg.hidden1, cfg.hidden2, cfg.seed + _SEED_HIGH_INIT
+        train_set.m, cfg.hidden1, cfg.hidden2, _seeds([cfg], _SEED_HIGH_INIT)
     )
-    state = AdamState.zeros(model.params.layout.size, lr=cfg.learning_rate)
+    state = AdamState.zeros(model.params.values.shape, lr=cfg.learning_rate)
     _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
-                cfg.seed + _SEED_STREAM_HIGH)
+                _seeds([cfg], _SEED_STREAM_HIGH))
     _init_phase(model, state, train_set, cfg.total_iterations - cfg.init_steps,
-                cfg.batch_size, cfg.seed + _SEED_STREAM_REFINE)
-    return model
+                cfg.batch_size, _seeds([cfg], _SEED_STREAM_REFINE))
+    return model.run(0)

@@ -87,13 +87,16 @@ class TestCheckpointRoundtrip:
         np.testing.assert_array_equal(predict(loaded.model, te.x)[1],
                                       predict(model, te.x)[1])
 
-    def test_version_mismatch_rejected(self, trained, tmp_path):
+    @pytest.mark.parametrize("version", [99, True, 1.0, 2.0])
+    def test_version_mismatch_rejected(self, trained, tmp_path, version):
+        """Only the JSON integers 1 and 2 are versions: Python's ``in``
+        would take ``true`` for 1 and ``1.0`` for 1."""
         _, _, _, path = trained
         doc = json.loads(path.read_text())
-        doc["format_version"] = 99
+        doc["format_version"] = version
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unsupported checkpoint version"):
             load_checkpoint(bad)
 
     def test_unreadable_file_rejected(self, tmp_path):

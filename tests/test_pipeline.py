@@ -241,6 +241,37 @@ class TestTrain:
         assert a.history == b.history
 
 
+class TestLoneRun:
+    def test_lone_config_is_run_zero_of_a_stack_of_one(self):
+        """A lone config's models hold 1-D vectors, score one row as a
+        float and give scalar pseudo-learning results, and ``train`` gives
+        the bits of its config trained as a one-run list."""
+        tr, va, _ = small_sets(seed=23)
+        cfg = TrainConfig(seed=27, **FAST)
+        model, erm = initialize(tr, cfg), erm_baseline(tr, cfg)
+        for params in (model.high.params, model.low.params, model.noise.params,
+                       model.low_snapshot, model.best_low, erm.params):
+            assert params.values.shape == (params.layout.size,)
+        assert type(model.high.score(tr.x[0])) is float
+        assert type(erm.score(tr.x[0])) is float
+        state = cycle(model, tr.x[:32])
+        assert np.ndim(state.k) == 0 and np.issubdtype(np.asarray(state.k).dtype, np.integer)
+        assert 1 <= state.k <= cfg.pseudo_iters
+        assert len(state.losses) == cfg.pseudo_iters
+        assert all(np.ndim(loss) == 0 for loss in state.losses)
+
+        lone, (listed,) = train(tr, va, cfg), train(tr, va, [cfg])
+        for name in ("high", "low", "noise"):
+            a, b = getattr(lone, name), getattr(listed, name)
+            assert a.params.values.tobytes() == b.params.values.tobytes(), name
+            sa, sb = getattr(lone, f"{name}_state"), getattr(listed, f"{name}_state")
+            assert sa.m.tobytes() == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
+            assert type(sa.t) is int and sa.t == sb.t, name
+        assert lone.low_snapshot.values.tobytes() == listed.low_snapshot.values.tobytes()
+        assert lone.best_low.values.tobytes() == listed.best_low.values.tobytes()
+        assert lone.history == listed.history
+
+
 class TestPredict:
     def test_tie_goes_positive_with_zero_weights(self):
         tr, va, _ = small_sets(seed=10)
@@ -675,5 +706,5 @@ class TestBatches:
         with pytest.raises(DataError) as want:
             _BatchStream(0, 32, seed=0)
         with pytest.raises(DataError) as got:
-            next(pipeline._Batches(tr.take([]), 32, 0))
+            next(pipeline._Batches(tr.take([]), 32, [0]))
         assert str(got.value) == str(want.value)
