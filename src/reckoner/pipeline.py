@@ -18,6 +18,7 @@ refinement step serves such a view and a stack alike.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -133,19 +134,6 @@ class PseudoLearnState:
     losses: tuple[np.ndarray, ...]
 
 
-def _batches(n: int, batch_size: int, seed: int):
-    """Seeded infinite mini-batch index stream: each epoch draws a fresh
-    permutation and yields its consecutive slices (the last may be short).
-    Callers pass ``batch_size <= n``."""
-    if n < 1:
-        raise DataError("cannot stream batches from an empty dataset")
-    rng = np.random.default_rng(seed)
-    while True:
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            yield perm[start : start + batch_size]
-
-
 # Deterministic sub-seed roles derived from TrainConfig.seed. The ERM
 # baseline reuses the same offsets so that the flag-disabled pipeline and
 # the plain trainer consume identical random streams.
@@ -165,7 +153,8 @@ class ReckonerModel:
     """Dual classifiers plus noise wrapper and their optimizer states.
 
     Prediction uses the high-confidence classifier only. The low classifier
-    rolls back to ``low_snapshot``, taken here from its current weights.
+    rolls back to ``low_snapshot``, taken here from its current weights and
+    refilled in place by ``initialize`` once its init phases are done.
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
 
@@ -195,16 +184,16 @@ class ReckonerModel:
         self._inputs = [np.empty((0, high.m))]  # one buffer, shared with a stack's runs
 
     def run(self, i: int, config: TrainConfig) -> "ReckonerModel":
-        """Run ``i`` of a stack, with its ``config``. Its Adam states are
-        views of the stack's moments at the stack's step count as of this
-        call. The runs share the stack's scoring buffers: score one at a
-        time."""
-        run = ReckonerModel(self.high.run(i), self.low.run(i), self.noise.run(i), config)
-        run.low_snapshot, run.best_low = self.low_snapshot.run(i), self.best_low.run(i)
-        run.high_state, run.low_state, run.noise_state = (
-            state.run(i) for state in (self.high_state, self.low_state, self.noise_state))
-        run.identifier = self.identifier
-        run._inputs = self._inputs
+        """Run ``i`` of a stack, with its ``config`` and a history of its
+        own: a shallow copy whose classifiers, snapshot, ``best_low`` and
+        Adam states are views of the stack's row i. Its Adam states are at
+        the stack's step count as of this call. The runs share the stack's
+        identifier and scoring buffers: score one at a time."""
+        run = copy.copy(self)
+        run.config, run.history = config, []
+        for name in ("high", "low", "noise", "low_snapshot", "best_low",
+                     "high_state", "low_state", "noise_state"):
+            setattr(run, name, getattr(self, name).run(i))
         return run
 
     @property
@@ -225,32 +214,42 @@ class ReckonerModel:
 
 
 class _Batches:
-    """Seeded mini-batches of ``d``'s rows and float labels, from one batch
-    stream (see ``_batches``) per seed: (S, n, m) rows and (S, n) labels for
-    S seeds, each run's batch gathered into its slice of one buffer by one
-    ``take``. The streams share ``n`` and the batch size, so their batches
-    do too."""
+    """Seeded mini-batches of ``d``'s ``rows`` for S runs at once: (S, b, m)
+    rows and (S, b) float labels, gathered into one buffer by one ``take``.
+    The runs share the row count and so every epoch boundary, so one cursor
+    serves them all: each epoch stacks one permutation of ``rows`` per seed
+    and yields its consecutive column slices (the last may be short).
+    Callers pass ``batch_size <= rows.size``."""
 
-    def __init__(self, d: Dataset, batch_size: int, seeds: list[int]):
-        self.streams = [_batches(d.n, batch_size, s) for s in seeds]
+    def __init__(self, d: Dataset, rows: np.ndarray, batch_size: int, seeds: list[int]):
+        if rows.size < 1:
+            raise DataError("cannot stream batches from an empty dataset")
+        self.rows, self.batch_size = rows, batch_size
+        self.rngs = [np.random.default_rng(s) for s in seeds]
         self.x, self.y = d.x, d.y.astype(np.float64)
-        self._x = np.empty((len(self.streams) * batch_size, d.m))
-        self._y = np.empty(len(self.streams) * batch_size)
+        self._x = np.empty((len(seeds) * batch_size, d.m))
+        self._y = np.empty(len(seeds) * batch_size)
+        self._start = rows.size
 
     def __next__(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = [next(stream) for stream in self.streams]
-        n = idx[0].size
-        flat = idx[0] if len(idx) == 1 else np.concatenate(idx)
-        x = self.x.take(flat, axis=0, out=self._x[:flat.size], mode="clip")
-        y = self.y.take(flat, out=self._y[:flat.size], mode="clip")
-        return x.reshape(len(idx), n, -1), y.reshape(len(idx), n)
+        if self._start >= self.rows.size:
+            self._perms = np.array([rng.permutation(self.rows) for rng in self.rngs])
+            self._start = 0
+        idx = self._perms[:, self._start:self._start + self.batch_size]
+        self._start += self.batch_size
+        s, b = idx.shape
+        x = self.x.take(idx, axis=0, out=self._x[:s * b].reshape(s, b, -1), mode="clip")
+        y = self.y.take(idx, out=self._y[:s * b].reshape(s, b), mode="clip")
+        return x, y
 
 
 def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
-                steps: int, batch_size: int, stream_seeds: list[int]) -> None:
+                rows: np.ndarray, steps: int, batch_size: int,
+                stream_seeds: list[int]) -> None:
     """Plain supervised Adam training on raw inputs, each run of a stack in
-    lockstep on its own seeded batch stream over ``d``."""
-    batches = _Batches(d, min(batch_size, d.n), stream_seeds)
+    lockstep on its own seeded batches of ``d``'s ``rows``, which are read
+    in place."""
+    batches = _Batches(d, rows, min(batch_size, rows.size), stream_seeds)
     for _ in range(steps):
         x, y = next(batches)
         grad, _ = model.backward(x, y)
@@ -291,8 +290,6 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
             f"threshold {cfg.confidence_threshold}; lower the threshold or "
             f"inspect the identifier fit"
         )
-    high_init = train.take(split.high)
-    low_init = train.take(split.low)
 
     high = FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2,
                                              _seeds(configs, _SEED_HIGH_INIT))
@@ -304,13 +301,13 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
     model = ReckonerModel(high, low, noise, cfg)
     model.identifier = identifier
     steps = cfg.init_steps
-    _init_phase(high, model.high_state, high_init, steps, cfg.batch_size,
+    _init_phase(high, model.high_state, train, split.high, steps, cfg.batch_size,
                 _seeds(configs, _SEED_STREAM_HIGH))
-    _init_phase(low, model.low_state, low_init, steps, cfg.batch_size,
+    _init_phase(low, model.low_state, train, split.low, steps, cfg.batch_size,
                 _seeds(configs, _SEED_STREAM_LOW))
     # Pseudo-learning cycles start from this exact state: snapshot the
     # initialized low classifier and zero its optimizer.
-    model.low_snapshot = low.params.snapshot()
+    model.low_snapshot.restore(low.params)
     model.low_state.reset()
     return model.run(0, cfg) if lone else model
 
@@ -431,7 +428,8 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
     cfg = configs[0]
     refine_steps = cfg.total_iterations - cfg.init_steps
     batch_size = min(cfg.batch_size, train_set.n)
-    batches = _Batches(train_set, batch_size, _seeds(configs, _SEED_STREAM_REFINE))
+    batches = _Batches(train_set, np.arange(train_set.n), batch_size,
+                       _seeds(configs, _SEED_STREAM_REFINE))
     epoch_len = math.ceil(train_set.n / batch_size)
     epoch_losses: list[list[float]] = [[] for _ in runs]
     k_counts: list[dict[int, int]] = [{} for _ in runs]
@@ -512,8 +510,9 @@ def erm_baseline(train_set: Dataset, cfg: TrainConfig) -> FeedForwardClassifier:
         train_set.m, cfg.hidden1, cfg.hidden2, _seeds([cfg], _SEED_HIGH_INIT)
     )
     state = AdamState.zeros(model.params.values.shape, lr=cfg.learning_rate)
-    _init_phase(model, state, train_set, cfg.init_steps, cfg.batch_size,
+    rows = np.arange(train_set.n)
+    _init_phase(model, state, train_set, rows, cfg.init_steps, cfg.batch_size,
                 _seeds([cfg], _SEED_STREAM_HIGH))
-    _init_phase(model, state, train_set, cfg.total_iterations - cfg.init_steps,
+    _init_phase(model, state, train_set, rows, cfg.total_iterations - cfg.init_steps,
                 cfg.batch_size, _seeds([cfg], _SEED_STREAM_REFINE))
     return model.run(0)

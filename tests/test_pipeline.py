@@ -12,6 +12,7 @@ from conftest import high_steps, init_high_on_all_rows, make_separable
 from reckoner import models, pipeline
 from reckoner.data import (
     ColumnSpec,
+    Dataset,
     Schema,
     SplitSpec,
     StandardizedRows,
@@ -240,6 +241,20 @@ class TestTrain:
         np.testing.assert_array_equal(a.noise.params.values, b.noise.params.values)
         assert a.history == b.history
 
+    def test_training_copies_no_rows(self, monkeypatch):
+        """The init phases batch through the confidence split's row indices,
+        and refinement and ERM through every row, all read in place."""
+        tr, va, _ = small_sets(seed=10)
+        cfg = TrainConfig(seed=15, **FAST)
+
+        def no_copy(self, indices):
+            raise AssertionError("training copied rows of its data")
+
+        monkeypatch.setattr(Dataset, "take", no_copy)
+        initialize(tr, cfg)
+        train(tr, va, [cfg, TrainConfig(seed=16, **FAST)])
+        erm_baseline(tr, cfg)
+
 
 class TestLoneRun:
     def test_lone_config_is_run_zero_of_a_stack_of_one(self):
@@ -270,6 +285,29 @@ class TestLoneRun:
         assert lone.low_snapshot.values.tobytes() == listed.low_snapshot.values.tobytes()
         assert lone.best_low.values.tobytes() == listed.best_low.values.tobytes()
         assert lone.history == listed.history
+
+    def test_run_views_share_the_stack_rows(self):
+        """Run i of a stack holds views of the stack's row i, the stack's
+        identifier, and a history of its own."""
+        tr, _, _ = small_sets(seed=24)
+        configs = [TrainConfig(seed=28, **FAST), TrainConfig(seed=29, **FAST)]
+        stack = initialize(tr, configs)
+        for i, cfg in enumerate(configs):
+            run = stack.run(i, cfg)
+            pairs = [(run.low_snapshot.values, stack.low_snapshot.values),
+                     (run.best_low.values, stack.best_low.values)]
+            for name in ("high", "low", "noise"):
+                pairs.append((getattr(run, name).params.values,
+                              getattr(stack, name).params.values))
+                state, stacked = getattr(run, f"{name}_state"), getattr(stack, f"{name}_state")
+                pairs += [(state.m, stacked.m), (state.v, stacked.v)]
+            for view, stacked in pairs:
+                assert view.shape == stacked.shape[1:]
+                assert np.shares_memory(view, stacked[i])
+                assert not np.shares_memory(view, stacked[1 - i])
+            assert run.identifier is stack.identifier
+            assert run.config is cfg
+            assert run.history == [] and run.history is not stack.history
 
 
 class TestPredict:
@@ -652,8 +690,8 @@ class TestReferenceEquivalence:
         assert len(built) <= len(sizes)
 
 
-# Reference batch stream: the cursor-walking class that ``pipeline._batches``
-# replaced, verbatim. The generator must yield the same index arrays.
+# Reference batch stream, kept verbatim from an earlier trainer. Each run of
+# ``pipeline._Batches`` must gather the rows at the indices it yields.
 
 class _BatchStream:
     """Seeded infinite mini-batch index stream; reshuffles every epoch.
@@ -694,17 +732,24 @@ class TestBatches:
         (300, 32),
     ])
     def test_batches_match_reference_stream(self, n, batch_size):
-        ref = _BatchStream(n, batch_size, seed=5)
-        new = pipeline._batches(n, min(batch_size, n), 5)
-        for _ in range(5 * math.ceil(n / ref.batch_size)):
-            want, got = next(ref), next(new)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        base = make_separable(n=2 * n, seed=n, m=1)
+        d = Dataset(x=np.arange(2.0 * n)[:, None], y=base.y, s=base.s, schema=base.schema)
+        ids, labels = d.x[:, 0], d.y.astype(np.float64)
+        rows = np.random.default_rng(n).permutation(2 * n)[:n]
+        refs = [_BatchStream(n, batch_size, seed=seed) for seed in (5, 6)]
+        batches = pipeline._Batches(d, rows, min(batch_size, n), [5, 6])
+        for _ in range(5 * math.ceil(n / refs[0].batch_size)):
+            x, y = next(batches)
+            for run, ref in enumerate(refs):
+                want = rows[next(ref)]
+                assert x.shape == (2, want.size, 1) and y.shape == (2, want.size)
+                assert x[run, :, 0].tobytes() == ids[want].tobytes()
+                assert y[run].tobytes() == labels[want].tobytes()
 
     def test_empty_dataset_raises_the_same_error(self):
         tr, _, _ = small_sets(seed=22)
         with pytest.raises(DataError) as want:
             _BatchStream(0, 32, seed=0)
         with pytest.raises(DataError) as got:
-            next(pipeline._Batches(tr.take([]), 32, [0]))
+            next(pipeline._Batches(tr, np.arange(0), 32, [0]))
         assert str(got.value) == str(want.value)
