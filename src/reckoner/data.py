@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -413,11 +412,12 @@ def _integer_cell(cell: str) -> int:
     return int(value)
 
 
-def _finite_cell(cell: str) -> float:
-    """A finite number; ``nan`` or ``inf`` is a ValueError."""
+def _score_cell(cell: str) -> float:
+    """A probability in [0, 1]; ``nan``, ``inf``, ``1.7`` or ``-0.7`` is a
+    ValueError."""
     value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite cell {cell!r}")
+    if not 0.0 <= value <= 1.0:  # NaN compares false
+        raise ValueError(f"score cell {cell!r} outside [0, 1]")
     return value
 
 
@@ -447,7 +447,7 @@ def read_predictions(path: str | Path):
                 label.append(_integer_cell(row[il]))
                 group.append(_integer_cell(row[ig]))
                 if js is not None:
-                    score.append(_finite_cell(row[js]))
+                    score.append(_score_cell(row[js]))
         except (IndexError, ValueError):
             error = f"unparseable predictions row {row!r}"
             continue

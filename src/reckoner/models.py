@@ -15,7 +15,7 @@ its slices' 2-D products, and its sums add the same rows in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -179,21 +179,18 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Adam optimizer state for one flat parameter vector, or a stack's rows
-    (whose runs step together and share ``t``), with the scratch vectors
-    ``adam_step`` forms its update in."""
+    (whose runs step together and share ``t``)."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     lr: float
-    _step: np.ndarray = field(init=False, repr=False, compare=False)
-    _denom: np.ndarray = field(init=False, repr=False, compare=False)
-    _finite: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._step = np.empty_like(self.m)
-        self._denom = np.empty_like(self.m)
-        self._finite = np.empty(self.m.shape, dtype=bool)
+    @cached_property
+    def _scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step, its denominator and its finiteness mask, which
+        ``adam_step`` forms its update in; made at the first step."""
+        return np.empty_like(self.m), np.empty_like(self.m), np.empty(self.m.shape, dtype=bool)
 
     @classmethod
     def zeros(cls, shape: int | tuple[int, ...], lr: float) -> "AdamState":
@@ -212,16 +209,17 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
-    """One in-place Adam update with bias correction; allocates nothing.
+    """One in-place Adam update with bias correction. It allocates only the
+    state's scratch vectors, at its first step.
 
     The moments update first, then the step lr * m_hat / (sqrt(v_hat) + eps)
-    is formed in the state's scratch. Only the step is scanned for
+    is formed in the scratch. Only the step is scanned for
     finiteness: a non-finite gradient makes a non-finite step.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape or state.m.shape != params.values.shape:
         raise ValueError("gradient/state length does not match parameters")
-    step, denom = state._step, state._denom
+    step, denom, finite = state._scratch
     state.t += 1
     state.m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
@@ -236,7 +234,7 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState) -> None:
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    if not np.isfinite(step, out=state._finite).all():
+    if not np.isfinite(step, out=finite).all():
         raise NumericError("non-finite update in adam_step")
     params.values -= step
 
@@ -487,13 +485,15 @@ class NoiseWrapper:
     ``g`` is a two-layer MLP over a fixed vector ``eta``; its tanh output
     keeps every perturbation component inside (-1, 1). The perturbation
     depends only on the wrapper parameters, so it is shared by all rows.
-    Its activations and gradient live in buffers of the wrapper's own size;
-    every returned array is new, or the ``out`` given to ``apply``.
+    ``apply`` and ``perturbation`` keep their forward pass for ``backward``,
+    which fills a gradient vector made at its first call. Every returned
+    array is new, or the ``out`` given to ``apply``.
 
     The parameters may be a stack of S runs, each with its own ``eta`` row
     (S, m); inputs and upstream gradients are then (S, n, m), and every
-    vector has the run axis too. ``run(i)`` is a stack's run i as a wrapper
-    of its own, on a view of its row.
+    vector has the run axis too. The products take each run's vectors as
+    one-row or one-column matrices. ``run(i)`` is a stack's run i as a
+    wrapper of its own, on a view of its row.
     """
 
     def __init__(self, m: int, hidden: int, eta: np.ndarray,
@@ -509,15 +509,8 @@ class NoiseWrapper:
             raise ValueError(f"eta must have shape {lead + (m,)}")
         eta.setflags(write=False)
         self.eta = eta
-        self._z, self._u, self._du = (np.empty(lead + (hidden,)) for _ in range(3))
-        self._active = np.empty(lead + (hidden,), dtype=bool)
-        self._pert, self._d_out, self._slope = (np.empty(lead + (m,)) for _ in range(3))
-        self._grad = ModelParams(layout, float_zeros(self.params.values.shape))
-        # Each run's vectors as one-row and one-column matrices, for the
-        # products: a stack's are (S, 1, k) and (S, k, 1).
-        self._rows = tuple(a[..., None, :] for a in (self.eta, self._z, self._u,
-                                                     self._du, self._d_out, self._pert))
-        self._cols = tuple(a[..., None] for a in (self.eta, self._u, self._du, self._d_out))
+        self._last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._grad: ModelParams | None = None
 
     @staticmethod
     def _layout(m: int, hidden: int) -> ParamLayout:
@@ -543,19 +536,18 @@ class NoiseWrapper:
         return NoiseWrapper(self.m, self.hidden, self.eta[i], self.params.run(i))
 
     def _forward(self):
-        """The perturbation and the activations (z, u), all in the wrapper's
-        buffers."""
+        """The perturbation and the activations (z, u), new arrays that are
+        also kept for ``backward``."""
         V1, c1, V2, c2 = self.params.parts
-        eta_row, z_row, u_row, _, _, pert_row = self._rows
-        z, u, pert = self._z, self._u, self._pert
-        np.matmul(eta_row, V1, out=z_row)
+        z = (self.eta[..., None, :] @ V1)[..., 0, :]
         z += c1
-        np.maximum(z, 0.0, out=u)
-        np.matmul(u_row, V2, out=pert_row)
+        u = np.maximum(z, 0.0)
+        pert = (u[..., None, :] @ V2)[..., 0, :]
         pert += c2
         np.tanh(pert, out=pert)
         np.maximum(pert, -_TANH_LIMIT, out=pert)
         np.minimum(pert, _TANH_LIMIT, out=pert)
+        self._last = pert, z, u
         return pert, (z, u)
 
     def perturbation(self) -> np.ndarray:
@@ -566,33 +558,33 @@ class NoiseWrapper:
         """``x`` plus the perturbation, in ``out`` (which may be ``x``) when
         given, else in a new array."""
         rows = _rows_of(x, self.m, self._lead)
-        self._forward()
-        out = np.add(rows, self._rows[-1], out=out)
+        pert, _ = self._forward()
+        out = np.add(rows, pert[..., None, :], out=out)
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def backward(self, d_xtilde: np.ndarray) -> np.ndarray:
         """Chain upstream d(loss)/d(x~) rows into wrapper parameter gradients.
 
-        The perturbation and activations are those the last ``apply`` or
-        ``perturbation`` left in the wrapper's buffers, not computed again:
-        call one of them first, and do not change the parameters between
-        that call and this one.
+        The perturbation and activations are those of the last ``apply`` or
+        ``perturbation``, not computed again: call one of them first, and do
+        not change the parameters between that call and this one.
         """
         d_xtilde = _rows_of(d_xtilde, self.m, self._lead)
-        pert, z = self._pert, self._z
-        _, _, _, du_row, d_out_row, _ = self._rows
-        eta_col, u_col, du_col, d_out_col = self._cols
+        if self._last is None:
+            raise ValueError("NoiseWrapper.backward needs the forward pass of "
+                             "apply or perturbation: call one of them first")
+        pert, z, u = self._last
+        if self._grad is None:
+            self._grad = ModelParams(self.params.layout,
+                                     float_zeros(self.params.values.shape))
         gV1, gc1, gV2, gc2 = self._grad.parts
-        d_out = np.add.reduce(d_xtilde, axis=-2, out=self._d_out)
-        slope = np.multiply(pert, pert, out=self._slope)
-        np.subtract(1.0, slope, out=slope)
-        d_out *= slope
-        np.multiply(u_col, d_out_row, out=gV2)
+        d_out = np.add.reduce(d_xtilde, axis=-2)
+        d_out *= 1.0 - pert * pert
+        np.multiply(u[..., None], d_out[..., None, :], out=gV2)
         gc2[:] = d_out
-        np.matmul(self.params.parts[2], d_out_col, out=du_col)
-        dz = self._du
-        dz *= np.greater(z, 0, out=self._active)
-        np.multiply(eta_col, du_row, out=gV1)
+        dz = (self.params.parts[2] @ d_out[..., None])[..., 0]
+        dz *= z > 0
+        np.multiply(self.eta[..., None], dz[..., None, :], out=gV1)
         gc1[:] = dz
         grad = self._grad.values
         if not np.isfinite(grad).all():

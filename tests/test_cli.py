@@ -346,6 +346,23 @@ class TestAudit:
         report = json.loads((out / "fairness_report.json").read_text())
         assert report["equalized_odds"] == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("score", ["1.7", "-0.7"])
+    def test_score_outside_unit_interval_is_an_unparseable_row(self, tmp_path, score):
+        """A score is a probability: one outside [0, 1] makes its row a bad
+        row, reported before a bad cell in a later row, not as a bad
+        confidence."""
+        preds = _file(tmp_path / "p.csv", f"pred,label,group,score\n1,1,0,0.9\n"
+                                          f"0,0,1,{score}\nx,0,1,0.5\n")
+        code, err = run_main("audit", "--predictions", preds, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"unparseable predictions row ['0', '0', '1', '{score}']" in err
+        assert "confidence" not in err
+
+    def test_scores_at_the_unit_interval_ends_pass(self, tmp_path):
+        preds = _file(tmp_path / "p.csv", "pred,label,group,score\n1,1,0,1.0\n"
+                                          "0,0,0,0\n1,1,1,0.9\n0,0,1,0.3\n")
+        assert main(["audit", "--predictions", str(preds), "--out", str(tmp_path / "o")]) == 0
+
     def test_default_bucket_thresholds(self, tmp_path):
         rows = [(1, 1, 0, 0.9), (0, 0, 0, 0.7), (1, 1, 1, 0.55), (0, 0, 1, 0.8)]
         preds = tmp_path / "p.csv"
@@ -1346,9 +1363,9 @@ def is_int64_cell(cell: str) -> bool:
     return value.is_integer() and -2.0**63 <= value < 2.0**63
 
 
-def is_finite_cell(cell: str) -> bool:
+def is_score_cell(cell: str) -> bool:
     try:
-        return math.isfinite(float(cell))
+        return 0.0 <= float(cell) <= 1.0
     except ValueError:
         return False
 
@@ -1375,7 +1392,7 @@ def test_fuzz_predictions_csv(with_score, rows):
     if code == 0:
         assert all(len(r) >= 3 and is_binary_cell(r[0]) and is_binary_cell(r[1])
                    and is_int64_cell(r[2]) for r in rows)
-        assert not with_score or all(len(r) == 4 and is_finite_cell(r[3]) for r in rows)
+        assert not with_score or all(len(r) == 4 and is_score_cell(r[3]) for r in rows)
 
 
 @pytest.fixture(scope="module")

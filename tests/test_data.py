@@ -522,7 +522,7 @@ def read_predictions_whole(path):
             labels.append(data._integer_cell(row[col["label"]]))
             groups.append(data._integer_cell(row[col["group"]]))
             if has_score:
-                scores.append(data._finite_cell(row[col["score"]]))
+                scores.append(data._score_cell(row[col["score"]]))
         except (IndexError, ValueError) as exc:
             raise DataError(f"unparseable predictions row {row!r}") from exc
     if not preds:

@@ -249,6 +249,16 @@ class TestNoiseWrapper:
         with pytest.raises(ValueError):
             w.eta[0] = 5.0
 
+    def test_backward_needs_a_forward_pass(self):
+        """A fresh wrapper, and a fresh run view of a stack that has run its
+        forward pass, have no forward pass for ``backward`` to chain
+        through."""
+        stack = NoiseWrapper.initialized(4, 4, [3, 4])
+        stack.perturbation()
+        for wrap in (NoiseWrapper.initialized(4, 4, seed=3), stack.run(0)):
+            with pytest.raises(ValueError, match="apply or perturbation"):
+                wrap.backward(np.ones((2, 4)))
+
 
 class TestGradients:
     def test_ffn_matches_finite_differences(self):
@@ -464,33 +474,6 @@ def ref_noise_backward(self, d_xtilde):
     return grad.values
 
 
-# ``NoiseWrapper.backward`` as it was before it reused the forward pass of
-# ``apply``, verbatim but for ``self`` becoming an argument: it runs the
-# forward pass again.
-
-def prev_noise_backward(self, d_xtilde: np.ndarray) -> np.ndarray:
-    """Chain upstream d(loss)/d(x~) rows into wrapper parameter gradients."""
-    d_xtilde = np.atleast_2d(np.asarray(d_xtilde, dtype=np.float64))
-    if d_xtilde.shape[1] != self.m:
-        raise ValueError("upstream gradient width mismatch")
-    pert, (z, u) = self._forward()
-    gV1, gc1, gV2, gc2 = self._grad.parts
-    d_out = np.add.reduce(d_xtilde, axis=0, out=self._d_out)
-    slope = np.multiply(pert, pert, out=self._slope)
-    np.subtract(1.0, slope, out=slope)
-    d_out *= slope
-    np.multiply(u[:, None], d_out, out=gV2)
-    gc2[:] = d_out
-    dz = np.matmul(self.params.view("V2"), d_out, out=self._du)
-    dz *= np.greater(z, 0, out=self._active)
-    np.multiply(self.eta[:, None], dz, out=gV1)
-    gc1[:] = dz
-    grad = self._grad.values
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient in NoiseWrapper.backward")
-    return grad.copy()
-
-
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -646,7 +629,8 @@ class TestKernelsMatchReference:
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]))
     def test_noise_backward_reusing_the_forward_pass(self, m, hidden, n, seed, scale):
         """After ``apply`` or ``perturbation``, the backward that reuses
-        their forward pass gives the bits of one that runs it again."""
+        their forward pass gives the bits of the reference, which runs it
+        again."""
         rng = np.random.default_rng(seed)
         wrap = NoiseWrapper(m, hidden, rng.standard_normal(m))
         x = draw_array(rng, (n, m), 1.0, 0.05)
@@ -655,10 +639,10 @@ class TestKernelsMatchReference:
             wrap.params.values[:] = draw_array(rng, wrap.params.values.size, scale, 0.05)
             wrap.apply(x)
             got = wrap.backward(d)
-            assert same_bits(got, prev_noise_backward(wrap, d))
+            assert same_bits(got, ref_noise_backward(wrap, d))
             wrap.perturbation()
             got = wrap.backward(d[0])
-            assert same_bits(got, prev_noise_backward(wrap, d[0]))
+            assert same_bits(got, ref_noise_backward(wrap, d[0]))
 
 
 class TestOwnership:
@@ -727,6 +711,34 @@ class TestOwnership:
             tracemalloc.stop()
         # one temporary vector would be 80 kB
         assert peak - before < 4_000
+
+    def test_adam_state_run_makes_no_scratch(self):
+        """A stack's run view holds views of the moments only; its first
+        step makes its scratch and gives the bits of a zero state's."""
+        size = 10_000
+        stack = AdamState.zeros((3, size), lr=0.01)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            view = stack.run(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one scratch vector would be 80 kB
+        assert peak - before < 4_000
+        layout = ParamLayout((("w", (size,)),))
+        rng = np.random.default_rng(1)
+        start = rng.standard_normal(size)
+        viewed, alone = ModelParams(layout, start.copy()), ModelParams(layout, start.copy())
+        zeros = AdamState.zeros(size, lr=0.01)
+        for _ in range(2):
+            grad = rng.standard_normal(size)
+            adam_step(viewed, grad, view)
+            adam_step(alone, grad, zeros)
+        assert same_bits(viewed.values, alone.values)
+        assert same_bits(view.m, zeros.m) and same_bits(view.v, zeros.v)
+        assert view.t == zeros.t == 2
+        assert same_bits(stack.m[1], zeros.m) and not stack.m[[0, 2]].any()
 
 
 class TestStackedKernels:

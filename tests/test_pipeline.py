@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,24 @@ class TestLoneRun:
             assert run.identifier is stack.identifier
             assert run.config is cfg
             assert run.history == [] and run.history is not stack.history
+
+    def test_run_views_allocate_no_workspace(self):
+        """A run view makes no buffers, gradient vectors or Adam scratch of
+        its own: at m = 130 one such vector would be 80 kB or more."""
+        m, seeds, cfg = 130, [0, 1, 2], TrainConfig()
+        stack = ReckonerModel(
+            FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2, seeds),
+            FeedForwardClassifier.initialized(m, cfg.hidden1, cfg.hidden2, seeds),
+            NoiseWrapper.initialized(m, m, seeds), cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = stack.run(0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64_000
+        assert run.noise.params.values.shape == (run.noise.params.layout.size,)
 
 
 class TestPredict:
