@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import RATE_NAMES, RateTable, confusion, rates, signed_gaps
+from .metrics import RATE_NAMES, RateTable, cell_confusion, count_table, rates, signed_gaps
 from .serial import format_float, round_float
 
 GAP_RATES = ("tpr", "tnr", "fpr", "fnr")
@@ -124,16 +124,19 @@ def bucket_analysis(preds, labels, groups, scores, spec: BucketSpec,
                     g_i: int, g_j: int) -> BucketReport:
     """Per-bucket, per-group confusion rates and signed gaps for a group pair.
 
-    Undefined rates propagate as None gaps rather than being zero-filled.
+    Every bucket is counted from one count table; a bucket lists the groups
+    that have rows in it. Undefined rates propagate as None gaps rather
+    than being zero-filled.
     """
     preds, labels, groups, scores = (np.asarray(a) for a in (preds, labels, groups, scores))
     if not (preds.shape == labels.shape == groups.shape == scores.shape):
         raise DataError("preds, labels, groups, scores lengths differ")
+    if preds.ndim != 1:
+        raise DataError("preds must be 1-d")
     assignment = spec.assign(scores)
     entries = []
-    for k, (lo, hi) in enumerate(spec.edges()):
-        mask = assignment == k
-        counts = confusion(preds[mask], labels[mask], groups[mask])
+    for (lo, hi), counts in zip(spec.edges(),
+                                cell_confusion(preds, labels, groups, assignment, spec.count)):
         table = rates(counts)
         entries.append(BucketEntry(
             lo=lo, hi=hi,
@@ -176,7 +179,8 @@ def feature_histograms(values, groups, scores, spec: BucketSpec, feature: str,
     split by bucket and group.
 
     Bin edges are shared across all cells, spanning the feature's global
-    [min, max].
+    [min, max]. Each value's bin is found once, and every (bucket, group)
+    cell, empty ones too, is counted from one count table.
     """
     if bins < 1:
         raise ConfigError("bins must be >= 1")
@@ -184,14 +188,18 @@ def feature_histograms(values, groups, scores, spec: BucketSpec, feature: str,
     if values.size == 0:
         raise DataError("empty dataset")
     scores = np.asarray(scores, dtype=np.float64)
-    if not (scores.shape[0] == groups.shape[0] == values.shape[0]):
+    if not (scores.shape[:1] == groups.shape[:1] == values.shape[:1]):
         raise DataError("scores and dataset lengths differ")
+    for arr, name in ((values, "values"), (groups, "groups"), (scores, "scores")):
+        if arr.ndim != 1:
+            raise DataError(f"{name} must be 1-d")
     assignment = spec.assign(scores)
-    _, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
-    counts: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(spec.count):
-        for g in np.unique(groups):
-            mask = (assignment == k) & (groups == g)
-            cell, _ = np.histogram(values[mask], bins=edges)
-            counts[(k, int(g))] = cell
+    edges = np.histogram_bin_edges(values, bins=bins, range=(values.min(), values.max()))
+    # np.histogram's rule for array edges: [e_i, e_i+1), the last bin closed.
+    bin_of = np.searchsorted(edges, values, "right") - 1
+    np.minimum(bin_of, bins - 1, out=bin_of)
+    ids, table = count_table(groups, assignment * bins + bin_of, spec.count * bins)
+    table = table.reshape(spec.count, bins, ids.size)
+    counts = {(k, int(g)): table[k, :, j]
+              for k in range(spec.count) for j, g in enumerate(ids)}
     return HistogramReport(feature=feature, edges=edges, counts=counts)

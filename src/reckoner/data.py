@@ -708,15 +708,20 @@ class StandardizedRows:
             raise DataError("x contains non-finite values")
         self.schema, self.y, self.s = schema, table.y, table.s
 
-    def fill(self, rows: slice | np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``rows`` (a slice or an index array) into ``out``; return it."""
-        out[:] = self.zero
+    def fill(self, rows: slice | np.ndarray, out: np.ndarray,
+             shift: np.ndarray | None = None) -> np.ndarray:
+        """Write ``rows`` (a slice or an index array) into ``out``; return it.
+        With ``shift``, a vector of width m, each cell is its value plus
+        its column's entry of ``shift``: one add per cell, as
+        ``np.add(rows, shift)`` would give on the built rows."""
+        out[:] = self.zero if shift is None else self.zero + shift
         for j, values in self.numeric.values():
-            out[:, j] = values[rows]
+            out[:, j] = values[rows] if shift is None else values[rows] + shift[j]
         row_ids = np.arange(out.shape[0])
         for which, pos, values in self.hot:
             w = which[rows]
-            out[row_ids, pos[w]] = values[w]
+            cols = pos[w]
+            out[row_ids, cols] = values[w] if shift is None else values[w] + shift[cols]
         return out
 
     def dataset(self, rows: slice | np.ndarray) -> Dataset:

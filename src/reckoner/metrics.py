@@ -1,12 +1,16 @@
 """Group-fairness metrics: per-group confusion counts, confusion-derived
 rates, signed bias gaps, Demographic Parity, and Equalised Odds.
 
+Every count, here and in the confidence reports, comes from one
+``count_table`` pass over the rows, not from a mask per group.
+
 Rates with zero denominators are reported as None rather than silently
 zero-filled; aggregations that need them raise UndefinedRateError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +21,19 @@ from .serial import round_float
 RATE_NAMES = ("tpr", "tnr", "fpr", "fnr", "positive_rate")
 
 
+def _is_binary(arr: np.ndarray) -> np.ndarray:
+    return (arr == 0) | (arr == 1)
+
+
 def _as_binary(values, name: str) -> np.ndarray:
+    """``values`` as int64 once every entry is checked to be 0 or 1 (before
+    the cast, which would truncate 0.9 to 0)."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DataError(f"{name} must be 1-d")
-    arr = arr.astype(np.int64)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not _is_binary(arr).all():
         raise DataError(f"{name} must contain only 0/1 entries")
-    return arr
+    return arr.astype(np.int64)
 
 
 def _aligned(preds, labels, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,20 +74,56 @@ class GroupRates:
 RateTable = dict[int, GroupRates]
 
 
+def count_table(groups, cells=None, n_cells: int = 1, preds=None, labels=None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Row counts per (cell, group, pred, label) from one ``np.bincount``.
+
+    Returns the sorted distinct ``groups`` and an int64 array of shape
+    (n_cells, groups, 2, 2) indexed [cell, group, pred, label], or
+    (n_cells, groups) without ``preds`` and ``labels``. ``cells`` are
+    int64 ids in [0, n_cells), all 0 when None; ``preds`` and ``labels``
+    are int64 in {0, 1}. Every array is 1-d and of one length.
+    """
+    ids, key = np.unique(groups, return_inverse=True)
+    shape = (n_cells, ids.size)
+    if cells is not None:
+        key = key + cells * ids.size
+    if preds is not None:
+        key = key * 4 + preds * 2 + labels
+        shape += (2, 2)
+    return ids, np.bincount(key, minlength=math.prod(shape)).reshape(shape)
+
+
+def _by_group(ids: np.ndarray, table: np.ndarray) -> dict[int, GroupCounts]:
+    """The groups of a (groups, 2, 2) count table that have rows, in id order."""
+    return {int(g): GroupCounts(tp=int(t[1, 1]), fp=int(t[1, 0]),
+                                tn=int(t[0, 0]), fn=int(t[0, 1]))
+            for g, t in zip(ids, table) if t.any()}
+
+
 def confusion(preds, labels, groups) -> dict[int, GroupCounts]:
     """Exhaustive per-group TP/FP/TN/FN counts."""
     p, y, g = _aligned(preds, labels, groups)
-    out: dict[int, GroupCounts] = {}
-    for gid in np.unique(g):
-        mask = g == gid
-        pg, yg = p[mask], y[mask]
-        out[int(gid)] = GroupCounts(
-            tp=int(((pg == 1) & (yg == 1)).sum()),
-            fp=int(((pg == 1) & (yg == 0)).sum()),
-            tn=int(((pg == 0) & (yg == 0)).sum()),
-            fn=int(((pg == 0) & (yg == 1)).sum()),
-        )
-    return out
+    ids, table = count_table(g, preds=p, labels=y)
+    return _by_group(ids, table[0])
+
+
+def cell_confusion(preds, labels, groups, cells: np.ndarray,
+                   n_cells: int) -> list[dict[int, GroupCounts]]:
+    """``confusion`` of the rows of each cell 0..n_cells-1, from one count
+    table; row i is in cell ``cells[i]``. The arrays are 1-d and of one
+    length. A pred or label outside {0, 1} raises what ``confusion`` raises
+    on the rows of the first cell that holds one: the pred error if that
+    cell has a bad pred."""
+    p, y = np.asarray(preds), np.asarray(labels)
+    bad_p, bad_y = ~_is_binary(p), ~_is_binary(y)
+    if bad_p.any() or bad_y.any():
+        first = cells[bad_p | bad_y].min()
+        name = "preds" if bad_p[cells == first].any() else "labels"
+        raise DataError(f"{name} must contain only 0/1 entries")
+    ids, table = count_table(np.asarray(groups, dtype=np.int64), cells, n_cells,
+                             p.astype(np.int64), y.astype(np.int64))
+    return [_by_group(ids, t) for t in table]
 
 
 def _ratio(num: int, den: int) -> float | None:

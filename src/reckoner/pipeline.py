@@ -145,8 +145,15 @@ _SEED_STREAM_LOW = 5
 _SEED_STREAM_REFINE = 6
 
 # Rows per scoring chunk in ``predict``: a multiple of every matmul row
-# block, and large enough that the per-chunk overhead is negligible.
-PREDICT_CHUNK_ROWS = 8192
+# block. At m = 130 and the default 64/32 hidden units, a chunk's input
+# rows take 1.0 MB and its activations and sigmoid scratch 1.6 MB, so each
+# layer's product reads and writes less than a 2 MB per-core L2 cache
+# holds; 8,192-row chunks (21 MB) spilled out of it. A tail shorter than
+# half a chunk joins the chunk before it, so every chunk of a multi-chunk
+# call has at least 512 rows: far above the row counts at which OpenBLAS
+# takes its matrix-vector (gemv) path or its tiny-matrix paths, whose rows
+# get other bits than those of a large product.
+PREDICT_CHUNK_ROWS = 1024
 
 
 class ReckonerModel:
@@ -472,16 +479,23 @@ def predict(model: ReckonerModel,
     """High-confidence classifier scores and labels; ties at 0.5 go to 1.
 
     Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
-    input copy and the activations stay a chunk's size. With one BLAS
-    thread the scores are bit-equal to scoring ``x`` whole: OpenBLAS gives
-    a row the same bits in a chunk that starts at a multiple of its row
-    block, but not in a tiny chunk (1-row chunks take the matrix-vector
-    path, and 7-row chunks differ too), so a tail shorter than half a
-    chunk joins the chunk before it. Every chunk is scored in the model's
-    own buffers: the noisy input in ``model.input_rows`` and the
-    activations in the high classifier's. The largest chunk goes first, so
-    the buffers grow at most once per call. ``StandardizedRows`` build each
-    chunk's rows in the input buffer, so their matrix never exists whole.
+    input rows and the activations stay a chunk's size: at m = 130, about
+    1.0 MB of input and 1.6 MB of activations for a 1,024-row chunk. With
+    one BLAS thread the scores are bit-equal to scoring ``x`` whole:
+    OpenBLAS gives a row the same bits in a chunk that starts at a
+    multiple of its row block, but not in a tiny chunk (1-row chunks take
+    the matrix-vector path, and 7-row chunks differ too), so a tail
+    shorter than half a chunk joins the chunk before it, and no chunk of
+    a multi-chunk call has fewer than 512 rows. Every chunk is scored in
+    the model's own buffers: the noisy input in ``model.input_rows`` and
+    the activations in the high classifier's. The largest chunk goes
+    first, so the buffers grow at most once per call.
+
+    ``StandardizedRows`` build each chunk's rows in the input buffer, so
+    their matrix never exists whole; with the noise on, the perturbation
+    is computed once per call and added as the rows are built, the same
+    single add per cell as ``NoiseWrapper.apply``. Array rows take
+    ``model.high_input``.
     """
     coded = isinstance(x, StandardizedRows)
     if not coded:
@@ -490,10 +504,12 @@ def predict(model: ReckonerModel,
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
     scores = np.empty(n, dtype=np.float64)
+    shift = model.noise.perturbation() if coded and model.config.use_noise else None
     for lo, hi in sorted(_chunk_bounds(n), key=lambda bounds: bounds[0] - bounds[1]):
         buf = model.input_rows(hi - lo)
-        rows = x.fill(slice(lo, hi), buf) if coded else x[lo:hi]
-        scores[lo:hi] = model.high.score(model.high_input(rows, buf))
+        rows = (x.fill(slice(lo, hi), buf, shift) if coded
+                else model.high_input(x[lo:hi], buf))
+        scores[lo:hi] = model.high.score(rows)
     return predict_labels(scores), scores
 
 

@@ -432,10 +432,15 @@ class TestAudit:
 
 
 # Checkpoint-mode audits of hashed tables (m = 130) from the checkpoint the
-# pinned hashed train config writes: one chunk (8191 rows), one chunk with
-# its short tail folded in (12287) and a kept 4096-row tail (20480).
-# SHA-256 of the six files, pinned from the whole-matrix audit that came
-# before the block coder; paths in the manifest are relative to the run.
+# pinned hashed train config writes, at 8191, 12287 and 20480 rows. With
+# 1,024-row scoring chunks these are 7 full chunks and a 1,023-row tail
+# (8191), 11 full chunks and a 1,023-row tail (12287), and 20 full chunks
+# (20480); each size's last chunk is a kept tail or a full chunk, never a
+# folded one. The pins came from 8,192-row chunks, where the sizes were one
+# chunk, one chunk with its short tail folded in and a kept 4096-row tail,
+# and before that from the whole-matrix audit that came before the block
+# coder. SHA-256 of the six files; paths in the manifest are relative to
+# the run.
 AUDIT_SHA256 = {
     8191: {
         "audit_manifest.json": "0184dceafcb82161954d1944ba0c464f6ea6019be6bcd86d92e3f1fc4a2d25e0",
@@ -537,6 +542,18 @@ def test_audit_memory_grows_by_less_than_half_a_row(hashed_checkpoint, tmp_path)
         peak[rows] = peak_rss_kib("-m", "reckoner.cli", *AUDIT_ARGS, cwd=run) * 1024
     per_row = (peak[48_000] - peak[16_000]) / 32_000
     assert per_row < 130 * 8 / 2, peak
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_audit_memory_stays_near_the_import(hashed_checkpoint, tmp_path):
+    """A 48,000-row checkpoint-mode audit peaks within 16 MB of importing
+    the CLI alone (about 12 MB above it): rows are scored in 1,024-row
+    chunks and the reports count every cell in one pass. With 8,192-row
+    chunks and a mask per group and bucket it peaked about 19 MB above."""
+    run = audit_dir(tmp_path / "a", hashed_checkpoint, 48_000)
+    imported = peak_rss_kib("-c", "import reckoner.cli")
+    audited = peak_rss_kib("-m", "reckoner.cli", *AUDIT_ARGS, cwd=run)
+    assert audited - imported <= 16 * 1024, (imported, audited)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

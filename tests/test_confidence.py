@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reckoner.confidence import (
+    GAP_RATES,
+    BucketEntry,
+    BucketReport,
     BucketSpec,
     bucket_analysis,
     confidence_of,
@@ -10,7 +15,7 @@ from reckoner.confidence import (
 )
 from reckoner.data import CodedTable, ColumnSpec, Dataset, Schema, StandardizedRows
 from reckoner.errors import ConfigError, DataError
-from reckoner.metrics import confusion
+from reckoner.metrics import GroupCounts, confusion, rates, signed_gaps
 
 SCHEMA = Schema(columns=(ColumnSpec("f0", "numeric"), ColumnSpec("y", "label"),
                          ColumnSpec("s", "sensitive")))
@@ -222,6 +227,31 @@ class TestBucketAnalysis:
                     assert float(got) == pytest.approx(want, rel=1e-11)
 
 
+    def test_rejects_input_that_is_not_1d(self):
+        """Equal 2-d shapes used to be flattened by the bucket masks, so
+        ``total`` counted rows while the buckets counted entries."""
+        two_d = np.array([[1, 0], [0, 1]])
+        with pytest.raises(DataError, match="preds must be 1-d"):
+            bucket_analysis(two_d, two_d, two_d, np.full((2, 2), 0.7), BucketSpec(), 0, 1)
+        with pytest.raises(DataError, match="preds must be 1-d"):
+            bucket_analysis(1, 1, 0, 0.7, BucketSpec(), 0, 1)
+
+    def test_first_bucket_with_a_bad_entry_sets_the_error(self):
+        """As when each bucket's rows were checked in turn: the first bucket
+        holding a bad pred or label raises, its pred error first."""
+        conf = np.array([0.55, 0.65, 0.75, 0.85])
+        groups = np.zeros(4, int)
+        cases = [  # (preds, labels, error), one row per bucket
+            ([0, 0, 2, 0], [0, 5, 0, 0], "labels"),
+            ([0, 0, 0, 2], [0, 0, -1, 0], "labels"),
+            ([0, 2, 0, 0], [0, 0, -1, 0], "preds"),
+            ([0, 2, 0, 0], [0, 3, 0, 0], "preds"),
+        ]
+        for preds, labels, name in cases:
+            with pytest.raises(DataError, match=f"{name} must contain only 0/1 entries"):
+                bucket_analysis(preds, labels, groups, conf, BucketSpec(), 0, 1)
+
+
 class TestFeatureHistograms:
     def groups_of(self, values, groups=None):
         return np.zeros(len(values), int) if groups is None else np.asarray(groups)
@@ -282,3 +312,149 @@ class TestFeatureHistograms:
         with pytest.raises(DataError, match=r"must lie in \[0.5, 1\]"):
             feature_histograms(values, self.groups_of(values), np.array([0.7, np.nan]),
                                BucketSpec(), "f0", bins=2)
+
+    def test_rejects_input_that_is_not_1d(self):
+        """An (n, 2) ``values`` used to pass the length check on its first
+        axis and count both columns of every row."""
+        values = np.arange(8, dtype=float).reshape(4, 2)
+        groups, scores = np.zeros(4, int), np.full(4, 0.7)
+        with pytest.raises(DataError, match="values must be 1-d"):
+            feature_histograms(values, groups, scores, BucketSpec(), "f0", bins=2)
+        with pytest.raises(DataError, match="groups must be 1-d"):
+            feature_histograms(values[:, 0], groups.reshape(4, 1), scores, BucketSpec(),
+                               "f0", bins=2)
+        with pytest.raises(DataError, match="values must be 1-d"):
+            feature_histograms(1.0, 0, 0.7, BucketSpec(), "f0", bins=2)
+
+
+# The per-group and per-bucket mask loops that counted the reports before one
+# count table did, kept as the reference of the differential tests below.
+def ref_confusion(preds, labels, groups):
+    def as_binary(values, name):  # cast first, as the loops did
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise DataError(f"{name} must be 1-d")
+        arr = arr.astype(np.int64)
+        if arr.size and not np.isin(arr, (0, 1)).all():
+            raise DataError(f"{name} must contain only 0/1 entries")
+        return arr
+
+    p, y = as_binary(preds, "preds"), as_binary(labels, "labels")
+    g = np.asarray(groups, dtype=np.int64)
+    if not (p.shape == y.shape == g.shape):
+        raise DataError("preds, labels, groups lengths differ")
+    out = {}
+    for gid in np.unique(g):
+        mask = g == gid
+        pg, yg = p[mask], y[mask]
+        out[int(gid)] = GroupCounts(
+            tp=int(((pg == 1) & (yg == 1)).sum()),
+            fp=int(((pg == 1) & (yg == 0)).sum()),
+            tn=int(((pg == 0) & (yg == 0)).sum()),
+            fn=int(((pg == 0) & (yg == 1)).sum()),
+        )
+    return out
+
+
+def ref_bucket_analysis(preds, labels, groups, scores, spec, g_i, g_j):
+    preds, labels, groups, scores = (np.asarray(a) for a in (preds, labels, groups, scores))
+    if not (preds.shape == labels.shape == groups.shape == scores.shape):
+        raise DataError("preds, labels, groups, scores lengths differ")
+    assignment = spec.assign(scores)
+    entries = []
+    for k, (lo, hi) in enumerate(spec.edges()):
+        mask = assignment == k
+        counts = ref_confusion(preds[mask], labels[mask], groups[mask])
+        table = rates(counts)
+        entries.append(BucketEntry(lo=lo, hi=hi, group_rates=table,
+                                   group_counts={g: c.size for g, c in counts.items()},
+                                   gaps=signed_gaps(table, GAP_RATES, g_i, g_j)))
+    return BucketReport(spec=spec, pair=(g_i, g_j), entries=tuple(entries),
+                        total=len(preds))
+
+
+def ref_feature_histograms(values, groups, scores, spec, bins):
+    values, groups = np.asarray(values, dtype=np.float64), np.asarray(groups)
+    assignment = spec.assign(np.asarray(scores, dtype=np.float64))
+    _, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
+    counts = {}
+    for k in range(spec.count):
+        for g in np.unique(groups):
+            mask = (assignment == k) & (groups == g)
+            counts[(k, int(g))], _ = np.histogram(values[mask], bins=edges)
+    return edges, counts
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (DataError, ValueError) as e:
+        return type(e), str(e)
+
+
+SPECS = (BucketSpec((0.5,)), BucketSpec(), BucketSpec((0.5, 0.75)),
+         BucketSpec((0.5, 0.55, 0.9, 0.99)))
+
+
+@st.composite
+def scored_rows(draw, min_size=0):
+    """A spec and 1-d preds, labels, groups and confidences: one to four
+    group ids, negative and sparse among them; confidences at every
+    threshold and at 1.0, so some buckets are empty or hold only edges."""
+    spec = draw(st.sampled_from(SPECS))
+    n = draw(st.integers(min_size, 40))
+    rows = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
+    groups = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    scores = draw(st.lists(st.sampled_from(spec.thresholds + (1.0,))
+                           | st.floats(0.5, 1.0), min_size=n, max_size=n))
+    return (spec, np.array(draw(rows), dtype=np.int64), np.array(draw(rows), dtype=np.int64),
+            np.array(groups, dtype=np.int64), np.array(scores), ids)
+
+
+class TestOnePassCountsMatchMaskLoops:
+    @given(scored_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_confusion_and_buckets(self, rows, data):
+        """Counts, rates, gaps and errors as the mask loops gave them; a
+        bad pred and a bad label may sit in different buckets."""
+        spec, preds, labels, groups, scores, ids = rows
+        n = preds.size
+        for arr in (preds, labels):
+            if n and data.draw(st.booleans()):
+                arr[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-1, 2, 7]))
+        g_i, g_j = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        assert outcome(confusion, preds, labels, groups) == \
+            outcome(ref_confusion, preds, labels, groups)
+        got = outcome(bucket_analysis, preds, labels, groups, scores, spec, g_i, g_j)
+        assert got == outcome(ref_bucket_analysis, preds, labels, groups, scores, spec,
+                              g_i, g_j)
+        if isinstance(got, BucketReport):
+            assert got.to_csv_rows() == ref_bucket_analysis(
+                preds, labels, groups, scores, spec, g_i, g_j).to_csv_rows()
+
+    @given(scored_rows(min_size=1), st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_feature_histograms(self, rows, bins, data):
+        """Edges and per-cell bin counts as ``np.histogram`` gave them, for
+        free columns and for columns drawn from a pool of one to three
+        values (constant, or with a repeated min and max, or one ulp
+        apart)."""
+        spec, _, _, groups, scores, _ = rows
+        free = st.floats(-1e3, 1e3)
+        pool = data.draw(st.lists(free, min_size=1, max_size=3))
+        if data.draw(st.booleans()):
+            pool.append(float(np.nextafter(pool[0], np.inf)))
+        values = np.array(data.draw(st.lists(st.sampled_from(pool) | free,
+                                             min_size=groups.size, max_size=groups.size)))
+        got = outcome(feature_histograms, values, groups, scores, spec, "f", bins)
+        want = outcome(ref_feature_histograms, values, groups, scores, spec, bins)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        edges, counts = want
+        assert got.edges.tobytes() == edges.tobytes()
+        assert list(got.counts) == list(counts)
+        for key, cell in counts.items():
+            assert got.counts[key].tolist() == cell.tolist(), key

@@ -76,6 +76,21 @@ class TestConfusion:
         with pytest.raises(DataError):
             confusion([2, 0], [1, 0], [0, 0])
 
+    def test_non_integral_values_rejected_before_the_cast(self):
+        """0.9 is not a 0/1 entry: it must not be truncated to 0."""
+        with pytest.raises(DataError, match="preds must contain only 0/1 entries"):
+            accuracy([0.9], [0])
+        with pytest.raises(DataError, match="preds must contain only 0/1 entries"):
+            confusion([0.7, 1.2, 0.2], [0, 1, 0], [0, 0, 0])
+        with pytest.raises(DataError, match="labels must contain only 0/1 entries"):
+            confusion([1, 0], [0.5, 0], [0, 0])
+        with pytest.raises(DataError, match="labels must contain only 0/1 entries"):
+            accuracy([1, 0], [np.nan, 0])
+
+    def test_integral_floats_and_booleans_count(self):
+        c = confusion([1.0, 0.0, True], [True, 0.0, 1], [0, 0, 0])
+        assert (c[0].tp, c[0].fp, c[0].tn, c[0].fn) == (2, 0, 1, 0)
+
 
 class TestRates:
     def test_hand_rates(self):

@@ -329,6 +329,16 @@ class TestLoneRun:
         assert run.noise.params.values.shape == (run.noise.params.layout.size,)
 
 
+def run_one_thread(script: str) -> None:
+    """Run ``script`` in a child with one BLAS thread; it prints ``ok``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 class TestPredict:
     def test_tie_goes_positive_with_zero_weights(self):
         tr, va, _ = small_sets(seed=10)
@@ -384,7 +394,10 @@ class TestPredict:
         matrix-vector product splits rows where the row count says, so the
         whole-matrix bits themselves then depend on the thread count."""
         chunk = pipeline.PREDICT_CHUNK_ROWS
-        sizes = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7, 100_000]
+        # chunk + chunk // 2 - 1 folds its tail and chunk + chunk // 2 keeps
+        # it; 3000 is a validation split's row count.
+        sizes = [1, chunk - 1, chunk, chunk + 1, chunk + chunk // 2 - 1, chunk + chunk // 2,
+                 2 * chunk + 7, 3000, 100_000]
         script = f"""
 import numpy as np
 from reckoner.models import FeedForwardClassifier, NoiseWrapper, predict_labels
@@ -408,12 +421,44 @@ for m, use_noise in ((6, False), (130, True)):
             assert np.array_equal(labels, predict_labels(wholes[n])), (m, n)
 print("ok")
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+        run_one_thread(script)
+
+    def test_scores_do_not_depend_on_the_chunk_size(self):
+        """A 20,000-row table at m = 130 under a noisy model scores to the
+        same bytes in chunks of 256, 1,024 and 8,192 rows, from its coded
+        rows, whose noise is added as they are built, and from its matrix,
+        whose noise ``high_input`` adds. One BLAS thread, as above."""
+        script = """
+import numpy as np
+from reckoner import pipeline
+from reckoner.data import CodedTable, ColumnSpec, Schema, StandardizedRows
+from reckoner.models import FeedForwardClassifier, NoiseWrapper
+from reckoner.pipeline import ReckonerModel, TrainConfig, predict
+n, codes = 20_000, 300
+schema = Schema(columns=(ColumnSpec("n0", "numeric"), ColumnSpec("c", "categorical"),
+                         ColumnSpec("n1", "numeric"), ColumnSpec("y", "label"),
+                         ColumnSpec("s", "sensitive")), hash_buckets=128)
+assert schema.m == 130
+rng = np.random.default_rng(7)
+table = CodedTable(schema, y=rng.integers(0, 2, n), s=rng.integers(0, 3, n),
+                   numeric={"n0": rng.standard_normal(n), "n1": rng.exponential(size=n)},
+                   categorical={"c": (np.arange(n) % codes, rng.integers(0, 128, codes),
+                                      rng.choice([-1, 1], codes))},
+                   sha256="")
+rows = StandardizedRows(table, rng.standard_normal(130), rng.uniform(0.5, 2.0, 130))
+matrix = rows.dataset(slice(None)).x
+model = ReckonerModel(FeedForwardClassifier.initialized(130, 64, 32, 1),
+                      FeedForwardClassifier(130, 64, 32),
+                      NoiseWrapper.initialized(130, 16, 3), TrainConfig(use_noise=True))
+got = set()
+for chunk in (256, 1024, 8192):
+    pipeline.PREDICT_CHUNK_ROWS = chunk
+    for x in (rows, matrix):
+        got.add(predict(model, x)[1].tobytes())
+assert len(got) == 1, len(got)
+print("ok")
+"""
+        run_one_thread(script)
 
 
     @pytest.mark.parametrize("n", [43, 45])
