@@ -21,7 +21,13 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .confidence import BucketSpec, bucket_analysis, confidence_of, feature_histograms
+from .confidence import (
+    Buckets,
+    BucketSpec,
+    bucket_analysis,
+    confidence_of,
+    feature_histograms,
+)
 from .data import (
     ColumnSpec,
     Schema,
@@ -35,7 +41,7 @@ from .data import (
     train_statistics,
 )
 from .errors import ConfigError, ReckonerError
-from .metrics import FairnessReport, fairness_report
+from .metrics import FairnessReport, aligned, fairness_report
 from .models import LinearClassifier
 from .pipeline import TrainConfig, predict, train
 from .serial import (
@@ -163,7 +169,9 @@ def cmd_audit(args) -> int:
     leaves no directory and no manifest behind.
 
     A scored table is coded, standardized and checked before ``predict``
-    runs, and its feature matrix is never built whole."""
+    runs, and its feature matrix is never built whole. The reports share
+    one check of the preds and labels, one coding of the groups and one
+    bucket assignment of the confidences."""
     if args.histogram_feature and not args.checkpoint:
         raise ConfigError("--histogram-feature requires --checkpoint mode")
     if args.checkpoint and args.predictions:
@@ -204,12 +212,14 @@ def cmd_audit(args) -> int:
                 "bucket_thresholds": list(spec.thresholds)}
     manifest_hash = sha256_of_obj(manifest)
 
+    preds, labels, groups = aligned(preds, labels, groups)
     report = fairness_report(preds, labels, groups)
-    bucket = hist = None
+    bucket = hist = buckets = None
     if conf is not None:
-        bucket = bucket_analysis(preds, labels, groups, conf, spec, *report.pair)
+        buckets = Buckets(spec, spec.assign(conf))
+        bucket = bucket_analysis(preds, labels, groups, buckets, spec, *report.pair)
     if args.histogram_feature:
-        hist = feature_histograms(x.feature(args.histogram_feature), groups, conf, spec,
+        hist = feature_histograms(x.feature(args.histogram_feature), groups, buckets, spec,
                                   args.histogram_feature, bins=bins)
 
     out_dir = make_dir(args.out)

@@ -1,5 +1,9 @@
 """Confidence-based data splitting and confidence-stratified bias analysis:
 per-bucket group rate gaps and per-bucket feature histograms.
+
+Both reports take raw columns or columns coded once for several reports:
+``metrics.aligned`` preds, labels and groups, and ``Buckets`` in place of
+the scores.
 """
 
 from __future__ import annotations
@@ -10,7 +14,16 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import RATE_NAMES, RateTable, cell_confusion, count_table, rates, signed_gaps
+from .metrics import (
+    RATE_NAMES,
+    GroupCodes,
+    RateTable,
+    cell_confusion,
+    code_groups,
+    count_table,
+    rates,
+    signed_gaps,
+)
 from .serial import format_float, round_float
 
 GAP_RATES = ("tpr", "tnr", "fpr", "fnr")
@@ -67,6 +80,31 @@ class BucketSpec:
             raise DataError("confidence scores must lie in [0.5, 1]")
         idx = np.searchsorted(np.asarray(self.thresholds), scores, side="right") - 1
         return np.clip(idx, 0, self.count - 1).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class Buckets:
+    """Confidence scores assigned once to the buckets of ``spec``:
+    ``index[i]`` is row i's bucket, as ``spec.assign`` gives it."""
+
+    spec: BucketSpec
+    index: np.ndarray
+
+
+def _assigned(scores, spec: BucketSpec) -> np.ndarray:
+    """Each row's bucket under ``spec``, from scores or from ``Buckets``."""
+    if not isinstance(scores, Buckets):
+        return spec.assign(scores)
+    if scores.spec != spec:
+        raise ValueError("scores were assigned to the buckets of another spec")
+    return scores.index
+
+
+def _column(a) -> np.ndarray:
+    """The array that holds one row per entry of a raw or a coded column."""
+    if isinstance(a, GroupCodes):
+        return a.inverse
+    return a.index if isinstance(a, Buckets) else np.asarray(a)
 
 
 @dataclass(frozen=True)
@@ -128,12 +166,12 @@ def bucket_analysis(preds, labels, groups, scores, spec: BucketSpec,
     that have rows in it. Undefined rates propagate as None gaps rather
     than being zero-filled.
     """
-    preds, labels, groups, scores = (np.asarray(a) for a in (preds, labels, groups, scores))
-    if not (preds.shape == labels.shape == groups.shape == scores.shape):
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    if not (preds.shape == labels.shape == _column(groups).shape == _column(scores).shape):
         raise DataError("preds, labels, groups, scores lengths differ")
     if preds.ndim != 1:
         raise DataError("preds must be 1-d")
-    assignment = spec.assign(scores)
+    assignment = _assigned(scores, spec)
     entries = []
     for (lo, hi), counts in zip(spec.edges(),
                                 cell_confusion(preds, labels, groups, assignment, spec.count)):
@@ -179,27 +217,31 @@ def feature_histograms(values, groups, scores, spec: BucketSpec, feature: str,
     split by bucket and group.
 
     Bin edges are shared across all cells, spanning the feature's global
-    [min, max]. Each value's bin is found once, and every (bucket, group)
-    cell, empty ones too, is counted from one count table.
+    [min, max], so every value must be finite. Each value's bin is found
+    once, and every (bucket, group) cell, empty ones too, is counted from
+    one count table.
     """
     if bins < 1:
         raise ConfigError("bins must be >= 1")
-    values, groups = np.asarray(values, dtype=np.float64), np.asarray(groups)
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DataError("empty dataset")
-    scores = np.asarray(scores, dtype=np.float64)
-    if not (scores.shape[:1] == groups.shape[:1] == values.shape[:1]):
+    columns = ((values, "values"), (_column(groups), "groups"), (_column(scores), "scores"))
+    if len({arr.shape[:1] for arr, _ in columns}) > 1:
         raise DataError("scores and dataset lengths differ")
-    for arr, name in ((values, "values"), (groups, "groups"), (scores, "scores")):
+    for arr, name in columns:
         if arr.ndim != 1:
             raise DataError(f"{name} must be 1-d")
-    assignment = spec.assign(scores)
+    groups = code_groups(groups)
+    assignment = _assigned(scores, spec)
+    if not np.isfinite(values).all():
+        raise DataError(f"feature {feature!r} has values that are not finite")
     edges = np.histogram_bin_edges(values, bins=bins, range=(values.min(), values.max()))
     # np.histogram's rule for array edges: [e_i, e_i+1), the last bin closed.
     bin_of = np.searchsorted(edges, values, "right") - 1
     np.minimum(bin_of, bins - 1, out=bin_of)
-    ids, table = count_table(groups, assignment * bins + bin_of, spec.count * bins)
-    table = table.reshape(spec.count, bins, ids.size)
+    table = count_table(groups, assignment * bins + bin_of, spec.count * bins)
+    table = table.reshape(spec.count, bins, groups.ids.size)
     counts = {(k, int(g)): table[k, :, j]
-              for k in range(spec.count) for j, g in enumerate(ids)}
+              for k in range(spec.count) for j, g in enumerate(groups.ids)}
     return HistogramReport(feature=feature, edges=edges, counts=counts)

@@ -9,6 +9,7 @@ separately and consulted only at evaluation time.
 from __future__ import annotations
 
 import codecs
+import copy
 import csv
 import hashlib
 import io
@@ -707,21 +708,34 @@ class StandardizedRows:
         if not finite:
             raise DataError("x contains non-finite values")
         self.schema, self.y, self.s = schema, table.y, table.s
+        self.shift = None
 
-    def fill(self, rows: slice | np.ndarray, out: np.ndarray,
-             shift: np.ndarray | None = None) -> np.ndarray:
-        """Write ``rows`` (a slice or an index array) into ``out``; return it.
-        With ``shift``, a vector of width m, each cell is its value plus
-        its column's entry of ``shift``: one add per cell, as
-        ``np.add(rows, shift)`` would give on the built rows."""
-        out[:] = self.zero if shift is None else self.zero + shift
+    def shifted(self, shift: np.ndarray) -> StandardizedRows:
+        """These rows plus ``shift``, a vector of width m: each built cell is
+        its value plus its column's entry of ``shift``, one add per cell, as
+        ``np.add(rows, shift)`` would give on the built rows. The zero row
+        and each code's hot value are shifted here, once; numeric cells as
+        they are built."""
+        out = copy.copy(self)
+        out.zero = self.zero + shift
+        out.hot = [(which, pos, values + shift[pos]) for which, pos, values in self.hot]
+        out.shift = shift
+        return out
+
+    def fill(self, rows: slice | np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``rows`` (a slice or an index array) into ``out``, a
+        C-contiguous array of their shape; return it. Each categorical
+        column's hot cells go in with one store into ``out``'s flat view."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        out[:] = self.zero
         for j, values in self.numeric.values():
-            out[:, j] = values[rows] if shift is None else values[rows] + shift[j]
-        row_ids = np.arange(out.shape[0])
+            out[:, j] = values[rows] if self.shift is None else values[rows] + self.shift[j]
+        flat = out.reshape(-1)
+        row_starts = np.arange(0, flat.size, out.shape[1])
         for which, pos, values in self.hot:
             w = which[rows]
-            cols = pos[w]
-            out[row_ids, cols] = values[w] if shift is None else values[w] + shift[cols]
+            flat[row_starts + pos[w]] = values[w]
         return out
 
     def dataset(self, rows: slice | np.ndarray) -> Dataset:

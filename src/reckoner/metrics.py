@@ -2,7 +2,10 @@
 rates, signed bias gaps, Demographic Parity, and Equalised Odds.
 
 Every count, here and in the confidence reports, comes from one
-``count_table`` pass over the rows, not from a mask per group.
+``count_table`` pass over the rows, not from a mask per group. A caller
+that runs several reports over the same rows checks and codes them once
+with ``aligned``, and each report takes the coded columns in place of the
+raw ones.
 
 Rates with zero denominators are reported as None rather than silently
 zero-filled; aggregations that need them raise UndefinedRateError.
@@ -26,21 +29,69 @@ def _is_binary(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_binary(values, name: str) -> np.ndarray:
-    """``values`` as int64 once every entry is checked to be 0 or 1 (before
-    the cast, which would truncate 0.9 to 0)."""
+    """``values`` as bool once every entry is checked to be 0 or 1 (before
+    the cast, which would make 0.9 True). A bool column is binary by its
+    type and passes unchecked."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise DataError(f"{name} must be 1-d")
-    if not _is_binary(arr).all():
-        raise DataError(f"{name} must contain only 0/1 entries")
-    return arr.astype(np.int64)
+    if arr.dtype != bool:
+        if not _is_binary(arr).all():
+            raise DataError(f"{name} must contain only 0/1 entries")
+        arr = arr == 1
+    return arr
 
 
-def _aligned(preds, labels, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class GroupCodes:
+    """A group column coded once: its sorted distinct ``ids`` and each
+    row's index into them, ``inverse``, of the column's shape."""
+
+    ids: np.ndarray
+    inverse: np.ndarray
+
+
+def _integer_ids(groups) -> np.ndarray:
+    """``groups`` as int64 once every entry is checked to be an integer id
+    (before the cast, which would truncate 0.9 to 0): integral floats such
+    as 1.0 count as their integers; fractions, NaN, out-of-range values and
+    strings are a DataError."""
+    g = np.asarray(groups)
+    if g.dtype.kind == "f":
+        ok = ((g >= -2.0 ** 63) & (g < 2.0 ** 63) & (np.floor(g) == g)).all()
+    else:
+        ok = g.dtype.kind in "biu" and (g.dtype != np.uint64 or not g.size
+                                        or g.max() < 2 ** 63)
+    if not ok:
+        raise DataError("groups must be integer ids")
+    return g.astype(np.int64, copy=False)
+
+
+def code_groups(groups) -> GroupCodes:
+    """The ids and inverse that ``np.unique(groups, return_inverse=True)``
+    gives for a column of integer ids; coded groups pass through.
+
+    A 1-d column of non-negative ids below twice its length is coded in
+    O(n): one ``np.bincount`` marks the ids present, and its cumulative
+    sum is the remap from id to index. Other ids take ``np.unique``."""
+    if isinstance(groups, GroupCodes):
+        return groups
+    g = _integer_ids(groups)
+    if g.ndim == 1 and g.size and g.min() >= 0 and g.max() < 2 * g.size:
+        present = np.bincount(g) > 0
+        return GroupCodes(np.flatnonzero(present), (np.cumsum(present) - 1)[g])
+    return GroupCodes(*np.unique(g, return_inverse=True))
+
+
+def aligned(preds, labels, groups) -> tuple[np.ndarray, np.ndarray, GroupCodes]:
+    """``preds`` and ``labels`` checked to be 0/1 (as bool) and ``groups``
+    checked and coded, in that order, then their lengths; every report
+    takes the results in place of the raw columns and checks them no more.
+    """
     p = _as_binary(preds, "preds")
     y = _as_binary(labels, "labels")
-    g = np.asarray(groups, dtype=np.int64)
-    if not (p.shape == y.shape == g.shape):
+    g = code_groups(groups)
+    if not (p.shape == y.shape == g.inverse.shape):
         raise DataError("preds, labels, groups lengths differ")
     return p, y, g
 
@@ -74,24 +125,24 @@ class GroupRates:
 RateTable = dict[int, GroupRates]
 
 
-def count_table(groups, cells=None, n_cells: int = 1, preds=None, labels=None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def count_table(groups: GroupCodes, cells=None, n_cells: int = 1, preds=None,
+                labels=None) -> np.ndarray:
     """Row counts per (cell, group, pred, label) from one ``np.bincount``.
 
-    Returns the sorted distinct ``groups`` and an int64 array of shape
-    (n_cells, groups, 2, 2) indexed [cell, group, pred, label], or
-    (n_cells, groups) without ``preds`` and ``labels``. ``cells`` are
+    Returns an int64 array of shape (n_cells, groups, 2, 2) indexed [cell,
+    group, pred, label], or (n_cells, groups) without ``preds`` and
+    ``labels``; groups are in the order of ``groups.ids``. ``cells`` are
     int64 ids in [0, n_cells), all 0 when None; ``preds`` and ``labels``
-    are int64 in {0, 1}. Every array is 1-d and of one length.
+    are bool. Every array is 1-d and of one length.
     """
-    ids, key = np.unique(groups, return_inverse=True)
-    shape = (n_cells, ids.size)
+    shape = (n_cells, groups.ids.size)
+    key = groups.inverse
     if cells is not None:
-        key = key + cells * ids.size
+        key = key + cells * groups.ids.size
     if preds is not None:
         key = key * 4 + preds * 2 + labels
         shape += (2, 2)
-    return ids, np.bincount(key, minlength=math.prod(shape)).reshape(shape)
+    return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
 
 def _by_group(ids: np.ndarray, table: np.ndarray) -> dict[int, GroupCounts]:
@@ -102,28 +153,30 @@ def _by_group(ids: np.ndarray, table: np.ndarray) -> dict[int, GroupCounts]:
 
 
 def confusion(preds, labels, groups) -> dict[int, GroupCounts]:
-    """Exhaustive per-group TP/FP/TN/FN counts."""
-    p, y, g = _aligned(preds, labels, groups)
-    ids, table = count_table(g, preds=p, labels=y)
-    return _by_group(ids, table[0])
+    """Exhaustive per-group TP/FP/TN/FN counts; takes raw or ``aligned``
+    columns."""
+    p, y, g = aligned(preds, labels, groups)
+    return _by_group(g.ids, count_table(g, preds=p, labels=y)[0])
 
 
 def cell_confusion(preds, labels, groups, cells: np.ndarray,
                    n_cells: int) -> list[dict[int, GroupCounts]]:
     """``confusion`` of the rows of each cell 0..n_cells-1, from one count
     table; row i is in cell ``cells[i]``. The arrays are 1-d and of one
-    length. A pred or label outside {0, 1} raises what ``confusion`` raises
-    on the rows of the first cell that holds one: the pred error if that
-    cell has a bad pred."""
+    length; bool preds and labels, as ``aligned`` gives them, are not
+    checked again. A pred or label outside {0, 1} raises what ``confusion``
+    raises on the rows of the first cell that holds one: the pred error if
+    that cell has a bad pred. Group ids are checked after them."""
     p, y = np.asarray(preds), np.asarray(labels)
-    bad_p, bad_y = ~_is_binary(p), ~_is_binary(y)
-    if bad_p.any() or bad_y.any():
-        first = cells[bad_p | bad_y].min()
-        name = "preds" if bad_p[cells == first].any() else "labels"
-        raise DataError(f"{name} must contain only 0/1 entries")
-    ids, table = count_table(np.asarray(groups, dtype=np.int64), cells, n_cells,
-                             p.astype(np.int64), y.astype(np.int64))
-    return [_by_group(ids, t) for t in table]
+    if p.dtype != bool or y.dtype != bool:
+        bad_p, bad_y = ~_is_binary(p), ~_is_binary(y)
+        if bad_p.any() or bad_y.any():
+            first = cells[bad_p | bad_y].min()
+            name = "preds" if bad_p[cells == first].any() else "labels"
+            raise DataError(f"{name} must contain only 0/1 entries")
+        p, y = p == 1, y == 1
+    g = code_groups(groups)
+    return [_by_group(g.ids, t) for t in count_table(g, cells, n_cells, p, y)]
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -199,8 +252,9 @@ def accuracy(preds, labels) -> float:
 
 def largest_pair(groups) -> tuple[int, int]:
     """The two most populous group ids; ties break toward the smaller id."""
-    ids, counts = np.unique(np.asarray(groups, dtype=np.int64), return_counts=True)
-    return _largest_pair(dict(zip(ids.tolist(), counts.tolist())))
+    g = code_groups(groups)
+    counts = np.bincount(g.inverse.reshape(-1), minlength=g.ids.size)
+    return _largest_pair(dict(zip(g.ids.tolist(), counts.tolist())))
 
 
 def _largest_pair(sizes: dict[int, int]) -> tuple[int, int]:
@@ -231,7 +285,8 @@ class FairnessReport:
 
 
 def fairness_report(preds, labels, groups) -> FairnessReport:
-    """Accuracy plus fairness metrics for the two largest groups.
+    """Accuracy plus fairness metrics for the two largest groups; takes raw
+    or ``aligned`` columns.
 
     Every number comes from one per-group confusion table. Signed gaps that
     are undefined in either group are reported as None; DP and EOdds

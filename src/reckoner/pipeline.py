@@ -493,7 +493,8 @@ def predict(model: ReckonerModel,
 
     ``StandardizedRows`` build each chunk's rows in the input buffer, so
     their matrix never exists whole; with the noise on, the perturbation
-    is computed once per call and added as the rows are built, the same
+    is computed once per call and added to the zero row and to each
+    code's value once, and to numeric cells as they are built: the same
     single add per cell as ``NoiseWrapper.apply``. Array rows take
     ``model.high_input``.
     """
@@ -504,11 +505,11 @@ def predict(model: ReckonerModel,
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
     scores = np.empty(n, dtype=np.float64)
-    shift = model.noise.perturbation() if coded and model.config.use_noise else None
+    if coded and model.config.use_noise:
+        x = x.shifted(model.noise.perturbation())
     for lo, hi in sorted(_chunk_bounds(n), key=lambda bounds: bounds[0] - bounds[1]):
         buf = model.input_rows(hi - lo)
-        rows = (x.fill(slice(lo, hi), buf, shift) if coded
-                else model.high_input(x[lo:hi], buf))
+        rows = x.fill(slice(lo, hi), buf) if coded else model.high_input(x[lo:hi], buf)
         scores[lo:hi] = model.high.score(rows)
     return predict_labels(scores), scores
 

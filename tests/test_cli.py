@@ -24,10 +24,12 @@ from conftest import assert_no_child_processes, cap_workers
 import reckoner
 import reckoner.cli
 import reckoner.data
+import reckoner.metrics
 import reckoner.models
 import reckoner.pipeline
 import reckoner.serial
 from reckoner.cli import SWEEPABLE, _sweep_grid, main
+from reckoner.confidence import BucketSpec
 from reckoner.errors import ConfigError
 from reckoner.pipeline import TrainConfig
 
@@ -500,6 +502,22 @@ def test_audit_artifacts_match_pinned_sha256(rows, hashed_checkpoint, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((run / "out").iterdir())}
     assert digests == AUDIT_SHA256[rows]
+
+
+def test_audit_checks_codes_and_assigns_once(hashed_checkpoint, tmp_path, monkeypatch):
+    """The three reports share one check of the preds and labels, one
+    coding of the groups and one bucket assignment."""
+    calls = {"_is_binary": [], "_integer_ids": [], "assign": []}
+    for owner, name in ((reckoner.metrics, "_is_binary"), (reckoner.metrics, "_integer_ids"),
+                        (BucketSpec, "assign")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _log=calls[name], **k:
+                            _log.append(1) or _real(*a, **k))
+    monkeypatch.chdir(audit_dir(tmp_path / "a", hashed_checkpoint, 3000))
+    code, err = run_main(*AUDIT_ARGS)
+    assert code == 0, err
+    assert {k: len(v) for k, v in calls.items()} == \
+        {"_is_binary": 2, "_integer_ids": 1, "assign": 1}
 
 
 # Runs ``python`` with its arguments in a forked child and prints the

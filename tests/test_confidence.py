@@ -7,6 +7,7 @@ from reckoner.confidence import (
     GAP_RATES,
     BucketEntry,
     BucketReport,
+    Buckets,
     BucketSpec,
     bucket_analysis,
     confidence_of,
@@ -15,7 +16,7 @@ from reckoner.confidence import (
 )
 from reckoner.data import CodedTable, ColumnSpec, Dataset, Schema, StandardizedRows
 from reckoner.errors import ConfigError, DataError
-from reckoner.metrics import GroupCounts, confusion, rates, signed_gaps
+from reckoner.metrics import GroupCounts, aligned, confusion, fairness_report, rates, signed_gaps
 
 SCHEMA = Schema(columns=(ColumnSpec("f0", "numeric"), ColumnSpec("y", "label"),
                          ColumnSpec("s", "sensitive")))
@@ -251,6 +252,19 @@ class TestBucketAnalysis:
             with pytest.raises(DataError, match=f"{name} must contain only 0/1 entries"):
                 bucket_analysis(preds, labels, groups, conf, BucketSpec(), 0, 1)
 
+    def test_rejects_non_integral_group_ids(self):
+        """0.9 and 1.9 used to be cast to groups 0 and 1."""
+        conf = np.array([0.55, 0.65, 0.75, 0.85])
+        with pytest.raises(DataError, match="groups must be integer ids"):
+            bucket_analysis([1, 0, 1, 0], [1, 0, 0, 1], [0.9, 0.9, 1.9, 1.9], conf,
+                            BucketSpec(), 0, 1)
+
+    def test_buckets_of_another_spec_are_refused(self):
+        d, preds, conf = self.fixture()
+        other = Buckets(BucketSpec((0.5,)), BucketSpec((0.5,)).assign(conf))
+        with pytest.raises(ValueError, match="another spec"):
+            bucket_analysis(preds, d.y, d.s, other, BucketSpec(), 0, 1)
+
 
 class TestFeatureHistograms:
     def groups_of(self, values, groups=None):
@@ -325,6 +339,21 @@ class TestFeatureHistograms:
                                "f0", bins=2)
         with pytest.raises(DataError, match="values must be 1-d"):
             feature_histograms(1.0, 0, 0.7, BucketSpec(), "f0", bins=2)
+
+    def test_rejects_non_integral_group_ids(self):
+        """Both groups used to be keyed ``int(g) = 0``, and only 2 of the 4
+        rows were counted."""
+        with pytest.raises(DataError, match="groups must be integer ids"):
+            feature_histograms(np.arange(4.0), [0.4, 0.4, 0.6, 0.6], np.full(4, 0.7),
+                               BucketSpec(), "f0", bins=2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_name_the_feature(self, bad):
+        """No bin edges span a value that is not finite: a DataError names
+        the feature, where numpy's binning raised a bare ValueError."""
+        with pytest.raises(DataError, match="feature 'age' has values that are not finite"):
+            feature_histograms(np.array([1.0, bad, 2.0]), np.zeros(3, int), np.full(3, 0.7),
+                               BucketSpec(), "age", bins=2)
 
 
 # The per-group and per-bucket mask loops that counted the reports before one
@@ -458,3 +487,35 @@ class TestOnePassCountsMatchMaskLoops:
         assert list(got.counts) == list(counts)
         for key, cell in counts.items():
             assert got.counts[key].tolist() == cell.tolist(), key
+
+
+class TestSharedPassMatchesStandaloneCalls:
+    @given(scored_rows(min_size=1), st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reports_from_coded_columns(self, rows, bins, data):
+        """The audit's shared pass: preds and labels checked and groups
+        coded once by ``aligned``, scores assigned once to ``Buckets``; all
+        three reports equal the standalone calls and the mask loops."""
+        spec, preds, labels, groups, scores, ids = rows
+        values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=preds.size,
+                                             max_size=preds.size)))
+        g_i, g_j = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        p, y, g = aligned(preds, labels, groups)
+        buckets = Buckets(spec, spec.assign(scores))
+
+        assert confusion(p, y, g) == ref_confusion(preds, labels, groups)
+        assert outcome(fairness_report, p, y, g) == outcome(fairness_report, preds, labels,
+                                                            groups)
+        got = bucket_analysis(p, y, g, buckets, spec, g_i, g_j)
+        assert got == bucket_analysis(preds, labels, groups, scores, spec, g_i, g_j)
+        assert got == ref_bucket_analysis(preds, labels, groups, scores, spec, g_i, g_j)
+        assert got.to_csv_rows() == ref_bucket_analysis(
+            preds, labels, groups, scores, spec, g_i, g_j).to_csv_rows()
+
+        hist = feature_histograms(values, g, buckets, spec, "f", bins)
+        alone = feature_histograms(values, groups, scores, spec, "f", bins)
+        edges, counts = ref_feature_histograms(values, groups, scores, spec, bins)
+        assert hist.edges.tobytes() == alone.edges.tobytes() == edges.tobytes()
+        assert list(hist.counts) == list(alone.counts) == list(counts)
+        for key, cell in counts.items():
+            assert hist.counts[key].tolist() == alone.counts[key].tolist() == cell.tolist()

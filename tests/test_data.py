@@ -682,6 +682,104 @@ def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk, pick)
     assert coded.fill(picked, out).tobytes() == whole[picked].tobytes()
 
 
+def ref_fill(coded, rows, out, shift=None):
+    """``StandardizedRows.fill`` as it was before each code's shifted value
+    was computed once per call: the shift added per chunk, and the hot
+    cells written with one 2-d fancy-indexed store per column."""
+    out[:] = coded.zero if shift is None else coded.zero + shift
+    for j, values in coded.numeric.values():
+        out[:, j] = values[rows] if shift is None else values[rows] + shift[j]
+    row_ids = np.arange(out.shape[0])
+    for which, pos, values in coded.hot:
+        w = which[rows]
+        cols = pos[w]
+        out[row_ids, cols] = values[w] if shift is None else values[w] + shift[cols]
+    return out
+
+
+@st.composite
+def coded_rows(draw):
+    """Standardized coded rows: numeric and categorical columns, a
+    categorical column's codes sometimes all in one bucket; its built rows
+    hold -0.0 where a mean of -0.0 meets a zero cell."""
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1,
+                          max_size=4))
+    names = [f"c{i}" for i in range(len(kinds))]
+    buckets = draw(st.sampled_from([2, 4, 8]))
+    schema = Schema(columns=tuple(ColumnSpec(n_, k) for n_, k in zip(names, kinds))
+                    + (ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                    hash_buckets=buckets)
+    floats = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+    numeric, categorical = {}, {}
+    for name, kind in zip(names, kinds):
+        if kind == "numeric":
+            numeric[name] = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+            continue
+        codes = draw(st.integers(1, n))
+        which = np.arange(n) % codes
+        np.random.default_rng(draw(st.integers(0, 99))).shuffle(which)
+        one = draw(st.booleans())
+        bucket = np.full(codes, draw(st.integers(0, buckets - 1))) if one else \
+            np.array(draw(st.lists(st.integers(0, buckets - 1), min_size=codes,
+                                   max_size=codes)))
+        sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=codes,
+                                      max_size=codes)))
+        categorical[name] = (which, bucket, sign)
+    table = data.CodedTable(schema, y=np.zeros(n, dtype=np.int64),
+                            s=np.zeros(n, dtype=np.int64), numeric=numeric,
+                            categorical=categorical, sha256="")
+    mean = np.array(draw(st.lists(floats, min_size=schema.m, max_size=schema.m)))
+    std = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 3.0]), min_size=schema.m,
+                                 max_size=schema.m)))
+    return data.StandardizedRows(table, mean, std)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded=coded_rows(), pick=st.data())
+def test_fill_is_byte_equal_to_the_per_chunk_shift(coded, pick):
+    """Rows built by ``fill``, plain or from ``shifted`` rows, have the
+    bytes of the old formulation: for slices, 1-row requests and index
+    arrays in any order with repeats."""
+    n, m = coded.shape
+    shift = np.array(pick.draw(st.lists(st.floats(-10, 10) | st.just(-0.0), min_size=m,
+                                        max_size=m)))
+    lo = pick.draw(st.integers(0, n - 1))
+    hi = pick.draw(st.integers(lo + 1, n))
+    requests = [slice(lo, hi), slice(lo, lo + 1), np.array([lo]),
+                np.array(pick.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+                         dtype=np.int64)]
+    for rows in requests:
+        k = np.arange(n)[rows].size
+        for built, wanted in ((coded, None), (coded.shifted(shift), shift)):
+            got = built.fill(rows, np.full((k, m), np.nan))
+            want = ref_fill(coded, rows, np.full((k, m), np.nan), wanted)
+            assert got.tobytes() == want.tobytes(), rows
+
+
+def test_fill_refuses_a_buffer_that_is_not_c_contiguous():
+    """The hot cells are stored through the buffer's flat view, which only a
+    C-contiguous buffer shares its memory with: another buffer is refused,
+    never filled wrongly."""
+    schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("v", "numeric"),
+                             ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                    hash_buckets=2)
+    table = data.CodedTable(schema, y=np.zeros(4, dtype=np.int64),
+                            s=np.zeros(4, dtype=np.int64), numeric={"v": np.arange(4.0)},
+                            categorical={"c": (np.array([0, 1, 0, 1]), np.array([0, 1]),
+                                               np.array([1.0, -1.0]))},
+                            sha256="")
+    coded = data.StandardizedRows(table, np.zeros(3), np.ones(3))
+    want = coded.fill(slice(None), np.empty((4, 3)))
+    assert want.tolist() == [[1, 0, 0], [0, -1, 1], [1, 0, 2], [0, -1, 3]]
+    for out in (np.empty((4, 3), order="F"), np.empty((4, 6))[:, ::2],
+                np.empty((8, 3))[::2]):
+        out[:] = np.nan
+        with pytest.raises(ValueError, match="C-contiguous"):
+            coded.fill(slice(None), out)
+        assert np.isnan(out).all()
+
+
 def prepare_from_matrix(schema, split, path):
     """Train and sweep's data preparation as it was: the whole raw matrix,
     three split copies, then three standardized copies."""

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from reckoner.errors import DataError, UndefinedRateError
 from reckoner.metrics import (
     RATE_NAMES,
+    GroupCodes,
     accuracy,
+    aligned,
     bias_gap,
+    code_groups,
     confusion,
     demographic_parity,
     equalized_odds,
@@ -90,6 +93,81 @@ class TestConfusion:
     def test_integral_floats_and_booleans_count(self):
         c = confusion([1.0, 0.0, True], [True, 0.0, 1], [0, 0, 0])
         assert (c[0].tp, c[0].fp, c[0].tn, c[0].fn) == (2, 0, 1, 0)
+
+
+class TestGroupIds:
+    """Group ids are integers: a fraction is neither truncated nor merged."""
+
+    def test_fairness_report_rejects_non_integral_ids(self):
+        for groups in ([0.4, 0.4, 0.6, 0.6], [0.9, 0.9, 1.9, 1.9], ["a", "a", "b", "b"],
+                       [0, 0, np.nan, 1], [0, 0, np.inf, 1], [0, 0, 2.0 ** 63, 1]):
+            with pytest.raises(DataError, match="groups must be integer ids"):
+                fairness_report([1, 0, 1, 0], [1, 0, 0, 1], groups)
+
+    def test_largest_pair_rejects_non_integral_ids(self):
+        with pytest.raises(DataError, match="groups must be integer ids"):
+            largest_pair([0.9, 1.9, 1.9])
+
+    def test_integral_floats_count_as_their_integers(self):
+        floats = fairness_report([1, 0, 1, 0], [1, 0, 0, 1], [1.0, 1.0, 2.0, 2.0])
+        assert floats == fairness_report([1, 0, 1, 0], [1, 0, 0, 1], [1, 1, 2, 2])
+        assert largest_pair(np.array([5, 3, 3], dtype=np.uint64)) == (3, 5)
+        assert largest_pair([True, False, True]) == (1, 0)
+
+    def test_checks_run_in_order_once(self):
+        """``aligned`` checks preds, then labels, then groups, then lengths,
+        and hands back columns that no report checks again."""
+        with pytest.raises(DataError, match="preds must"):
+            aligned([2], [5], [0.5])
+        with pytest.raises(DataError, match="labels must"):
+            aligned([1], [5], [0.5])
+        with pytest.raises(DataError, match="groups must be integer ids"):
+            aligned([1], [0], [0.5, 1])
+        with pytest.raises(DataError, match="lengths differ"):
+            aligned([1], [0], [0, 1])
+        p, y, g = aligned([1, 0, 1.0], [True, 0, 1], [7, 3, 7])
+        assert (p.tolist(), y.tolist()) == ([True, False, True], [True, False, True])
+        assert (g.ids.tolist(), g.inverse.tolist()) == ([3, 7], [1, 0, 1])
+        again = aligned(p, y, g)
+        assert again[0] is p and again[1] is y and again[2] is g
+
+
+DENSE_IDS = st.lists(st.integers(0, 7), min_size=4, max_size=60)
+GROUP_COLUMNS = st.one_of(
+    DENSE_IDS,  # non-negative, below twice the length: the bincount path
+    st.lists(st.integers(-50, 50), min_size=1, max_size=60),  # negative ids
+    st.lists(st.integers(2 ** 62, 2 ** 63 - 1), min_size=1, max_size=20),
+    st.integers(0, 10 ** 6).flatmap(lambda g: st.lists(st.just(g), min_size=1,
+                                                       max_size=30)),  # one group
+    st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=60),  # max far above n
+)
+
+
+class TestCodeGroups:
+    @given(GROUP_COLUMNS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique(self, groups):
+        g = np.array(groups, dtype=np.int64)
+        ids, inverse = np.unique(g, return_inverse=True)
+        got = code_groups(g)
+        assert got.ids.dtype == ids.dtype and got.ids.tobytes() == ids.tobytes()
+        assert got.inverse.dtype == inverse.dtype
+        assert got.inverse.tobytes() == inverse.tobytes()
+
+    def test_dense_ids_take_no_sort(self, monkeypatch):
+        """Non-negative ids below twice the row count are coded in O(n),
+        without ``np.unique``; others fall back to it."""
+        calls = []
+        real = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert code_groups([5, 0, 5, 2, 2, 9]).ids.tolist() == [0, 2, 5, 9]
+        assert not calls
+        assert code_groups([5, 0, 5, 12, 2, 9]).ids.tolist() == [0, 2, 5, 9, 12]
+        assert len(calls) == 1
+
+    def test_coded_groups_pass_through(self):
+        codes = GroupCodes(np.array([4]), np.zeros(3, dtype=np.int64))
+        assert code_groups(codes) is codes
 
 
 class TestRates:
