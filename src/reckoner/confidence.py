@@ -75,11 +75,15 @@ class BucketSpec:
         return [(t[k], t[k + 1] if k + 1 < len(t) else 1.0) for k in range(len(t))]
 
     def assign(self, scores: np.ndarray) -> np.ndarray:
+        """Each score's bucket: the number of thresholds after the first
+        that it reaches, counted with one comparison pass per threshold."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.size and not (scores.min() >= 0.5 and scores.max() <= 1.0):  # NaN fails
             raise DataError("confidence scores must lie in [0.5, 1]")
-        idx = np.searchsorted(np.asarray(self.thresholds), scores, side="right") - 1
-        return np.clip(idx, 0, self.count - 1).astype(np.int64)
+        idx = np.zeros(scores.shape, dtype=np.int64)
+        for t in self.thresholds[1:]:
+            idx += scores >= t
+        return idx
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,20 @@ class TestBucketSpec:
             with pytest.raises(ConfigError):
                 BucketSpec(t)
 
+    @given(st.lists(st.floats(0.5, 0.99, exclude_max=True), min_size=1, max_size=30,
+                    unique=True),
+           st.lists(st.floats(0.5, 1.0), max_size=50), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_assign_matches_a_binary_search(self, inner, scores, data):
+        """Counting the thresholds a score reaches gives the bucket that a
+        right-sided binary search over the thresholds gives."""
+        spec = BucketSpec(tuple(sorted({0.5, *inner})))
+        scores = np.array(scores + data.draw(st.lists(
+            st.sampled_from(spec.thresholds + (1.0,)), max_size=10)))
+        want = np.searchsorted(np.asarray(spec.thresholds), scores, side="right") - 1
+        got = spec.assign(scores)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(DataError):
             BucketSpec().assign(np.array([0.4]))

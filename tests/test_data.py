@@ -700,8 +700,8 @@ def ref_fill(coded, rows, out, shift=None):
 @st.composite
 def coded_rows(draw):
     """Standardized coded rows: numeric and categorical columns, a
-    categorical column's codes sometimes all in one bucket; its built rows
-    hold -0.0 where a mean of -0.0 meets a zero cell."""
+    categorical column's codes sometimes all in one bucket, and -0.0 among
+    the values and the means."""
     n = draw(st.integers(1, 40))
     kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), min_size=1,
                           max_size=4))
