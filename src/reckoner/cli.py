@@ -98,16 +98,22 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
 
 def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
     """Code the CSV, split its row indices, take the mean and std from the
-    train rows' numeric columns, and build all three splits standardized from
-    the codes: (train, valid, test, mean, std, sha256)."""
+    train rows' numeric columns, and standardize from the codes: (train,
+    valid, test, mean, std, sha256). Only train, which is trained on, is a
+    ``Dataset`` matrix; valid and test are only scored, so they stay coded,
+    ``StandardizedRows`` holding just their rows. The whole table is freed
+    on return."""
     table = code_csv(data_path, schema)
     tr, va, te = split_rows(table.n, split)
     # Column-major like standardize's x[:, pos]: the bits of mean(axis=0)
     # depend on the memory order.
     numeric = np.array([col[tr] for col in table.numeric.values()]).T
     mean, std = train_statistics(schema, numeric)
+    del numeric
     rows = StandardizedRows(table, mean, std)
-    return (*(rows.dataset(r) for r in (tr, va, te)), mean, std, table.sha256)
+    del table  # rows keep its codes, labels and groups, not its raw floats
+    valid, test = rows.take(va), rows.take(te)
+    return rows.dataset(tr), valid, test, mean, std, rows.sha256
 
 
 def _run_training(cfgs: list[TrainConfig], schema: Schema, split: SplitSpec, data: tuple,
@@ -140,7 +146,7 @@ def _run_training(cfgs: list[TrainConfig], schema: Schema, split: SplitSpec, dat
             },
         }
         manifest_hash = sha256_of_obj(manifest)
-        preds, _ = predict(model, te.x)
+        preds, _ = predict(model, te)
         report = fairness_report(preds, te.y, te.s)
 
         save_checkpoint(out_dir / "checkpoint.json", model, schema, mean, std,
@@ -194,13 +200,15 @@ def cmd_audit(args) -> int:
         if feature and ColumnSpec(feature, "numeric") not in loaded.schema.columns:
             raise ConfigError(f"--histogram-feature {feature!r} is not a numeric "
                               "feature of the checkpoint's schema")
-        table = code_csv(Path(args.data), loaded.schema)
-        x = StandardizedRows(table, loaded.mean, loaded.std)
+        # No name keeps the table, so its raw numeric columns go once
+        # the rows are standardized.
+        x = StandardizedRows(code_csv(Path(args.data), loaded.schema),
+                             loaded.mean, loaded.std)
         preds, prob = predict(loaded.model, x)
         del loaded  # the reports need no model, nor its scoring buffers
-        labels, groups = table.y, table.s
+        labels, groups = x.y, x.s
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
-                  "data_sha256": table.sha256}
+                  "data_sha256": x.sha256}
     elif args.predictions:
         preds, labels, groups, prob, sha256 = read_predictions(Path(args.predictions))
         source = {"predictions": str(args.predictions), "data_sha256": sha256}

@@ -666,8 +666,9 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
 
 class StandardizedRows:
     """``(x - mean) / std`` for a coded table's ``x``, built for the rows asked
-    for, never whole; the one path from codes to rows (audit chunks, train
-    splits, and ``load_csv`` with mean 0 and std 1, which is exact).
+    for, never whole; the one path from codes to rows (audit chunks, train's
+    matrix and its coded valid and test rows, and ``load_csv`` with mean 0
+    and std 1, which is exact). ``y``, ``s`` and ``sha256`` are the table's.
 
     Each standardized value is computed once: per numeric cell, per distinct
     categorical hot cell, and per column for the zero a categorical block
@@ -707,8 +708,20 @@ class StandardizedRows:
                   and all(np.isfinite(v).all() for _, _, v in self.hot))
         if not finite:
             raise DataError("x contains non-finite values")
-        self.schema, self.y, self.s = schema, table.y, table.s
+        self.schema, self.y, self.s, self.sha256 = schema, table.y, table.s, table.sha256
         self.shift = None
+
+    def take(self, rows: np.ndarray) -> StandardizedRows:
+        """A copy holding only ``rows``, an index array, in its order: their
+        codes, standardized numeric values, labels and groups, copied out,
+        so the whole table's arrays need not stay alive. Each code's value
+        and the zero row are shared; built rows are those rows' bits."""
+        out = copy.copy(self)
+        out.y, out.s = self.y[rows], self.s[rows]
+        out.shape = (out.y.shape[0], self.shape[1])
+        out.numeric = {name: (j, values[rows]) for name, (j, values) in self.numeric.items()}
+        out.hot = [(which[rows], pos, values) for which, pos, values in self.hot]
+        return out
 
     def shifted(self, shift: np.ndarray) -> StandardizedRows:
         """These rows plus ``shift``, a vector of width m: each built cell is

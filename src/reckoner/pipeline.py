@@ -403,8 +403,8 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
     return log
 
 
-def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
-    preds, _ = predict(model, valid.x)
+def _validation_entry(model: ReckonerModel, valid: Dataset | StandardizedRows) -> dict:
+    preds, _ = predict(model, valid.x if isinstance(valid, Dataset) else valid)
     try:
         report = fairness_report(preds, valid.y, valid.s)
     except ReckonerError:
@@ -414,12 +414,14 @@ def _validation_entry(model: ReckonerModel, valid: Dataset) -> dict:
             "valid_dp": report.dp, "valid_eodds": report.eodds}
 
 
-def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
+def train(train_set: Dataset, valid: Dataset | StandardizedRows,
+          cfg: TrainConfig | Sequence[TrainConfig], *,
           identifier: LinearClassifier | None = None) -> ReckonerModel | list[ReckonerModel]:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
     Validation metrics are logged per epoch; the final model is the last
-    state (no early stopping).
+    state (no early stopping). ``valid`` is only scored, by ``predict``, so
+    it may be coded rows, which score bit-equal to their matrix.
 
     A sequence of configs that differ only in ``seed`` gives a list of each
     run's model, trained in lockstep as one stack; each has the bits a
@@ -428,7 +430,7 @@ def train(train_set: Dataset, valid: Dataset, cfg: TrainConfig | Sequence[TrainC
     """
     configs = _run_configs(cfg)
     listed = not isinstance(cfg, TrainConfig)
-    if train_set.n == 0 or valid.n == 0:
+    if train_set.n == 0 or valid.y.size == 0:
         raise DataError("train and valid sets must be nonempty")
     model = initialize(train_set, configs, identifier=identifier)
     runs = [model.run(i, c) for i, c in enumerate(configs)]

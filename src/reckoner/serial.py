@@ -5,19 +5,21 @@ shortest-exact float repr so reloads are bit-identical. Every JSON document
 the package reads or writes goes through ``read_json`` and ``write_json``
 (``write_jsonl`` for the training log); config dataclasses decode through
 ``JsonConfig``. Every artifact is written whole or not at all
-(``write_text``), into a directory made by ``make_dir``.
+(``write_text``, which JSON documents stream to in chunks), into a
+directory made by ``make_dir``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import ConfigError
 
@@ -64,18 +66,21 @@ def make_dir(path: str | Path) -> Path:
     return path
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through a temp file in the target's directory,
-    then ``os.replace`` it: a failed write leaves an existing target as it
-    was and removes the temp file. An ``OSError`` on the way (the target is
-    a directory, the disk is full) is a ConfigError."""
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or an iterable of str chunks, as UTF-8 through a
+    temp file in the target's directory, then ``os.replace`` it: a failed
+    write, an error raised while the chunks are made included, leaves an
+    existing target as it was and removes the temp file. An ``OSError`` on
+    the way (the target is a directory, the disk is full) is a
+    ConfigError."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        fh = open(tmp, "xb")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with fh:
-                fh.write(text.encode("utf-8"))
+                for chunk in [text] if isinstance(text, str) else text:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -85,13 +90,17 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    """Sorted keys, one-space indent, trailing newline."""
-    write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Sorted keys, one-space indent, trailing newline: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``. The encoder's
+    chunks stream to the file, so the document is never one string; with
+    ``indent`` set, ``json.dumps`` joins these same chunks."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=1)
+    write_text(path, itertools.chain(encoder.iterencode(obj), ["\n"]))
 
 
 def write_jsonl(path: str | Path, rows: list[dict]) -> None:
     """One sorted-key JSON object per line."""
-    write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+    write_text(path, (json.dumps(r, sort_keys=True) + "\n" for r in rows))
 
 
 class JsonConfig:

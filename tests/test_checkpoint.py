@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_separable
 from reckoner.checkpoint import load_checkpoint, save_checkpoint
-from reckoner.data import SplitSpec, split_dataset, standardize
+from reckoner.data import SplitSpec, split_dataset, standardize, synth_schema
 from reckoner.errors import ConfigError
-from reckoner.pipeline import TrainConfig, predict, train
+from reckoner.models import FeedForwardClassifier, NoiseWrapper
+from reckoner.pipeline import ReckonerModel, TrainConfig, predict, train
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +131,26 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ConfigError, match="must be a JSON integer"):
             load_checkpoint(bad)
 
+
+
+def test_save_holds_less_than_twice_the_file(tmp_path):
+    """Saving a checkpoint at m = 130 with the default widths holds less
+    than twice the file's bytes at its peak: the encoder's chunks stream
+    to the file, never joined into one string (5.5 times with the string)."""
+    m = 130
+    model = ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
+                          FeedForwardClassifier(m, 64, 32),
+                          NoiseWrapper.initialized(m, m, 3), TrainConfig())
+    rng = np.random.default_rng(0)
+    mean, std = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
+    path = tmp_path / "checkpoint.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(path, model, synth_schema(m), mean, std, manifest_sha256="abc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak - before < 2 * size, (peak - before) / size

@@ -820,7 +820,9 @@ NO_NUMERIC_COLUMN = (
 def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
     """``train``'s preparation from the codes gives the splits, mean and std
     of ``load_csv`` -> ``split_dataset`` -> ``standardize``, bit for bit, or
-    the same DataError, on tables with bad cells and on valid ones."""
+    the same DataError, on tables with bad cells and on valid ones. Its
+    valid and test splits are coded rows: the rows built from them are
+    the chain's."""
     schema, content = table
     path = tmp_path_factory.mktemp("prep") / "d.csv"
     path.write_bytes(content)
@@ -836,7 +838,8 @@ def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
         assert got == want
         return
     assert not isinstance(got, str), got
-    for w, g in zip(want[:3], got[:3]):
+    assert all(isinstance(g, data.StandardizedRows) for g in got[1:3])
+    for w, g in zip(want[:3], (got[0], *(rows.dataset(slice(None)) for rows in got[1:3]))):
         assert g.x.shape == w.x.shape and g.x.tobytes() == w.x.tobytes()
         assert g.y.tobytes() == w.y.tobytes() and g.s.tobytes() == w.s.tobytes()
     for w, g in zip(want[3:], got[3:]):
@@ -844,10 +847,10 @@ def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
 
 
 def test_prepare_data_peak_is_close_to_its_matrices(tmp_path):
-    """Preparing a 20,000-row table at m = 130 holds little beyond the three
-    standardized split matrices it returns: the codes and the train rows'
-    numeric columns, not a raw copy of the train split (about 1.7 times
-    the matrices' bytes with one)."""
+    """Preparing a 20,000-row table at m = 130 holds little beyond the train
+    split's standardized matrix, the one matrix it returns: the codes, the
+    train rows' numeric columns and the coded valid and test rows, not
+    their matrices (about 1.8 times the train matrix's bytes with them)."""
     rng = random.Random(0)
     names = [f"c{k}" for k in range(8)] + ["n0", "n1", "label", "group"]
     lines = [",".join(names)]
@@ -861,13 +864,13 @@ def test_prepare_data_peak_is_close_to_its_matrices(tmp_path):
     schema = Schema(columns=tuple(map(ColumnSpec, names, kinds)), hash_buckets=16)
     tracemalloc.start()
     try:
-        splits = _prepare_data(schema, SplitSpec(0.7, 0.15, 0.15, seed=0), path)[:3]
+        train, valid, test = _prepare_data(schema, SplitSpec(0.7, 0.15, 0.15, seed=0), path)[:3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrices = sum(d.x.nbytes for d in splits)
-    assert matrices == 20_000 * 130 * 8
-    assert peak < 1.4 * matrices, peak / matrices
+    assert train.x.nbytes == 14_000 * 130 * 8
+    assert valid.shape == test.shape == (3_000, 130)
+    assert peak < 1.6 * train.x.nbytes, peak / train.x.nbytes
 
 
 def test_one_bucket_column_skips_its_zero(tmp_path):

@@ -486,6 +486,38 @@ print("ok")
         assert scores.tobytes() == want.tobytes()
         assert np.array_equal(labels, want_labels)
 
+    @pytest.mark.parametrize("use_noise", [True, False], ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("n", [43, 45])
+    def test_coded_subset_scores_like_its_matrix_rows(self, tmp_path, monkeypatch, n,
+                                                      use_noise):
+        """A subset of a coded table, taken at permuted row indices, holds
+        those rows' labels and groups and scores as those rows of the
+        standardized matrix do, with the noise on and off and the short
+        tail folded (43 rows in chunks of 8) or kept (45)."""
+        monkeypatch.setattr(pipeline, "PREDICT_CHUNK_ROWS", 8)
+        schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("v", "numeric"),
+                                 ColumnSpec("d", "categorical"), ColumnSpec("y", "label"),
+                                 ColumnSpec("s", "sensitive")), hash_buckets=8)
+        rng = np.random.default_rng(n)
+        path = tmp_path / "d.csv"
+        path.write_text("c,v,d,y,s\n" + "".join(
+            f"k{rng.integers(5)},{rng.standard_normal()!r},q{rng.integers(3)},{i % 2},g{i % 3}\n"
+            for i in range(2 * n)))
+        rows = rng.permutation(2 * n)[:n]
+        mean, std = rng.standard_normal(schema.m), rng.uniform(0.5, 2.0, schema.m)
+        subset = StandardizedRows(code_csv(path, schema), mean, std).take(rows)
+        want = apply_standardization(load_csv(path, schema), mean, std).take(rows)
+        assert subset.shape == want.x.shape
+        assert np.array_equal(subset.y, want.y) and np.array_equal(subset.s, want.s)
+        model = ReckonerModel(FeedForwardClassifier.initialized(schema.m, 16, 8, 1),
+                              FeedForwardClassifier(schema.m, 16, 8),
+                              NoiseWrapper.initialized(schema.m, 4, 2),
+                              TrainConfig(use_noise=use_noise))
+        labels, scores = predict(model, subset)
+        want_labels, want_scores = predict(model, want.x)
+        assert scores.tobytes() == want_scores.tobytes()
+        assert np.array_equal(labels, want_labels)
+
 
 class TestAblationDegeneracy:
     def test_flags_off_matches_erm_trajectory(self, monkeypatch):

@@ -45,6 +45,32 @@ class TestReadWriteJson:
         assert path.read_text() == '{\n "a": [\n  1.5,\n  null\n ],\n "b": 1\n}\n'
         assert read_json(path, "test") == {"a": [1.5, None], "b": 1}
 
+    DOC = {"z": [{"b": [1.5, -0.0, 1e-300, None], "a": {}}, []], "métrique": "café ✓",
+           "n": None, "x": {"y": {"w": [0.1, 2.5e17, True, "\u2028"]}}}
+
+    @settings(max_examples=50, deadline=None)
+    @given(doc=st.just(DOC) | json_values)
+    def test_streamed_bytes_match_dumps(self, tmp_path_factory, doc):
+        """The chunks ``write_json`` streams join to the bytes of one
+        ``json.dumps`` string, nested documents, floats, nulls and non-ASCII
+        strings included."""
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        write_json(path, doc)
+        want = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_value_that_cannot_be_encoded_keeps_old_bytes(self, tmp_path):
+        """A value JSON cannot encode, deep in the document, fails only once
+        the temp file is open and partly written: the TypeError still
+        reaches the caller, the old target keeps its bytes and the temp
+        file is gone."""
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(target, {"a": [1.0, object()]})
+        assert target.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
     @pytest.mark.parametrize("content", [b"{not json", b'{"a": "\xff"}', b"[" * 100_000],
                              ids=["malformed", "not-utf8", "too-deep"])
     def test_bad_file_is_config_error(self, tmp_path, content):
