@@ -136,7 +136,7 @@ class TestCheckpointRoundtrip:
 def test_save_holds_less_than_twice_the_file(tmp_path):
     """Saving a checkpoint at m = 130 with the default widths holds less
     than twice the file's bytes at its peak: the encoder's chunks stream
-    to the file, never joined into one string (5.5 times with the string)."""
+    to the file, never joined into one string (5.6 times with the string)."""
     m = 130
     model = ReckonerModel(FeedForwardClassifier.initialized(m, 64, 32, 1),
                           FeedForwardClassifier(m, 64, 32),
