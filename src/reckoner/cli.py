@@ -207,8 +207,10 @@ def cmd_audit(args) -> int:
         preds, prob = predict(loaded.model, x)
         del loaded  # the reports need no model, nor its scoring buffers
         labels, groups = x.y, x.s
+        column = x.feature(feature) if feature else None
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "data_sha256": x.sha256}
+        del x  # nor the codes and the other standardized columns
     elif args.predictions:
         preds, labels, groups, prob, sha256 = read_predictions(Path(args.predictions))
         source = {"predictions": str(args.predictions), "data_sha256": sha256}
@@ -227,8 +229,8 @@ def cmd_audit(args) -> int:
         buckets = Buckets(spec, spec.assign(conf))
         bucket = bucket_analysis(preds, labels, groups, buckets, spec, *report.pair)
     if args.histogram_feature:
-        hist = feature_histograms(x.feature(args.histogram_feature), groups, buckets, spec,
-                                  args.histogram_feature, bins=bins)
+        hist = feature_histograms(column, groups, buckets, spec, args.histogram_feature,
+                                  bins=bins)
 
     out_dir = make_dir(args.out)
     write_json(out_dir / "fairness_report.json",

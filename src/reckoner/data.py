@@ -245,8 +245,12 @@ def synth_schema(m_numeric: int) -> Schema:
 
 
 # Rows the CSV coder holds as strings at a time. Of every row it keeps one
-# 8-byte code or float per column, not the row's text.
+# 4-byte code or 8-byte float per column, not the row's text.
 CODE_BLOCK_ROWS = 1024
+
+# Distinct values a label, sensitive or categorical column may hold: its
+# codes are int32.
+MAX_DISTINCT = 2**31
 
 
 def _map_labels(distinct: list[str], which: np.ndarray) -> np.ndarray:
@@ -435,7 +439,7 @@ def read_predictions(path: str | Path):
         else f"predictions file needs columns {need}, got {header}"
     ip, il, ig, js = (header.index(name) if name in header else None
                       for name in ("pred", "label", "group", "score"))
-    parts = []
+    columns = [_Column(np.int64) for _ in range(3)] + [_Column(np.float64)]
     for rows, cells, widths in blocks:
         if error is not None or not rows:
             continue  # a read error later in the file comes first
@@ -452,13 +456,13 @@ def read_predictions(path: str | Path):
         except (IndexError, ValueError):
             error = f"unparseable predictions row {row!r}"
             continue
-        parts.append((np.array(pred, np.int64), np.array(label, np.int64),
-                      np.array(group, np.int64), np.array(score, np.float64)))
+        for column, part in zip(columns, (pred, label, group, score)):
+            column.append(part)
     if error is not None:
         raise DataError(error)
-    if not parts:
+    if not columns[0].n:
         raise DataError(f"predictions file {path} has no rows")
-    pred, label, group, score = (np.concatenate(col) for col in zip(*parts))
+    pred, label, group, score = (column.array() for column in columns)
     return pred, label, group, score if js is not None else None, digest.hexdigest()
 
 
@@ -470,8 +474,9 @@ class _Column:
     def __init__(self, dtype) -> None:
         self.values, self.n = np.empty(0, dtype), 0
 
-    def append(self, part: np.ndarray) -> None:
-        end = self.n + part.size
+    def append(self, part) -> None:
+        """Add ``part``, a 1-d array or a list of values."""
+        end = self.n + len(part)
         if end > self.values.size:
             self.values.resize(max(2 * self.values.size, end), refcheck=False)
         self.values[self.n:end] = part
@@ -486,32 +491,45 @@ class _Column:
 
 class _Codes:
     """First-appearance codes of one column's cells, block by block: each
-    distinct cell is keyed once per file, each row keeps one integer."""
+    distinct cell is keyed once per file, each row keeps one int32. A cell
+    past ``MAX_DISTINCT`` distinct values is kept as the column's error and
+    ends its coding."""
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.index: dict[str, int] = {}
-        self.codes = _Column(np.int64)
+        self.codes = _Column(np.int32)
         self.first_empty: int | None = None
+        self.error: str | None = None
 
     def add(self, cells: list[str], base: int) -> None:
         """Code a block's cells, spaces stripped. Keys are stripped, so a
         cell that is a key needs no strip; only a block holding a cell that
         is not strips its cells and runs the pass that keys new values."""
+        if self.error is not None:
+            return
         index = self.index
         try:
-            codes = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+            codes = np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
         except KeyError:
             cells = list(map(str.strip, cells))
             for v in dict.fromkeys(cells):
                 if v not in index:
+                    if len(index) == MAX_DISTINCT:
+                        self.error = (f"column {self.name!r} holds more than "
+                                      f"{MAX_DISTINCT} distinct values, row "
+                                      f"{base + cells.index(v) + 2}")
+                        return
                     index[v] = len(index)
                     if v == "":
                         self.first_empty = base + cells.index("")
-            codes = np.fromiter(map(index.__getitem__, cells), np.int64, len(cells))
+            codes = np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
         self.codes.append(codes)
 
     def which(self) -> np.ndarray:
         """Each row's code."""
+        if self.error is not None:
+            raise DataError(self.error)
         return self.codes.array()
 
 
@@ -571,11 +589,13 @@ class _Floats:
 
 @dataclass(frozen=True)
 class CodedTable:
-    """A CSV table coded per row, without its feature matrix: the labels,
-    the group ids, each numeric column's floats and, for each categorical
-    column, each row's cell code with the (bucket, sign) of each code.
-    Columns are keyed by name, in schema order; every code occurs in some
-    row. ``sha256`` is the hex SHA-256 of the bytes the coder read.
+    """A CSV table coded per row, without its feature matrix: the int64
+    labels, the int32 group ids, each numeric column's floats and, for each
+    categorical column, each row's int32 cell code with the int64 (bucket,
+    sign) of each code. Codes count distinct values in order of first
+    appearance, so a column holds at most ``MAX_DISTINCT``. Columns are
+    keyed by name, in schema order; every code occurs in some row.
+    ``sha256`` is the hex SHA-256 of the bytes the coder read.
     ``StandardizedRows`` builds rows of the matrix from it."""
 
     schema: Schema
@@ -597,7 +617,8 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
     Errors are those of reading the whole file first and checking it
     after, with the same precedence: a read error anywhere, then the
     header, no rows, the first ragged row, a missing label or sensitive
-    cell, the label coding, then each feature column's first error in
+    cell, a label or sensitive column past ``MAX_DISTINCT`` distinct
+    values, the label coding, then each feature column's first error in
     schema order. Rows are numbered among the nonblank rows, the header
     being row 1.
     """
@@ -611,8 +632,8 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
         raise DataError(
             f"header mismatch: file has {header!r}, schema expects {sorted(want)!r}"
         )
-    coders = {c.name: _Floats(c.name, impute_missing) if c.kind == "numeric" else _Codes()
-              for c in schema.columns}
+    coders = {c.name: _Floats(c.name, impute_missing) if c.kind == "numeric"
+              else _Codes(c.name) for c in schema.columns}
     at = [(header.index(name), coder) for name, coder in coders.items()]
     n, ragged, width = 0, None, len(header)
     for rows, cells, widths in blocks:
@@ -634,7 +655,8 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
         raise DataError("missing label cell")
     if group.first_empty is not None:
         raise DataError("missing sensitive cell")
-    y = _map_labels(list(label.index), label.which())
+    codes, s = label.which(), group.which()
+    y = _map_labels(list(label.index), codes)
     numeric, categorical = {}, {}
     for c in schema.feature_columns:
         coder = coders[c.name]
@@ -644,11 +666,12 @@ def code_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
         if coder.first_empty is not None and not impute_missing:
             raise DataError(f"missing cell in categorical column {c.name!r}, "
                             f"row {coder.first_empty + 2}")
+        which = coder.which()
         # One hash per distinct value, in order of first appearance.
         pairs = [hash_features(v, c.name, schema.hash_buckets) for v in coder.index]
         bucket, sign = np.array(pairs, dtype=np.int64).T
-        categorical[c.name] = (coder.which(), bucket, sign)
-    return CodedTable(schema, y, group.which(), numeric, categorical, digest.hexdigest())
+        categorical[c.name] = (which, bucket, sign)
+    return CodedTable(schema, y, s, numeric, categorical, digest.hexdigest())
 
 
 def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> Dataset:
@@ -747,7 +770,8 @@ class StandardizedRows:
         flat = out.reshape(-1)
         row_starts = np.arange(0, flat.size, out.shape[1])
         for which, pos, values in self.hot:
-            w = which[rows]
+            # One cast for both gathers: numpy would cast int32 codes at each.
+            w = which[rows].astype(np.intp)
             flat[row_starts + pos[w]] = values[w]
         return out
 

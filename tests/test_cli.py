@@ -520,6 +520,20 @@ def test_audit_checks_codes_and_assigns_once(hashed_checkpoint, tmp_path, monkey
         {"_is_binary": 2, "_integer_ids": 1, "assign": 1}
 
 
+def test_distinct_values_past_the_limit_exit_2(hashed_checkpoint, tmp_path, monkeypatch):
+    """A scored column with more distinct values than an int32 code holds
+    (the limit lowered here to 8; ``c0`` has 12) is a data error: exit 2,
+    one ``error kind=data`` line naming the column, and no ``--out``."""
+    monkeypatch.setattr(reckoner.data, "MAX_DISTINCT", 8)
+    monkeypatch.chdir(audit_dir(tmp_path / "a", hashed_checkpoint, 3000))
+    code, err = run_main(*AUDIT_ARGS)
+    assert code == 2
+    assert_documented_exit(code, err)
+    assert err.startswith("error kind=data exit=2 reason=\"column 'c0' holds more than 8 "
+                          "distinct values, row "), err
+    assert not Path("out").exists()
+
+
 # Runs ``python`` with its arguments in a forked child and prints the
 # child's exit code and peak RSS (KiB) as ``os.wait4`` reports them. A
 # child's peak starts at the resident set of the process that forked it (at

@@ -890,6 +890,82 @@ def test_one_bucket_column_skips_its_zero(tmp_path):
             data.StandardizedRows(table, mean[::-1].copy(), std[::-1].copy())
 
 
+def test_codes_are_int32_on_the_benchmark_schema(tmp_path):
+    """On the benchmark's mixed schema (eight categorical columns of 5 to
+    640 levels, two numeric columns, a label and a string group id) the
+    group ids and the cell codes are int32, so the per-row arrays take 60
+    bytes a row: 8 for the label, 4 for the group, 8 per numeric and 4 per
+    categorical column (96 with int64 codes)."""
+    rng = random.Random(1)
+    names = [f"c{k}" for k in range(8)] + ["n0", "n1", "label", "group"]
+    lines = [",".join(names)]
+    for _ in range(3_000):
+        cells = [f"c{k}_v{int(rng.random() * 5 * 2 ** k):04d}" for k in range(8)]
+        cells += [repr(rng.gauss(0, 1)), repr(rng.random()), str(int(rng.random() < 0.5)),
+                  ("grp-north", "grp-south")[rng.random() < 0.5]]
+        lines.append(",".join(cells))
+    kinds = ["categorical"] * 8 + ["numeric", "numeric", "label", "sensitive"]
+    schema = Schema(columns=tuple(map(ColumnSpec, names, kinds)), hash_buckets=16)
+    table = code_csv(write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n"), schema)
+    assert table.y.dtype == np.int64 and table.s.dtype == np.int32
+    per_row = [table.y, table.s, *table.numeric.values()]
+    for which, bucket, sign in table.categorical.values():
+        assert which.dtype == np.int32 and bucket.dtype == sign.dtype == np.int64
+        per_row.append(which)
+    assert all(a.shape == (table.n,) for a in per_row)
+    assert sum(a.nbytes for a in per_row) <= 60 * table.n
+
+
+DISTINCT_LIMIT_CASES = {
+    "categorical": ("c,y,s\na,0,g\nb,1,g\nc,0,h\nd,1,h\ne,0,g\n", False,
+                    "column 'c' holds more than 3 distinct values, row 5"),
+    "sensitive": ("c,y,s\na,0,g\na,1,h\na,0,i\na,1,j\n", False,
+                  "column 's' holds more than 3 distinct values, row 5"),
+    "label": ("c,y,s\na,0,g\na,1,g\na,2,g\na,3,g\n", False,
+              "column 'y' holds more than 3 distinct values, row 5"),
+    "missing-cell-first": ("c,y,s\na,0,g\n,1,g\nc,0,h\nd,1,h\n", False,
+                           "missing cell in categorical column 'c', row 3"),
+    "missing-cell-imputed": ("c,y,s\na,0,g\n,1,g\nc,0,h\nd,1,h\n", True,
+                             "column 'c' holds more than 3 distinct values, row 5"),
+    "label-before-sensitive": ("c,y,s\na,0,g\na,1,h\na,2,i\na,3,j\n", False,
+                               "column 'y' holds more than 3 distinct values, row 5"),
+}
+
+
+@pytest.mark.parametrize("content, impute_missing, message", DISTINCT_LIMIT_CASES.values(),
+                         ids=DISTINCT_LIMIT_CASES.keys())
+@pytest.mark.parametrize("block_rows", [1, 2, data.CODE_BLOCK_ROWS])
+def test_distinct_values_past_the_limit_are_a_data_error(tmp_path, content, impute_missing,
+                                                         message, block_rows):
+    """A column past ``MAX_DISTINCT`` distinct values, whose next code
+    would overflow int32, is that column's error, naming the row of its
+    first value past the limit, in whatever blocks it is read."""
+    schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("y", "label"),
+                             ColumnSpec("s", "sensitive")), hash_buckets=4)
+    path = write_csv(tmp_path / "d.csv", content)
+    with mock.patch.object(data, "MAX_DISTINCT", 3), \
+            mock.patch.object(data, "CODE_BLOCK_ROWS", block_rows), \
+            pytest.raises(DataError) as raised:
+        code_csv(path, schema, impute_missing)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("numeric_first", [True, False])
+def test_distinct_limit_keeps_the_schema_order_of_feature_errors(tmp_path, numeric_first):
+    """Among feature columns the first error in schema order is raised, a
+    column past the distinct limit as any other."""
+    columns = [ColumnSpec("n", "numeric"), ColumnSpec("c", "categorical")]
+    schema = Schema(columns=(*columns[::1 if numeric_first else -1],
+                             ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                    hash_buckets=4)
+    path = write_csv(tmp_path / "d.csv", "n,c,y,s\n1,a,0,g\nx,b,1,g\n2,c,0,g\n")
+    with mock.patch.object(data, "MAX_DISTINCT", 2), pytest.raises(DataError) as raised:
+        code_csv(path, schema)
+    assert str(raised.value) == ("unparseable numeric cell 'x' in column 'n', row 3"
+                                 if numeric_first else
+                                 "column 'c' holds more than 2 distinct values, row 4")
+
+
 class TestStandardize:
     def test_constant_column_becomes_zero(self, numeric_schema):
         x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
