@@ -402,6 +402,8 @@ class FeedForwardClassifier:
 
     def run(self, i: int) -> "FeedForwardClassifier":
         run = FeedForwardClassifier(self.m, self.h1, self.h2, self.params.run(i))
+        # A view has no run axis, so it cannot score in ``_work``; the views
+        # share one list, or a stack of S would grow S score sets.
         run._work = self._runs_work
         return run
 
