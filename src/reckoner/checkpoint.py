@@ -5,14 +5,19 @@ high-confidence classifier and the noise wrapper) plus the config,
 standardization and schema, not the training-only state, so it is no
 resume point. Version 1 also stored the low-confidence classifier, its
 snapshot, the identifier and a copy of the seed; its keys are a superset
-of version 2's, so one reader loads both.
+of version 2's, so one reader loads every version.
 
-Parameter values are serialized with Python's shortest-exact float repr, so
-a reloaded model reproduces scores bit-for-bit.
+Version 3 stores each parameter vector under ``models`` (``high.values``,
+``noise.values``, ``noise.eta``) as one string: the standard base64, with
+padding, of its little-endian float64 bytes. Versions 1 and 2 stored them
+as JSON lists of shortest-exact float reprs. Both forms are exact, so a
+reloaded model reproduces scores bit-for-bit. The standardization
+statistics stay JSON lists in every version.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,14 +29,22 @@ from .models import FeedForwardClassifier, ModelParams, NoiseWrapper, ParamLayou
 from .pipeline import ReckonerModel, TrainConfig
 from .serial import read_json, write_json
 
-CHECKPOINT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+CHECKPOINT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
+BLOB_VERSION = 3  # the first version whose parameter vectors are blobs
+
+
+def _blob(values: np.ndarray) -> str:
+    """``values`` as base64 of its ``<f8`` bytes, encoded from the array's
+    own buffer (no copy for a contiguous float64 array on a little-endian
+    host)."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8")).decode("ascii")
 
 
 def _params_dict(params: ModelParams) -> dict:
     return {
         "layout": params.layout.to_dict(),
-        "values": params.values.tolist(),
+        "values": _blob(params.values),
     }
 
 
@@ -55,9 +68,36 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _params_from_dict(d: dict, name: str) -> ModelParams:
+def _vector(value, name: str, version: int, size: int) -> np.ndarray:
+    """Parameter vector ``name`` of a version ``version`` document: ``size``
+    finite float64s, from a JSON list before version 3 and from a base64
+    blob from then on; the other form is rejected."""
+    if version < BLOB_VERSION:
+        array = _numbers(value, name)
+    else:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a base64 string in format version "
+                             f"{version}, got {type(value).__name__}")
+        try:
+            raw = base64.b64decode(value, validate=True)
+            if len(value) != -(-len(raw) // 3) * 4:  # "=" past a whole quantum is skipped
+                raise ValueError("excess padding")
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
+            raise ValueError(f"invalid base64 in {name}: {exc}") from None
+        if len(raw) % 8:
+            raise ValueError(f"{name} holds {len(raw)} bytes, not a whole number "
+                             "of float64s")
+        array = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable native copy
+        if not np.isfinite(array).all():
+            raise ValueError(f"non-finite value in {name}")
+    if array.shape != (size,):
+        raise ValueError(f"{name} holds {array.size} values, expected {size}")
+    return array
+
+
+def _params_from_dict(d: dict, name: str, version: int) -> ModelParams:
     layout = ParamLayout.from_dict(d["layout"])
-    return ModelParams(layout, _numbers(d["values"], f"{name}.values"))
+    return ModelParams(layout, _vector(d["values"], f"{name}.values", version, layout.size))
 
 
 def checkpoint_dict(model: ReckonerModel, schema: Schema,
@@ -74,7 +114,7 @@ def checkpoint_dict(model: ReckonerModel, schema: Schema,
             "high": _params_dict(model.high.params),
             "noise": {
                 **_params_dict(model.noise.params),
-                "eta": model.noise.eta.tolist(),
+                "eta": _blob(model.noise.eta),
                 "hidden": model.noise.hidden,
             },
         },
@@ -100,28 +140,29 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
-    """Read a version 1 or 2 checkpoint; any malformed one is a ConfigError."""
+    """Read a version 1, 2 or 3 checkpoint; any malformed one is a ConfigError."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in READABLE_VERSIONS:  # true and 1.0 equal 1
         raise ConfigError(f"unsupported checkpoint version {version!r}")
     try:
-        return _from_doc(doc)
+        return _from_doc(doc, version)
     except KeyError as exc:
         raise ConfigError(f"malformed checkpoint {path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def _from_doc(doc: dict) -> LoadedCheckpoint:
+def _from_doc(doc: dict, version: int) -> LoadedCheckpoint:
     cfg = TrainConfig.from_dict(doc["config"])
     m = _count(doc["m"], "m")
-    high = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2,
-                                 _params_from_dict(doc["models"]["high"], "models.high"))
+    high = FeedForwardClassifier(
+        m, cfg.hidden1, cfg.hidden2,
+        _params_from_dict(doc["models"]["high"], "models.high", version))
     noise_doc = doc["models"]["noise"]
     noise = NoiseWrapper(m, _count(noise_doc["hidden"], "models.noise.hidden"),
-                         _numbers(noise_doc["eta"], "models.noise.eta"),
-                         _params_from_dict(noise_doc, "models.noise"))
+                         _vector(noise_doc["eta"], "models.noise.eta", version, m),
+                         _params_from_dict(noise_doc, "models.noise", version))
     schema = Schema.from_dict(doc["schema"])
     mean = _numbers(doc["standardize"]["mean"], "standardize.mean")
     std = _numbers(doc["standardize"]["std"], "standardize.std")

@@ -708,12 +708,20 @@ class StandardizedRows:
         offsets = schema.feature_offsets()
         self.zero = np.subtract(np.zeros(schema.m), mean)
         self.zero /= std
-        self.numeric = {}
-        for name, col in table.numeric.items():
-            j = offsets[name]
-            values = np.subtract(col, mean[j])
-            values /= std[j]
-            self.numeric[name] = (j, values)
+        # The numeric columns as one (n, k) block, column i at position
+        # numeric_pos[i] of a row: one gather and one store per fill. Adjacent
+        # positions, the usual layout, are a slice: a basic store, not a
+        # fancy-indexed one.
+        self.numeric_index = {name: i for i, name in enumerate(table.numeric)}
+        cols = [offsets[name] for name in table.numeric]
+        lo = cols[0] if cols else 0
+        self.numeric_pos = slice(lo, lo + len(cols)) if cols == list(range(lo, lo + len(cols))) \
+            else np.array(cols, dtype=np.intp)
+        self.numeric = np.empty((table.n, len(cols)))
+        for i, col in enumerate(table.numeric.values()):
+            self.numeric[:, i] = col
+        self.numeric -= mean[self.numeric_pos]
+        self.numeric /= std[self.numeric_pos]
         self.hot = []
         zero_occurs = np.zeros(schema.m, dtype=bool)
         for name, (which, bucket, sign) in table.categorical.items():
@@ -727,7 +735,7 @@ class StandardizedRows:
             if np.unique(bucket).size == 1:
                 zero_occurs[pos[0]] = False
         finite = (np.isfinite(self.zero[zero_occurs]).all()
-                  and all(np.isfinite(v).all() for _, v in self.numeric.values())
+                  and np.isfinite(self.numeric).all()
                   and all(np.isfinite(v).all() for _, _, v in self.hot))
         if not finite:
             raise DataError("x contains non-finite values")
@@ -742,7 +750,7 @@ class StandardizedRows:
         out = copy.copy(self)
         out.y, out.s = self.y[rows], self.s[rows]
         out.shape = (out.y.shape[0], self.shape[1])
-        out.numeric = {name: (j, values[rows]) for name, (j, values) in self.numeric.items()}
+        out.numeric = self.numeric[rows]
         out.hot = [(which[rows], pos, values) for which, pos, values in self.hot]
         return out
 
@@ -765,8 +773,9 @@ class StandardizedRows:
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         out[:] = self.zero
-        for j, values in self.numeric.values():
-            out[:, j] = values[rows] if self.shift is None else values[rows] + self.shift[j]
+        numeric = self.numeric[rows]
+        out[:, self.numeric_pos] = numeric if self.shift is None \
+            else numeric + self.shift[self.numeric_pos]
         flat = out.reshape(-1)
         row_starts = np.arange(0, flat.size, out.shape[1])
         for which, pos, values in self.hot:
@@ -782,13 +791,14 @@ class StandardizedRows:
         return Dataset(x=x, y=y, s=self.s[rows], schema=self.schema)
 
     def feature(self, name: str) -> np.ndarray:
-        """The standardized column of numeric feature ``name``."""
+        """A copy of the standardized column of numeric feature ``name``,
+        which keeps none of the other columns alive."""
         kinds = {c.name: c.kind for c in self.schema.feature_columns}
         if name not in kinds:
             raise DataError(f"unknown feature {name!r}")
         if kinds[name] != "numeric":
             raise DataError(f"feature {name!r} is not numeric")
-        return self.numeric[name][1]
+        return self.numeric[:, self.numeric_index[name]].copy()
 
 
 def standardize(

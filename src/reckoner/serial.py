@@ -1,7 +1,8 @@
 """Deterministic serialization and the JSON document codec.
 
-Reports round-trip floats at 12 significant digits; checkpoints use Python's
-shortest-exact float repr so reloads are bit-identical. Every JSON document
+Reports round-trip floats at 12 significant digits; checkpoints hold their
+parameter vectors as base64 float64 bytes and their other floats in Python's
+shortest-exact repr, so reloads are bit-identical. Every JSON document
 the package reads or writes goes through ``read_json`` and ``write_json``
 (``write_jsonl`` for the training log); config dataclasses decode through
 ``JsonConfig``. Every artifact is written whole or not at all

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import functools
@@ -75,7 +76,7 @@ C9_TRAIN_CFG = {
 
 # SHA-256 of the four artifacts ``reckoner train`` writes for C9's config.
 C9_SHA256 = {
-    "checkpoint.json": "cfe68ffa222c6b55f507974f0ef955008ad728f8f0c3147f43273756f418f9a4",
+    "checkpoint.json": "1803dca3ae9e2ca7bfdd16a41ea47fb3970237a57d89a6c243d4ffbf40d3465e",
     "fairness_report.json": "e69eefc4f1b41463518e005ea5ed08de3d777c3b1a1b0411d02a28e31faf14c7",
     "manifest.json": "52c049fa6addacf8355a2466341912f9e02e9ffdcdb860d41874825e2a2f442b",
     "training_log.jsonl": "5903732ebde98eadb07ccd122eec4f2b8c2c7fbd351fcc1a6226f04e2f7c8d13",
@@ -104,7 +105,7 @@ HASHED_TRAIN_CFG = {
               "test_fraction": 0.15, "seed": 5},
 }
 HASHED_SHA256 = {
-    "checkpoint.json": "8c21fca10523dd4979b8bc1862b7ecb368b288684db57c44ffb17676a557bca9",
+    "checkpoint.json": "30bc765bdcb47131464518ddcf86cbb8f51fb1dcb33ee69dd746e107e7aae1eb",
     "fairness_report.json": "41474253ebfdfa1fc8c5cbf229088fc1a7242467d8b4e46ec4a0565de4a86482",
     "manifest.json": "82ef3b04e0f9ee3957c63ca08573e81f590651652c89b25aad6325c95f9c5656",
     "training_log.jsonl": "6c82f8612e5a4b3f329b5a79a80009c2763d3a60e8f63f9c9c7d5920ad496f20",
@@ -414,7 +415,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.pop("models"),
-        lambda doc: doc["models"]["high"]["values"].pop(),
+        lambda doc: doc["models"]["high"].update(values=base64.b64encode(
+            base64.b64decode(doc["models"]["high"]["values"])[:-8]).decode("ascii")),
         lambda doc: doc["models"]["noise"]["layout"]["segments"].pop(),
         lambda doc: doc["standardize"]["mean"].pop(),
     ], ids=["no-models", "short-high-values", "short-noise-layout", "short-mean"])
@@ -1481,11 +1483,21 @@ def node_at(doc, keys):
     return doc
 
 
+def parameter_values(node):
+    """A parameter vector's values: a base64 blob's float64s decoded, or the
+    node as it is."""
+    if type(node) is str:
+        return np.frombuffer(base64.b64decode(node, validate=True), "<f8").tolist()
+    return node
+
+
 def well_typed_numbers(doc) -> bool:
     """Every parameter and standardization value is a finite JSON number
-    (not a bool) and both widths are JSON integers."""
+    (not a bool) or a blob's finite float64, and both widths are JSON
+    integers."""
     return (all(type(v) in (int, float) and math.isfinite(v)
-                for keys in CHECKPOINT_PARAMETERS for v in node_at(doc, keys))
+                for keys in CHECKPOINT_PARAMETERS
+                for v in parameter_values(node_at(doc, keys)))
             and all(type(node_at(doc, keys)) is int for keys in CHECKPOINT_COUNTS))
 
 
@@ -1494,9 +1506,9 @@ def well_typed_numbers(doc) -> bool:
 @example(data=None, edit="0.49")
 @example(data=None, edit=True)
 def test_fuzz_checkpoint_document(trained_checkpoint, data, edit):
-    """An ``@example`` (``data`` is None) edits ``models.noise.eta[0]``."""
+    """An ``@example`` (``data`` is None) replaces ``models.noise.eta``."""
     doc, csv_path = trained_checkpoint
-    path = ("models", "noise", "eta", 0) if data is None \
+    path = ("models", "noise", "eta") if data is None \
         else data.draw(st.sampled_from(list(json_paths(doc))))
     doc = json.loads(json.dumps(doc))
     parent = node_at(doc, path[:-1])

@@ -684,10 +684,11 @@ def test_standardized_rows_match_the_matrix(tmp_path_factory, case, chunk, pick)
 
 def ref_fill(coded, rows, out, shift=None):
     """``StandardizedRows.fill`` as it was before each code's shifted value
-    was computed once per call: the shift added per chunk, and the hot
-    cells written with one 2-d fancy-indexed store per column."""
+    was computed once per call: the shift added per chunk, each numeric
+    column stored on its own, and the hot cells written with one 2-d
+    fancy-indexed store per column."""
     out[:] = coded.zero if shift is None else coded.zero + shift
-    for j, values in coded.numeric.values():
+    for j, values in zip(np.arange(out.shape[1])[coded.numeric_pos], coded.numeric.T):
         out[:, j] = values[rows] if shift is None else values[rows] + shift[j]
     row_ids = np.arange(out.shape[0])
     for which, pos, values in coded.hot:
