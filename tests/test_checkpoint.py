@@ -61,10 +61,6 @@ def decoded(blob: str) -> list[float]:
     return np.frombuffer(base64.b64decode(blob), "<f8").tolist()
 
 
-def encoded(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
 def as_v2(doc: dict) -> dict:
     """A copy of version 3 document ``doc`` as version 2: its blobs decoded
     to lists of floats."""
@@ -97,12 +93,7 @@ def edited(path, tmp_path, keys, value):
 
 def blob_edit(edit):
     """An ``edited`` value that applies ``edit`` to a blob's decoded bytes."""
-    return lambda blob: encoded(edit(base64.b64decode(blob)))
-
-
-def first_float(x: float):
-    """A ``blob_edit`` edit that sets the first float to ``x``."""
-    return lambda raw: np.float64(x).astype("<f8").tobytes() + raw[8:]
+    return lambda blob: base64.b64encode(edit(base64.b64decode(blob))).decode("ascii")
 
 
 class TestCheckpointRoundtrip:
@@ -230,9 +221,9 @@ class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("keys", BLOB_KEYS, ids=".".join)
     def test_blob_in_a_v1_or_v2_document_rejected(self, trained, trained_v2, tmp_path,
                                                   keys, version):
-        blob = node_at(json.loads(trained[3].read_text()), keys)
-        doc = json.loads(edited(trained_v2, tmp_path, keys, blob).read_text())
+        doc = json.loads(trained_v2.read_text())
         doc["format_version"] = version
+        node_at(doc, keys[:-1])[keys[-1]] = node_at(json.loads(trained[3].read_text()), keys)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"non-numeric value in {'.'.join(keys)}"):
@@ -245,9 +236,8 @@ class TestCheckpointRoundtrip:
         lambda blob: blob + "====",
         lambda blob: blob[:8] + "\n" + blob[8:],
         lambda blob: "é" + blob[1:],
-        lambda blob: "\u00e9" * 4,
     ], ids=["punctuation", "truncated", "missing-padding", "excess-padding", "newline",
-            "non-ascii-first", "non-ascii"])
+            "non-ascii"])
     @pytest.mark.parametrize("keys", BLOB_KEYS, ids=".".join)
     def test_invalid_base64_rejected(self, trained, tmp_path, keys, edit):
         bad = edited(trained[3], tmp_path, keys, edit)
@@ -272,7 +262,8 @@ class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=str)
     @pytest.mark.parametrize("keys", BLOB_KEYS, ids=".".join)
     def test_non_finite_blob_value_rejected(self, trained, tmp_path, keys, x):
-        bad = edited(trained[3], tmp_path, keys, blob_edit(first_float(x)))
+        first = blob_edit(lambda raw: np.array([x], "<f8").tobytes() + raw[8:])
+        bad = edited(trained[3], tmp_path, keys, first)
         with pytest.raises(ConfigError, match=f"non-finite value in {'.'.join(keys)}"):
             load_checkpoint(bad)
 
