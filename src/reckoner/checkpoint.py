@@ -80,7 +80,10 @@ def _vector(value, name: str, version: int, size: int) -> np.ndarray:
                              f"{version}, got {type(value).__name__}")
         try:
             raw = base64.b64decode(value, validate=True)
-            if len(value) != -(-len(raw) // 3) * 4:  # "=" past a whole quantum is skipped
+            # "=" after a whole quantum decodes as if absent, even with
+            # validate=True (Python 3.10, and 3.11's strict mode), so the
+            # length must be the padded length of the decoded bytes.
+            if len(value) != -(-len(raw) // 3) * 4:
                 raise ValueError("excess padding")
         except ValueError as exc:  # binascii.Error, or text that is not ASCII
             raise ValueError(f"invalid base64 in {name}: {exc}") from None

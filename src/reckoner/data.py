@@ -708,16 +708,11 @@ class StandardizedRows:
         offsets = schema.feature_offsets()
         self.zero = np.subtract(np.zeros(schema.m), mean)
         self.zero /= std
-        # The numeric columns as one (n, k) block, column i at position
-        # numeric_pos[i] of a row: one gather and one store per fill. Adjacent
-        # positions, the usual layout, are a slice: a basic store, not a
-        # fancy-indexed one.
+        # The numeric columns as one (n, k) block in schema order, column i
+        # at position numeric_pos[i] of a row: one gather and one store per fill.
         self.numeric_index = {name: i for i, name in enumerate(table.numeric)}
-        cols = [offsets[name] for name in table.numeric]
-        lo = cols[0] if cols else 0
-        self.numeric_pos = slice(lo, lo + len(cols)) if cols == list(range(lo, lo + len(cols))) \
-            else np.array(cols, dtype=np.intp)
-        self.numeric = np.empty((table.n, len(cols)))
+        self.numeric_pos = schema.numeric_positions()
+        self.numeric = np.empty((table.n, self.numeric_pos.size))
         for i, col in enumerate(table.numeric.values()):
             self.numeric[:, i] = col
         self.numeric -= mean[self.numeric_pos]

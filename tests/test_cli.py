@@ -1471,9 +1471,9 @@ def json_paths(node, prefix=()):
 
 DELETE = "delete the key"
 CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", "0.49", [], {}]
-CHECKPOINT_PARAMETERS = [("models", "high", "values"), ("models", "noise", "values"),
-                         ("models", "noise", "eta"), ("standardize", "mean"),
-                         ("standardize", "std")]
+MODEL_VECTORS = [("models", "high", "values"), ("models", "noise", "values"),
+                 ("models", "noise", "eta")]
+CHECKPOINT_PARAMETERS = MODEL_VECTORS + [("standardize", "mean"), ("standardize", "std")]
 CHECKPOINT_COUNTS = [("m",), ("models", "noise", "hidden")]
 
 
@@ -1506,11 +1506,17 @@ def well_typed_numbers(doc) -> bool:
 @example(data=None, edit="0.49")
 @example(data=None, edit=True)
 def test_fuzz_checkpoint_document(trained_checkpoint, data, edit):
-    """An ``@example`` (``data`` is None) replaces ``models.noise.eta``."""
+    """An ``@example`` (``data`` is None) edits ``models.noise.eta[0]`` of
+    the document turned back into version 2, whose parameters are lists."""
     doc, csv_path = trained_checkpoint
-    path = ("models", "noise", "eta") if data is None \
+    path = ("models", "noise", "eta", 0) if data is None \
         else data.draw(st.sampled_from(list(json_paths(doc))))
     doc = json.loads(json.dumps(doc))
+    if data is None:
+        doc["format_version"] = 2
+        for keys in MODEL_VECTORS:
+            parent = node_at(doc, keys[:-1])
+            parent[keys[-1]] = parameter_values(parent[keys[-1]])
     parent = node_at(doc, path[:-1])
     if edit == DELETE and isinstance(parent, dict):
         del parent[path[-1]]
