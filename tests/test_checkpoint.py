@@ -234,26 +234,15 @@ class TestCheckpointRoundtrip:
         lambda blob: blob[:-1],
         lambda blob: "AA",
         lambda blob: blob + "====",
+        lambda blob: blob + "==",
         lambda blob: blob[:8] + "\n" + blob[8:],
         lambda blob: "é" + blob[1:],
-    ], ids=["punctuation", "truncated", "missing-padding", "excess-padding", "newline",
-            "non-ascii"])
+    ], ids=["punctuation", "truncated", "missing-padding", "excess-padding",
+            "padding-after-the-last-quantum", "newline", "non-ascii"])
     @pytest.mark.parametrize("keys", BLOB_KEYS, ids=".".join)
     def test_invalid_base64_rejected(self, trained, tmp_path, keys, edit):
         bad = edited(trained[3], tmp_path, keys, edit)
         with pytest.raises(ConfigError, match=f"invalid base64 in {'.'.join(keys)}"):
-            load_checkpoint(bad)
-
-    def test_padding_after_a_whole_quantum_rejected(self, trained, tmp_path):
-        """``==`` after an unpadded blob (``eta`` at m = 3 is 24 bytes, 32
-        characters). ``b64decode(..., validate=True)`` decodes it as the
-        blob on Python 3.10 and 3.11, so only the length check rejects it."""
-        keys = ("models", "noise", "eta")
-        blob = node_at(json.loads(trained[3].read_text()), keys)
-        assert len(blob) % 4 == 0 and not blob.endswith("=")
-        assert base64.b64decode(blob + "==", validate=True) == base64.b64decode(blob)
-        bad = edited(trained[3], tmp_path, keys, lambda blob: blob + "==")
-        with pytest.raises(ConfigError, match="invalid base64 in models.noise.eta"):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("edit, match", [
