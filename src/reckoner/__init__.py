@@ -58,6 +58,7 @@ from .confidence import (  # noqa: F401
 from .pipeline import (  # noqa: F401
     PseudoLearnState,
     ReckonerModel,
+    ServingModel,
     TrainConfig,
     erm_baseline,
     identify,

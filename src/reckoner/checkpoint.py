@@ -1,18 +1,25 @@
 """Versioned JSON checkpoints.
 
 A checkpoint is a serving artifact: it holds what ``predict`` reads (the
-high-confidence classifier and the noise wrapper) plus the config,
-standardization and schema, not the training-only state, so it is no
-resume point. Version 1 also stored the low-confidence classifier, its
-snapshot, the identifier and a copy of the seed; its keys are a superset
-of version 2's, so one reader loads every version.
+high-confidence classifier and the perturbation its input takes) plus the
+config, standardization and schema, not the training-only state, so it is
+no resume point. ``load_checkpoint`` gives a ``ServingModel``: no low
+classifier, snapshot, optimizer state or noise wrapper.
 
-Version 3 stores each parameter vector under ``models`` (``high.values``,
-``noise.values``, ``noise.eta``) as one string: the standard base64, with
-padding, of its little-endian float64 bytes. Versions 1 and 2 stored them
-as JSON lists of shortest-exact float reprs. Both forms are exact, so a
-reloaded model reproduces scores bit-for-bit. The standardization
-statistics stay JSON lists in every version.
+Version 4 stores the perturbation as ``models.perturbation``: a blob of m
+values in (-1, 1), computed at save from the trained wrapper, or ``null``
+with ``use_noise`` off. Versions 1 to 3 stored the whole wrapper under
+``models.noise``; a load of one computes its perturbation once, by the
+operations that version 4's save runs, so both give the same bits.
+Version 1 also stored the low-confidence classifier, its snapshot, the
+identifier and a copy of the seed, which no reader reads.
+
+A blob is the standard base64, with padding, of a vector's little-endian
+float64 bytes. From version 3 on, each parameter vector under ``models``
+is one; versions 1 and 2 stored them as JSON lists of shortest-exact float
+reprs. Both forms are exact, so a reloaded model reproduces scores
+bit-for-bit. The standardization statistics stay JSON lists in every
+version.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ import numpy as np
 from .data import Schema
 from .errors import ConfigError
 from .models import FeedForwardClassifier, ModelParams, NoiseWrapper, ParamLayout
-from .pipeline import ReckonerModel, TrainConfig
+from .pipeline import ReckonerModel, ServingModel, TrainConfig
 from .serial import read_json, write_json
 
-CHECKPOINT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+CHECKPOINT_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, 4)
 BLOB_VERSION = 3  # the first version whose parameter vectors are blobs
+PERTURBATION_VERSION = 4  # the first version that stores the perturbation, not the wrapper
 
 
 def _blob(values: np.ndarray) -> str:
@@ -103,23 +111,20 @@ def _params_from_dict(d: dict, name: str, version: int) -> ModelParams:
     return ModelParams(layout, _vector(d["values"], f"{name}.values", version, layout.size))
 
 
-def checkpoint_dict(model: ReckonerModel, schema: Schema,
+def checkpoint_dict(model: ReckonerModel | ServingModel, schema: Schema,
                     mean: np.ndarray, std: np.ndarray,
                     manifest_sha256: str | None = None) -> dict:
-    cfg = model.config
+    serving = model.serving()
+    cfg, pert = serving.config, serving.perturbation
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": "reckoner",
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "m": model.m,
+        "m": serving.m,
         "models": {
-            "high": _params_dict(model.high.params),
-            "noise": {
-                **_params_dict(model.noise.params),
-                "eta": _blob(model.noise.eta),
-                "hidden": model.noise.hidden,
-            },
+            "high": _params_dict(serving.high.params),
+            "perturbation": None if pert is None else _blob(pert),
         },
         "standardize": {"mean": mean.tolist(), "std": std.tolist()},
         "schema": schema.to_dict(),
@@ -127,7 +132,7 @@ def checkpoint_dict(model: ReckonerModel, schema: Schema,
     }
 
 
-def save_checkpoint(path: str | Path, model: ReckonerModel, schema: Schema,
+def save_checkpoint(path: str | Path, model: ReckonerModel | ServingModel, schema: Schema,
                     mean: np.ndarray, std: np.ndarray,
                     manifest_sha256: str | None = None) -> None:
     write_json(path, checkpoint_dict(model, schema, mean, std, manifest_sha256))
@@ -135,7 +140,7 @@ def save_checkpoint(path: str | Path, model: ReckonerModel, schema: Schema,
 
 @dataclass(frozen=True)
 class LoadedCheckpoint:
-    model: ReckonerModel
+    model: ServingModel
     schema: Schema
     mean: np.ndarray
     std: np.ndarray
@@ -143,7 +148,7 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
-    """Read a version 1, 2 or 3 checkpoint; any malformed one is a ConfigError."""
+    """Read a version 1 to 4 checkpoint; any malformed one is a ConfigError."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in READABLE_VERSIONS:  # true and 1.0 equal 1
@@ -156,26 +161,55 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from exc
 
 
+def _wrapper_perturbation(node: dict, m: int, version: int,
+                          use_noise: bool) -> np.ndarray | None:
+    """The perturbation of a version 1 to 3 document's noise wrapper, or
+    ``None`` with the noise off; the wrapper is read and checked either
+    way, and dropped."""
+    noise = NoiseWrapper(m, _count(node["hidden"], "models.noise.hidden"),
+                         _vector(node["eta"], "models.noise.eta", version, m),
+                         _params_from_dict(node, "models.noise", version))
+    return noise.perturbation() if use_noise else None
+
+
+def _perturbation(models: dict, m: int, use_noise: bool) -> np.ndarray | None:
+    """A version 4 document's perturbation: a blob of m values in (-1, 1),
+    the open interval a wrapper's clamped tanh keeps to, with the noise on;
+    ``null`` with it off."""
+    if "noise" in models:
+        raise ValueError("models.noise is not a format version 4 key: "
+                         "version 4 stores models.perturbation")
+    node = models["perturbation"]
+    if not use_noise:
+        if node is not None:
+            raise ValueError("models.perturbation must be null with use_noise off")
+        return None
+    if node is None:
+        raise ValueError("models.perturbation is null with use_noise on")
+    pert = _vector(node, "models.perturbation", PERTURBATION_VERSION, m)
+    if not (np.abs(pert) < 1.0).all():
+        raise ValueError("models.perturbation holds a value outside (-1, 1)")
+    return pert
+
+
 def _from_doc(doc: dict, version: int) -> LoadedCheckpoint:
     cfg = TrainConfig.from_dict(doc["config"])
     m = _count(doc["m"], "m")
+    models = doc["models"]
     high = FeedForwardClassifier(
         m, cfg.hidden1, cfg.hidden2,
-        _params_from_dict(doc["models"]["high"], "models.high", version))
-    noise_doc = doc["models"]["noise"]
-    noise = NoiseWrapper(m, _count(noise_doc["hidden"], "models.noise.hidden"),
-                         _vector(noise_doc["eta"], "models.noise.eta", version, m),
-                         _params_from_dict(noise_doc, "models.noise", version))
+        _params_from_dict(models["high"], "models.high", version))
+    if version < PERTURBATION_VERSION:
+        pert = _wrapper_perturbation(models["noise"], m, version, cfg.use_noise)
+    else:
+        pert = _perturbation(models, m, cfg.use_noise)
     schema = Schema.from_dict(doc["schema"])
     mean = _numbers(doc["standardize"]["mean"], "standardize.mean")
     std = _numbers(doc["standardize"]["std"], "standardize.std")
     if schema.m != m or mean.shape != (m,) or std.shape != (m,):
         raise ValueError(f"schema or standardization does not match width m={m}")
-    # The low classifier is training state and is not stored: like the
-    # optimizer moments, it comes back freshly zeroed.
-    low = FeedForwardClassifier(m, cfg.hidden1, cfg.hidden2)
     return LoadedCheckpoint(
-        model=ReckonerModel(high, low, noise, cfg),
+        model=ServingModel(cfg, high, pert),
         schema=schema,
         mean=mean,
         std=std,

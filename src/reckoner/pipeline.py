@@ -156,12 +156,45 @@ _SEED_STREAM_REFINE = 6
 PREDICT_CHUNK_ROWS = 1024
 
 
+class ServingModel:
+    """What ``predict`` reads: the config, the high-confidence classifier,
+    the perturbation its input takes (``None`` with the noise off) and an
+    input buffer that grows to the most rows asked of it.
+
+    A checkpoint loads as one. ``ReckonerModel.serving`` gives a training
+    run's, on the run's own input buffer and its high classifier, score
+    buffers included.
+    """
+
+    def __init__(self, config: TrainConfig, high: FeedForwardClassifier,
+                 perturbation: np.ndarray | None,
+                 inputs: list[np.ndarray] | None = None):
+        self.config = config
+        self.high = high
+        self.perturbation = perturbation
+        self._inputs = inputs if inputs is not None else [np.empty((0, high.m))]
+
+    @property
+    def m(self) -> int:
+        return self.high.m
+
+    def serving(self) -> "ServingModel":
+        return self
+
+    def input_rows(self, n: int) -> np.ndarray:
+        """The first ``n`` rows of the input buffer."""
+        if self._inputs[0].shape[0] < n:
+            self._inputs[0] = np.empty((n, self.m))
+        return self._inputs[0][:n]
+
+
 class ReckonerModel:
     """Dual classifiers plus noise wrapper and their optimizer states.
 
-    Prediction uses the high-confidence classifier only. The low classifier
-    rolls back to ``low_snapshot``, taken here from its current weights and
-    refilled in place by ``initialize`` once its init phases are done.
+    Prediction reads only ``serving()``: the high-confidence classifier and
+    the noise's perturbation. The low classifier rolls back to
+    ``low_snapshot``, taken here from its current weights and refilled in
+    place by ``initialize`` once its init phases are done.
     ``best_low`` holds the best step of the last pseudo-learning cycle.
     ``identifier`` is the identification fit; checkpoints do not store it.
 
@@ -170,7 +203,7 @@ class ReckonerModel:
     parameter vector, Adam moment and buffer has a leading run axis, inputs
     are (S, n, m) and labels (S, n), and ``config`` is the first run's.
     ``run(i, config)`` is run i as a model of its own, without the run axis,
-    on views of its rows, for ``predict``, checkpoints and history; a lone
+    on views of its rows, for ``serving``, checkpoints and history; a lone
     config's model is run 0 of a stack of one.
     """
 
@@ -188,7 +221,7 @@ class ReckonerModel:
         self.noise_state = AdamState.zeros(noise.params.values.shape, lr=lr)
         self.history: list[dict] = []
         self.identifier: LinearClassifier | None = None
-        self._inputs = [np.empty((0, high.m))]  # one buffer, shared with a stack's runs
+        self._inputs = [np.empty((0, high.m))]  # serving()'s, shared with a stack's runs
 
     def run(self, i: int, config: TrainConfig) -> "ReckonerModel":
         """Run ``i`` of a stack, with its ``config`` and a history of its
@@ -207,17 +240,12 @@ class ReckonerModel:
     def m(self) -> int:
         return self.high.m
 
-    def high_input(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The high classifier's input: ``x`` plus the noise when it is on,
-        written into ``out`` when given."""
-        return self.noise.apply(x, out) if self.config.use_noise else np.asarray(x, float)
-
-    def input_rows(self, n: int) -> np.ndarray:
-        """The first ``n`` rows of an input buffer that grows to the most
-        rows asked of it."""
-        if self._inputs[0].shape[0] < n:
-            self._inputs[0] = np.empty((n, self.m))
-        return self._inputs[0][:n]
+    def serving(self) -> ServingModel:
+        """This run as ``predict`` reads it: its high classifier and input
+        buffer, not copies, and the perturbation at the wrapper's current
+        parameters when the noise is on."""
+        pert = self.noise.perturbation() if self.config.use_noise else None
+        return ServingModel(self.config, self.high, pert, self._inputs)
 
 
 class _Batches:
@@ -323,10 +351,11 @@ def pseudo_learning_cycle(model: ReckonerModel, x: np.ndarray,
                           x_high: np.ndarray) -> PseudoLearnState:
     """Train the low-confidence classifier on high-confidence pseudo-labels.
 
-    ``x_high`` is ``model.high_input(x)``. Ground-truth labels are not an
-    input. The cycle assumes the low classifier sits at its snapshot (the
-    rollback invariant) and leaves it at the final step's parameters, and
-    the best step's in ``model.best_low``; the caller rolls it back.
+    ``x_high`` is the high classifier's input: ``x`` plus the noise when it
+    is on. Ground-truth labels are not an input. The cycle assumes the low
+    classifier sits at its snapshot (the rollback invariant) and leaves it
+    at the final step's parameters, and the best step's in
+    ``model.best_low``; the caller rolls it back.
 
     The loss after step k is read from the forward pass of step k+1's
     gradient, which runs at the same parameters on the same input, so only
@@ -377,7 +406,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         raise DataError("empty batch")
     if run_pseudo is None:
         run_pseudo = cfg.use_pseudo_learning
-    x_high = model.high_input(x)
+    x_high = model.noise.apply(x) if cfg.use_noise else x
     log: dict = {}
     if run_pseudo:
         state = pseudo_learning_cycle(model, x, x_high)
@@ -393,7 +422,7 @@ def refinement_step(model: ReckonerModel, x: np.ndarray, y: np.ndarray,
         raise NumericError("non-finite refinement loss")
     adam_step(model.high.params, grad_high, model.high_state)
     if cfg.use_noise:
-        # The wrapper's parameters have not changed since high_input's apply.
+        # The wrapper's parameters have not changed since its apply above.
         adam_step(model.noise.params, model.noise.backward(d_input), model.noise_state)
 
     if run_pseudo:
@@ -476,9 +505,12 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def predict(model: ReckonerModel,
+def predict(model: ReckonerModel | ServingModel,
             x: np.ndarray | StandardizedRows) -> tuple[np.ndarray, np.ndarray]:
     """High-confidence classifier scores and labels; ties at 0.5 go to 1.
+
+    ``model`` is read through its ``serving()`` view: a training run's
+    shares the run's buffers, and a loaded checkpoint is one already.
 
     Rows are scored in chunks of ``PREDICT_CHUNK_ROWS`` so that the noisy
     input rows and the activations stay a chunk's size: at m = 130, about
@@ -493,13 +525,16 @@ def predict(model: ReckonerModel,
     the activations in the high classifier's. The largest chunk goes
     first, so the buffers grow at most once per call.
 
-    ``StandardizedRows`` build each chunk's rows in the input buffer, so
-    their matrix never exists whole; with the noise on, the perturbation
-    is computed once per call and added to the zero row and to each
-    code's value once, and to numeric cells as they are built: the same
-    single add per cell as ``NoiseWrapper.apply``. Array rows take
-    ``model.high_input``.
+    With the noise on, each cell takes the perturbation in one add, as
+    ``NoiseWrapper.apply`` adds it. ``StandardizedRows`` build each
+    chunk's rows in the input buffer, so their matrix never exists whole;
+    the perturbation is added to the zero row and to each code's value
+    once, and to numeric cells as they are built. Array rows are added to
+    it into the input buffer; with the noise off they are scored as they
+    are.
     """
+    model = model.serving()
+    pert = model.perturbation
     coded = isinstance(x, StandardizedRows)
     if not coded:
         x = np.asarray(x, dtype=np.float64)
@@ -507,11 +542,15 @@ def predict(model: ReckonerModel,
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
     scores = np.empty(n, dtype=np.float64)
-    if coded and model.config.use_noise:
-        x = x.shifted(model.noise.perturbation())
+    if coded and pert is not None:
+        x = x.shifted(pert)
     for lo, hi in sorted(_chunk_bounds(n), key=lambda bounds: bounds[0] - bounds[1]):
-        buf = model.input_rows(hi - lo)
-        rows = x.fill(slice(lo, hi), buf) if coded else model.high_input(x[lo:hi], buf)
+        if coded:
+            rows = x.fill(slice(lo, hi), model.input_rows(hi - lo))
+        elif pert is not None:
+            rows = np.add(x[lo:hi], pert, out=model.input_rows(hi - lo))
+        else:
+            rows = x[lo:hi]
         scores[lo:hi] = model.high.score(rows)
     return predict_labels(scores), scores
 

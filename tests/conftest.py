@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import dataclasses
 import os
@@ -10,9 +11,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import reckoner.cli  # noqa: E402
 import reckoner.workers  # noqa: E402
 from reckoner import pipeline  # noqa: E402
+from reckoner.checkpoint import checkpoint_dict  # noqa: E402
 from reckoner.data import ColumnSpec, Dataset, Schema  # noqa: E402
+from reckoner.serial import write_json  # noqa: E402
 
 
 @pytest.fixture
@@ -83,3 +87,41 @@ def init_high_on_all_rows(monkeypatch) -> None:
     monkeypatch.setattr(pipeline, "split_by_confidence", lambda d, model, threshold:
                         dataclasses.replace(split(d, model, threshold),
                                             high=np.arange(d.n)))
+
+
+def f8_blob(values: np.ndarray) -> str:
+    """A checkpoint blob: the padded base64 of ``values``' ``<f8`` bytes."""
+    return base64.b64encode(np.ascontiguousarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def v3_checkpoint_dict(model: pipeline.ReckonerModel, schema: Schema, mean: np.ndarray,
+                       std: np.ndarray, manifest_sha256: str | None = None) -> dict:
+    """``model`` as the version 3 document that checkpoint format 3 wrote:
+    ``models.noise`` holds the noise wrapper's blobs where version 4 has
+    ``models.perturbation``, and every other key is version 4's."""
+    doc = checkpoint_dict(model, schema, mean, std, manifest_sha256)
+    noise = model.noise
+    doc["format_version"] = 3
+    doc["models"] = {"high": doc["models"]["high"], "noise": {
+        "layout": noise.params.layout.to_dict(),
+        "values": f8_blob(noise.params.values),
+        "eta": f8_blob(noise.eta),
+        "hidden": noise.hidden,
+    }}
+    return doc
+
+
+@contextlib.contextmanager
+def saved_as_v3_too():
+    """In the block, each checkpoint that ``reckoner.cli`` saves is also
+    written as version 3, to ``checkpoint_v3.json`` beside it."""
+    save = reckoner.cli.save_checkpoint
+
+    def both(path, model, schema, mean, std, manifest_sha256=None):
+        save(path, model, schema, mean, std, manifest_sha256)
+        write_json(path.with_name("checkpoint_v3.json"),
+                   v3_checkpoint_dict(model, schema, mean, std, manifest_sha256))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reckoner.cli, "save_checkpoint", both)
+        yield

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_processes, cap_workers
+from conftest import assert_no_child_processes, cap_workers, saved_as_v3_too
 import reckoner
 import reckoner.cli
 import reckoner.data
@@ -76,7 +76,7 @@ C9_TRAIN_CFG = {
 
 # SHA-256 of the four artifacts ``reckoner train`` writes for C9's config.
 C9_SHA256 = {
-    "checkpoint.json": "1803dca3ae9e2ca7bfdd16a41ea47fb3970237a57d89a6c243d4ffbf40d3465e",
+    "checkpoint.json": "fb1006ad6983f09211eb7b835bdd3253c45b21890cd31865979456951b7968cf",
     "fairness_report.json": "e69eefc4f1b41463518e005ea5ed08de3d777c3b1a1b0411d02a28e31faf14c7",
     "manifest.json": "52c049fa6addacf8355a2466341912f9e02e9ffdcdb860d41874825e2a2f442b",
     "training_log.jsonl": "5903732ebde98eadb07ccd122eec4f2b8c2c7fbd351fcc1a6226f04e2f7c8d13",
@@ -105,7 +105,7 @@ HASHED_TRAIN_CFG = {
               "test_fraction": 0.15, "seed": 5},
 }
 HASHED_SHA256 = {
-    "checkpoint.json": "30bc765bdcb47131464518ddcf86cbb8f51fb1dcb33ee69dd746e107e7aae1eb",
+    "checkpoint.json": "d467bdedf0b5f02d87271d563ad7e0e0ae44d0c10a95c7c75243f6462ca56758",
     "fairness_report.json": "41474253ebfdfa1fc8c5cbf229088fc1a7242467d8b4e46ec4a0565de4a86482",
     "manifest.json": "82ef3b04e0f9ee3957c63ca08573e81f590651652c89b25aad6325c95f9c5656",
     "training_log.jsonl": "6c82f8612e5a4b3f329b5a79a80009c2763d3a60e8f63f9c9c7d5920ad496f20",
@@ -233,6 +233,7 @@ class TestTrain:
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert ckpt["config"]["use_noise"] is False
         assert ckpt["config"]["use_pseudo_learning"] is False
+        assert ckpt["models"]["perturbation"] is None
 
     def test_byte_identical_reruns(self, workdir):
         tmp_path, train_cfg, data = workdir
@@ -413,14 +414,30 @@ class TestAudit:
         assert "error kind=config exit=1" in proc.stderr
         assert_no_manifest(tmp_path / "audit")
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc.pop("models"),
-        lambda doc: doc["models"]["high"].update(values=base64.b64encode(
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda doc: doc.pop("models"), "'models'"),
+        (lambda doc: doc["models"]["high"].update(values=base64.b64encode(
             base64.b64decode(doc["models"]["high"]["values"])[:-8]).decode("ascii")),
-        lambda doc: doc["models"]["noise"]["layout"]["segments"].pop(),
-        lambda doc: doc["standardize"]["mean"].pop(),
-    ], ids=["no-models", "short-high-values", "short-noise-layout", "short-mean"])
-    def test_malformed_checkpoint_exits_1(self, workdir, corrupt):
+         "models.high.values"),
+        (lambda doc: doc["standardize"]["mean"].pop(), "width"),
+        (lambda doc: doc["models"].update(perturbation=parameter_values(
+            doc["models"]["perturbation"])), "models.perturbation"),
+        (lambda doc: doc["models"].update(perturbation=base64.b64encode(
+            base64.b64decode(doc["models"]["perturbation"])[:-8]).decode("ascii")),
+         "models.perturbation"),
+        (lambda doc: doc["models"].update(perturbation=base64.b64encode(
+            np.full(3, np.nan).tobytes()).decode("ascii")), "models.perturbation"),
+        (lambda doc: doc["models"].update(perturbation=base64.b64encode(
+            np.ones(3).tobytes()).decode("ascii")), "models.perturbation"),
+        (lambda doc: doc["config"].update(use_noise=False), "models.perturbation"),
+        (lambda doc: doc["models"].update(perturbation=None), "models.perturbation"),
+        (lambda doc: doc["models"].update(noise={}), "models.noise"),
+    ], ids=["no-models", "short-high-values", "short-mean", "perturbation-list",
+            "short-perturbation", "non-finite-perturbation", "perturbation-at-1",
+            "perturbation-with-the-noise-off", "null-perturbation-with-the-noise-on",
+            "noise-in-v4"])
+    def test_malformed_checkpoint_exits_1(self, workdir, corrupt, named):
+        """Each is one ``error kind=config`` line that names what is wrong."""
         tmp_path, train_cfg, data = workdir
         run = tmp_path / "run"
         assert main(["train", "--config", str(train_cfg), "--data", str(data),
@@ -433,6 +450,7 @@ class TestAudit:
                        "--out", tmp_path / "audit")
         assert_clean_failure(proc, 1)
         assert "error kind=config exit=1" in proc.stderr
+        assert named in proc.stderr
 
 
 # Checkpoint-mode audits of hashed tables (m = 130) from the checkpoint the
@@ -504,6 +522,43 @@ def test_audit_artifacts_match_pinned_sha256(rows, hashed_checkpoint, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((run / "out").iterdir())}
     assert digests == AUDIT_SHA256[rows]
+
+
+# SHA-256 of the ``checkpoint.json`` that checkpoint format 3 wrote for the
+# pinned hashed train config, which stored the noise wrapper's blobs where
+# format 4 stores the perturbation.
+HASHED_V3_CHECKPOINT_SHA256 = "30bc765bdcb47131464518ddcf86cbb8f51fb1dcb33ee69dd746e107e7aae1eb"
+
+
+@pytest.fixture(scope="module")
+def hashed_checkpoints(tmp_path_factory) -> dict[int, Path]:
+    """The pinned hashed train config's checkpoint per format version, 3
+    and 4, from one in-process ``train``."""
+    tmp = tmp_path_factory.mktemp("hashed-versions")
+    data = _file(tmp / "data.csv", hashed_csv())
+    cfg = _file(tmp / "train.json", HASHED_TRAIN_CFG)
+    with saved_as_v3_too():
+        code, err = run_main("train", "--config", cfg, "--data", data, "--out", tmp / "run")
+    assert code == 0, err
+    return {3: tmp / "run" / "checkpoint_v3.json", 4: tmp / "run" / "checkpoint.json"}
+
+
+def test_v3_and_v4_checkpoints_audit_alike(hashed_checkpoints, hashed_checkpoint, tmp_path):
+    """The hashed model saved as version 3, byte for byte the file format 3
+    wrote, and saved as version 4, the pinned file, audit to byte-identical
+    output directories: the pinned ones."""
+    assert hashlib.sha256(hashed_checkpoints[3].read_bytes()).hexdigest() \
+        == HASHED_V3_CHECKPOINT_SHA256
+    assert hashed_checkpoints[4].read_bytes() == hashed_checkpoint.read_bytes()
+    outs = {}
+    for version, checkpoint in hashed_checkpoints.items():
+        run = audit_dir(tmp_path / f"v{version}", checkpoint, 8191)
+        proc = run_cli(*AUDIT_ARGS, cwd=run)
+        assert proc.returncode == 0, proc.stderr
+        outs[version] = {p.name: p.read_bytes() for p in (run / "out").iterdir()}
+    assert outs[3] == outs[4]
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outs[3].items()} \
+        == AUDIT_SHA256[8191]
 
 
 def test_audit_checks_codes_and_assigns_once(hashed_checkpoint, tmp_path, monkeypatch):
@@ -1448,11 +1503,15 @@ def test_fuzz_predictions_csv(with_score, rows):
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
-    """A checkpoint document trained on the ``workdir`` data, and that data."""
+    """A model trained on the ``workdir`` data, its checkpoint document per
+    format version (3 and 4), and that data."""
     tmp, train_cfg, data = make_workdir(tmp_path_factory.mktemp("fuzz"))
-    assert main(["train", "--config", str(train_cfg), "--data", str(data),
-                 "--out", str(tmp / "run")]) == 0
-    return json.loads((tmp / "run" / "checkpoint.json").read_text()), data
+    with saved_as_v3_too():
+        assert main(["train", "--config", str(train_cfg), "--data", str(data),
+                     "--out", str(tmp / "run")]) == 0
+    return ({version: json.loads((tmp / "run" / name).read_text())
+             for version, name in ((3, "checkpoint_v3.json"), (4, "checkpoint.json"))},
+            data)
 
 
 def json_paths(node, prefix=()):
@@ -1471,10 +1530,10 @@ def json_paths(node, prefix=()):
 
 DELETE = "delete the key"
 CHECKPOINT_EDITS = [DELETE, None, True, -1, 0, 1.5, "x", "0.49", [], {}]
-MODEL_VECTORS = [("models", "high", "values"), ("models", "noise", "values"),
-                 ("models", "noise", "eta")]
-CHECKPOINT_PARAMETERS = MODEL_VECTORS + [("standardize", "mean"), ("standardize", "std")]
-CHECKPOINT_COUNTS = [("m",), ("models", "noise", "hidden")]
+WRAPPER_VECTORS = [("models", "high", "values"), ("models", "noise", "values"),
+                   ("models", "noise", "eta")]
+STANDARDIZATION = [("standardize", "mean"), ("standardize", "std")]
+PERTURBATION = ("models", "perturbation")
 
 
 def node_at(doc, keys):
@@ -1493,12 +1552,23 @@ def parameter_values(node):
 
 def well_typed_numbers(doc) -> bool:
     """Every parameter and standardization value is a finite JSON number
-    (not a bool) or a blob's finite float64, and both widths are JSON
-    integers."""
+    (not a bool) or a blob's finite float64, and every width a JSON
+    integer. A version 4 perturbation is null with the noise off, and its
+    values lie in (-1, 1) with it on."""
+    if doc["format_version"] < 4:
+        vectors, counts = WRAPPER_VECTORS, [("m",), ("models", "noise", "hidden")]
+    elif not doc["config"].get("use_noise", True):
+        vectors, counts = WRAPPER_VECTORS[:1], [("m",)]
+        if node_at(doc, PERTURBATION) is not None:
+            return False
+    else:
+        vectors, counts = WRAPPER_VECTORS[:1] + [PERTURBATION], [("m",)]
+        if not all(abs(v) < 1 for v in parameter_values(node_at(doc, PERTURBATION))):
+            return False
     return (all(type(v) in (int, float) and math.isfinite(v)
-                for keys in CHECKPOINT_PARAMETERS
+                for keys in vectors + STANDARDIZATION
                 for v in parameter_values(node_at(doc, keys)))
-            and all(type(node_at(doc, keys)) is int for keys in CHECKPOINT_COUNTS))
+            and all(type(node_at(doc, keys)) is int for keys in counts))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1506,15 +1576,20 @@ def well_typed_numbers(doc) -> bool:
 @example(data=None, edit="0.49")
 @example(data=None, edit=True)
 def test_fuzz_checkpoint_document(trained_checkpoint, data, edit):
-    """An ``@example`` (``data`` is None) edits ``models.noise.eta[0]`` of
-    the document turned back into version 2, whose parameters are lists."""
-    doc, csv_path = trained_checkpoint
-    path = ("models", "noise", "eta", 0) if data is None \
-        else data.draw(st.sampled_from(list(json_paths(doc))))
+    """An edit at a drawn path of the version 3 or 4 document. An
+    ``@example`` (``data`` is None) edits ``models.noise.eta[0]`` of the
+    version 3 document turned back into version 2, whose parameters are
+    lists."""
+    docs, csv_path = trained_checkpoint
+    if data is None:
+        doc, path = docs[3], ("models", "noise", "eta", 0)
+    else:
+        doc = docs[data.draw(st.sampled_from([3, 4]))]
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
     doc = json.loads(json.dumps(doc))
     if data is None:
         doc["format_version"] = 2
-        for keys in MODEL_VECTORS:
+        for keys in WRAPPER_VECTORS:
             parent = node_at(doc, keys[:-1])
             parent[keys[-1]] = parameter_values(parent[keys[-1]])
     parent = node_at(doc, path[:-1])

@@ -53,9 +53,14 @@ FAST = dict(total_iterations=100, batch_size=32, identifier_epochs=50,
             hidden1=8, hidden2=4, learning_rate=0.01)
 
 
+def high_input(model, x):
+    """The high classifier's input: ``x`` plus the noise when it is on."""
+    return model.noise.apply(x) if model.config.use_noise else np.asarray(x, float)
+
+
 def cycle(model, x):
     """One pseudo-learning cycle on ``x`` at the model's current noisy input."""
-    return pseudo_learning_cycle(model, x, model.high_input(x))
+    return pseudo_learning_cycle(model, x, high_input(model, x))
 
 
 def small_sets(seed=0, n=300):
@@ -412,7 +417,8 @@ for m, use_noise in ((6, False), (130, True)):
     wholes = {{}}
     for n in {sizes}:
         model = fresh(m, use_noise)
-        wholes[n] = model.high.score(model.high_input(x[:n]))
+        rows = model.noise.apply(x[:n]) if use_noise else x[:n]
+        wholes[n] = model.high.score(rows)
     reused = fresh(m, use_noise)
     for n in {sizes} + {sizes}[::-1]:
         for model in (fresh(m, use_noise), reused):
@@ -427,7 +433,7 @@ print("ok")
         """A 20,000-row table at m = 130 under a noisy model scores to the
         same bytes in chunks of 256, 1,024 and 8,192 rows, from its coded
         rows, whose noise is added as they are built, and from its matrix,
-        whose noise ``high_input`` adds. One BLAS thread, as above."""
+        to which ``predict`` adds the perturbation. One BLAS thread, as above."""
         script = """
 import numpy as np
 from reckoner import pipeline
@@ -617,14 +623,14 @@ class TestErmBaseline:
 
 def ref_low_input(model, x):
     if model.config.low_conf_sees_noise:
-        return model.high_input(x)
+        return high_input(model, x)
     return np.asarray(x, dtype=np.float64)
 
 
 def ref_pseudo_learning_cycle(model, x):
     cfg = model.config
     x = np.asarray(x, dtype=np.float64)
-    p_high = model.high.score(model.high_input(x))
+    p_high = model.high.score(high_input(model, x))
     if cfg.pseudo_label_kind == "hard":
         y_tilde = predict_labels(p_high).astype(np.float64)
     else:
@@ -664,7 +670,7 @@ def ref_refinement_step(model, x, y, run_pseudo=None):
         model.high.params.restore(blend(model.high.params, model.best_low, cfg.alpha))
         log["k"] = state.k
 
-    x_in = model.high_input(x)
+    x_in = high_input(model, x)
     loss = bce(model.high.score(x_in), y)
     if not np.isfinite(loss):
         raise NumericError("non-finite refinement loss")
