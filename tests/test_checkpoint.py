@@ -265,6 +265,13 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ConfigError, match="must be a JSON integer"):
             load_checkpoint(bad)
 
+    def test_wrapper_layout_that_does_not_match_rejected(self, documents, tmp_path):
+        """A version 3 wrapper whose layout lacks a segment (``c2``)."""
+        bad = edited(documents[3], tmp_path, ("models", "noise", "layout", "segments"),
+                     lambda segments: segments[:-1])
+        with pytest.raises(ConfigError, match="models.noise.values holds"):
+            load_checkpoint(bad)
+
     @pytest.mark.parametrize("value", [None, True, 0, 1.5, {}], ids=repr)
     @pytest.mark.parametrize("version, keys", BLOBS, ids=BLOB_IDS)
     def test_blob_that_is_not_a_string_rejected(self, documents, tmp_path, version, keys,

@@ -384,6 +384,18 @@ class TestPredict:
         assert len(model.history) > 1
         assert sorted(sizes) == [cfg.batch_size] * 4 + [va.n]
 
+    def test_serving_view_shares_the_run_buffers(self):
+        """``predict`` reads a run through ``serving()``, whose high
+        classifier and input buffer are the run's own, not copies: each
+        ``predict`` scores noisy rows in the one buffer the first grew."""
+        tr, va, _ = small_sets(seed=11)
+        model = initialize(tr, TrainConfig(seed=16, **FAST))
+        assert model.serving().high is model.high
+        predict(model, va.x)
+        buf = model.serving().input_rows(va.n)
+        predict(model, va.x)
+        assert np.shares_memory(buf, model.serving().input_rows(va.n))
+
     def test_dimension_mismatch(self):
         tr, va, _ = small_sets(seed=11)
         model = initialize(tr, TrainConfig(seed=16, **FAST))
