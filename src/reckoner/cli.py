@@ -99,10 +99,10 @@ def _resolve_train_config(args) -> tuple[TrainConfig, Schema, SplitSpec]:
 def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
     """Code the CSV, split its row indices, take the mean and std from the
     train rows' numeric columns, and standardize from the codes: (train,
-    valid, test, mean, std, sha256). Only train, which is trained on, is a
-    ``Dataset`` matrix; valid and test are only scored, so they stay coded,
-    ``StandardizedRows`` holding just their rows. The whole table is freed
-    on return."""
+    valid, test, mean, std, sha256). Each split stays coded,
+    ``StandardizedRows`` holding just its rows: ``train`` builds the train
+    matrix for its identifier fit only, and fills every mini-batch and
+    scoring chunk from the codes. The whole table is freed on return."""
     table = code_csv(data_path, schema)
     tr, va, te = split_rows(table.n, split)
     # Column-major like standardize's x[:, pos]: the bits of mean(axis=0)
@@ -112,8 +112,7 @@ def _prepare_data(schema: Schema, split: SplitSpec, data_path: Path) -> tuple:
     del numeric
     rows = StandardizedRows(table, mean, std)
     del table  # rows keep its codes, labels and groups, not its raw floats
-    valid, test = rows.take(va), rows.take(te)
-    return rows.dataset(tr), valid, test, mean, std, rows.sha256
+    return rows.take(tr), rows.take(va), rows.take(te), mean, std, rows.sha256
 
 
 def _run_training(cfgs: list[TrainConfig], schema: Schema, split: SplitSpec, data: tuple,

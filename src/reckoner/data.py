@@ -166,7 +166,12 @@ class Dataset:
             raise DataError("x, y, s row counts differ")
         if y.size and not np.isin(y, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
-        if not np.isfinite(x).all():
+        # A finite sum has no NaN or infinity among its terms: only a sum
+        # that is not (an overflow, say) takes the cell-by-cell check and
+        # its bool matrix of x's shape.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = x.sum()
+        if not (np.isfinite(total) or np.isfinite(x).all()):
             raise DataError("x contains non-finite values")
         clean = self.clean_y
         if clean is not None:
@@ -193,6 +198,12 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         clean = None if self.clean_y is None else self.clean_y[idx]
         return Dataset(self.x[idx], self.y[idx], self.s[idx], self.schema, clean)
+
+    def fill(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the rows at ``rows``, an index array, into ``out``, an array
+        of their shape; return it. ``mode="clip"`` lets ``take`` write into
+        ``out`` without a buffer of its size."""
+        return self.x.take(rows, axis=0, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -690,8 +701,10 @@ def load_csv(path: str | Path, schema: Schema, impute_missing: bool = False) -> 
 class StandardizedRows:
     """``(x - mean) / std`` for a coded table's ``x``, built for the rows asked
     for, never whole; the one path from codes to rows (audit chunks, train's
-    matrix and its coded valid and test rows, and ``load_csv`` with mean 0
-    and std 1, which is exact). ``y``, ``s`` and ``sha256`` are the table's.
+    mini-batches, identifier matrix and scored valid and test rows, and
+    ``load_csv`` with mean 0 and std 1, which is exact). ``y``, ``s`` and
+    ``sha256`` are the table's; ``n`` and ``m`` are ``shape``'s, as a
+    ``Dataset``'s.
 
     Each standardized value is computed once: per numeric cell, per distinct
     categorical hot cell, and per column for the zero a categorical block
@@ -727,7 +740,7 @@ class StandardizedRows:
             # Every code occurs in some row, so each slot of the block holds
             # the zero in some row, unless every row is hot in that slot.
             zero_occurs[offsets[name]:offsets[name] + schema.hash_buckets] = True
-            if np.unique(bucket).size == 1:
+            if (bucket == bucket[0]).all():
                 zero_occurs[pos[0]] = False
         finite = (np.isfinite(self.zero[zero_occurs]).all()
                   and np.isfinite(self.numeric).all()
@@ -736,6 +749,14 @@ class StandardizedRows:
             raise DataError("x contains non-finite values")
         self.schema, self.y, self.s, self.sha256 = schema, table.y, table.s, table.sha256
         self.shift = None
+
+    @property
+    def n(self) -> int:
+        return self.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.shape[1]
 
     def take(self, rows: np.ndarray) -> StandardizedRows:
         """A copy holding only ``rows``, an index array, in its order: their

@@ -489,7 +489,7 @@ class NoiseWrapper:
     depends only on the wrapper parameters, so it is shared by all rows.
     ``apply`` and ``perturbation`` keep their forward pass for ``backward``,
     which fills a gradient vector made at its first call. Every returned
-    array is new, or the ``out`` given to ``apply``.
+    array is new.
 
     The parameters may be a stack of S runs, each with its own ``eta`` row
     (S, m); inputs and upstream gradients are then (S, n, m), and every
@@ -556,12 +556,11 @@ class NoiseWrapper:
         pert, _ = self._forward()
         return pert.copy()
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``x`` plus the perturbation, in ``out`` (which may be ``x``) when
-        given, else in a new array."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``x`` plus the perturbation, in a new array."""
         rows = _rows_of(x, self.m, self._lead)
         pert, _ = self._forward()
-        out = np.add(rows, pert[..., None, :], out=out)
+        out = rows + pert[..., None, :]
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def backward(self, d_xtilde: np.ndarray) -> np.ndarray:

@@ -250,18 +250,20 @@ class ReckonerModel:
 
 class _Batches:
     """Seeded mini-batches of ``d``'s ``rows`` for S runs at once: (S, b, m)
-    rows and (S, b) float labels, gathered into one buffer by one ``take``.
-    The runs share the row count and so every epoch boundary, so one cursor
-    serves them all: each epoch stacks one permutation of ``rows`` per seed
-    and yields its consecutive column slices (the last may be short).
-    Callers pass ``batch_size <= rows.size``."""
+    rows and (S, b) float labels, the rows filled into one buffer by one
+    ``d.fill``, from a matrix or from coded rows alike. The runs share the
+    row count and so every epoch boundary, so one cursor serves them all:
+    each epoch stacks one permutation of ``rows`` per seed and yields its
+    consecutive column slices (the last may be short). Callers pass
+    ``batch_size <= rows.size``."""
 
-    def __init__(self, d: Dataset, rows: np.ndarray, batch_size: int, seeds: list[int]):
+    def __init__(self, d: Dataset | StandardizedRows, rows: np.ndarray, batch_size: int,
+                 seeds: list[int]):
         if rows.size < 1:
             raise DataError("cannot stream batches from an empty dataset")
         self.rows, self.batch_size = rows, batch_size
         self.rngs = [np.random.default_rng(s) for s in seeds]
-        self.x, self.y = d.x, d.y.astype(np.float64)
+        self.d, self.y = d, d.y.astype(np.float64)
         self._x = np.empty((len(seeds) * batch_size, d.m))
         self._y = np.empty(len(seeds) * batch_size)
         self._start = rows.size
@@ -273,17 +275,16 @@ class _Batches:
         idx = self._perms[:, self._start:self._start + self.batch_size]
         self._start += self.batch_size
         s, b = idx.shape
-        x = self.x.take(idx, axis=0, out=self._x[:s * b].reshape(s, b, -1), mode="clip")
+        x = self.d.fill(idx.reshape(-1), self._x[:s * b]).reshape(s, b, -1)
         y = self.y.take(idx, out=self._y[:s * b].reshape(s, b), mode="clip")
         return x, y
 
 
-def _init_phase(model: FeedForwardClassifier, state: AdamState, d: Dataset,
-                rows: np.ndarray, steps: int, batch_size: int,
-                stream_seeds: list[int]) -> None:
+def _init_phase(model: FeedForwardClassifier, state: AdamState,
+                d: Dataset | StandardizedRows, rows: np.ndarray, steps: int,
+                batch_size: int, stream_seeds: list[int]) -> None:
     """Plain supervised Adam training on raw inputs, each run of a stack in
-    lockstep on its own seeded batches of ``d``'s ``rows``, which are read
-    in place."""
+    lockstep on its own seeded batches of ``d``'s ``rows``."""
     batches = _Batches(d, rows, min(batch_size, rows.size), stream_seeds)
     for _ in range(steps):
         x, y = next(batches)
@@ -297,12 +298,19 @@ def identify(train: Dataset, cfg: TrainConfig) -> LinearClassifier:
     return lr_fit(train, epochs=cfg.identifier_epochs, learning_rate=cfg.identifier_lr)
 
 
-def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
+def initialize(train: Dataset | StandardizedRows,
+               cfg: TrainConfig | Sequence[TrainConfig], *,
                identifier: LinearClassifier | None = None) -> ReckonerModel:
     """Identification stage plus per-subset initialization of both classifiers.
 
     ``identifier`` is ``identify(train, cfg)`` when given; it is fitted here
     when not.
+
+    ``train`` may be coded rows. The identifier fit and the confidence
+    split read its whole matrix, which is built here from the rows and
+    dropped before the init phases, which read mini-batches filled from
+    them: the bits of the fit's full-batch products ``x.T @ r`` depend on
+    the matrix being one operand.
 
     A sequence of configs that differ only in ``seed`` gives one model
     holding their stack of runs, initialized in lockstep on the same
@@ -315,9 +323,11 @@ def initialize(train: Dataset, cfg: TrainConfig | Sequence[TrainConfig], *,
     if train.n == 0:
         raise DataError("training set is empty")
     m = train.m
+    matrix = train if isinstance(train, Dataset) else train.dataset(slice(None))
     if identifier is None:
-        identifier = identify(train, cfg)
-    split = split_by_confidence(train, identifier, cfg.confidence_threshold)
+        identifier = identify(matrix, cfg)
+    split = split_by_confidence(matrix, identifier, cfg.confidence_threshold)
+    del matrix
     if split.high.size == 0 or split.low.size == 0:
         which = "high" if split.high.size == 0 else "low"
         raise DataError(
@@ -443,14 +453,16 @@ def _validation_entry(model: ReckonerModel, valid: Dataset | StandardizedRows) -
             "valid_dp": report.dp, "valid_eodds": report.eodds}
 
 
-def train(train_set: Dataset, valid: Dataset | StandardizedRows,
+def train(train_set: Dataset | StandardizedRows, valid: Dataset | StandardizedRows,
           cfg: TrainConfig | Sequence[TrainConfig], *,
           identifier: LinearClassifier | None = None) -> ReckonerModel | list[ReckonerModel]:
     """Full pipeline: initialize, then refine over seeded mini-batches.
 
     Validation metrics are logged per epoch; the final model is the last
-    state (no early stopping). ``valid`` is only scored, by ``predict``, so
-    it may be coded rows, which score bit-equal to their matrix.
+    state (no early stopping). Either set may be coded rows, which fill
+    batches and score bit-equal to their matrix: ``train_set``'s whole
+    matrix lives only through ``initialize``'s identifier fit, and
+    ``valid`` is only scored, by ``predict``.
 
     A sequence of configs that differ only in ``seed`` gives a list of each
     run's model, trained in lockstep as one stack; each has the bits a

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1219,6 +1220,66 @@ def test_lockstep_runs_match_lone_runs(lockstep_data, monkeypatch, tmp_path, wid
             assert model.history == lone.history
             for name in ARTIFACTS:
                 assert (out / name).read_bytes() == (lone_out / name).read_bytes(), name
+
+
+def _run_bytes(model) -> dict:
+    """Every parameter, Adam and rollback array of a run as bytes, with the
+    Adam step counts and the history."""
+    out = {"low_snapshot": model.low_snapshot.values.tobytes(),
+           "best_low": model.best_low.values.tobytes(),
+           "eta": model.noise.eta.tobytes(), "history": model.history}
+    for name in ("high", "low", "noise"):
+        state = getattr(model, f"{name}_state")
+        out[name] = (getattr(model, name).params.values.tobytes(),
+                     state.m.tobytes(), state.v.tobytes(), state.t)
+    return out
+
+
+@pytest.mark.parametrize("use_noise", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("seeds", [(3,), (3, 4, 5)], ids=["lone", "stack"])
+def test_coded_train_rows_train_as_their_matrix(lockstep_data, seeds, use_noise):
+    """``train`` on the coded train split, whose mini-batches are filled from
+    the codes, gives each run the bytes of ``train`` on the split's matrix."""
+    _, _, (tr, va, *_) = lockstep_data["hashed"]
+    assert isinstance(tr, reckoner.data.StandardizedRows)
+    cfgs = [TrainConfig(**LOCKSTEP_TRAIN, use_noise=use_noise, seed=seed) for seed in seeds]
+    arg = cfgs[0] if len(cfgs) == 1 else cfgs
+    coded = reckoner.pipeline.train(tr, va, arg)
+    matrix = reckoner.pipeline.train(tr.dataset(slice(None)), va, arg)
+    if len(cfgs) == 1:
+        coded, matrix = [coded], [matrix]
+    for got, want in zip(coded, matrix, strict=True):
+        assert _run_bytes(got) == _run_bytes(want)
+        assert got.identifier.params.values.tobytes() \
+            == want.identifier.params.values.tobytes()
+
+
+def test_initialize_keeps_no_train_matrix(tmp_path):
+    """``initialize`` on coded rows builds their matrix for the identifier,
+    its peak shows it, and keeps no more than ``initialize`` on that matrix,
+    which the caller holds: the matrix is gone before the init phases."""
+    schema = reckoner.data.Schema.from_dict(HASHED_SCHEMA)
+    split = reckoner.data.SplitSpec.from_dict(TRAIN_CFG["split"])
+    path = _file(tmp_path / "hashed.csv", hashed_csv(n=3_000))
+    tr = reckoner.cli._prepare_data(schema, split, path)[0]
+    given = tr.dataset(slice(None))
+    matrix_bytes = given.x.nbytes
+    cfg = TrainConfig(**LOCKSTEP_TRAIN)
+    reckoner.pipeline.initialize(tr, cfg)  # numpy's first-call caches
+    kept, peaks = [], []
+    for train_set in (tr, given):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = reckoner.pipeline.initialize(train_set, cfg)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept.append(after - before)
+        peaks.append(peak - before)
+        del model
+    assert peaks[0] > matrix_bytes, (peaks, matrix_bytes)
+    assert abs(kept[0] - kept[1]) < matrix_bytes / 16, (kept, matrix_bytes)
 
 
 # Malformed input documents: each exits with its documented code and one

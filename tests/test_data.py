@@ -2,7 +2,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -822,8 +825,7 @@ def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
     """``train``'s preparation from the codes gives the splits, mean and std
     of ``load_csv`` -> ``split_dataset`` -> ``standardize``, bit for bit, or
     the same DataError, on tables with bad cells and on valid ones. Its
-    valid and test splits are coded rows: the rows built from them are
-    the chain's."""
+    splits are coded rows: the rows built from them are the chain's."""
     schema, content = table
     path = tmp_path_factory.mktemp("prep") / "d.csv"
     path.write_bytes(content)
@@ -839,8 +841,8 @@ def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert all(isinstance(g, data.StandardizedRows) for g in got[1:3])
-    for w, g in zip(want[:3], (got[0], *(rows.dataset(slice(None)) for rows in got[1:3]))):
+    assert all(isinstance(g, data.StandardizedRows) for g in got[:3])
+    for w, g in zip(want[:3], (rows.dataset(slice(None)) for rows in got[:3])):
         assert g.x.shape == w.x.shape and g.x.tobytes() == w.x.tobytes()
         assert g.y.tobytes() == w.y.tobytes() and g.s.tobytes() == w.s.tobytes()
     for w, g in zip(want[3:], got[3:]):
@@ -848,10 +850,10 @@ def test_prepare_data_matches_the_matrix_chain(tmp_path_factory, table, split):
 
 
 def test_prepare_data_peak_is_close_to_its_matrices(tmp_path):
-    """Preparing a 20,000-row table at m = 130 holds little beyond the train
-    split's standardized matrix, the one matrix it returns: the codes, the
-    train rows' numeric columns and the coded valid and test rows, not
-    their matrices (about 1.8 times the train matrix's bytes with them)."""
+    """Preparing a 20,000-row table at m = 130 builds no matrix: it holds
+    the codes, the train rows' numeric columns and the coded splits: a
+    peak of about a quarter of the train split's matrix bytes, where it
+    was 1.39 times them when it built that matrix."""
     rng = random.Random(0)
     names = [f"c{k}" for k in range(8)] + ["n0", "n1", "label", "group"]
     lines = [",".join(names)]
@@ -869,9 +871,8 @@ def test_prepare_data_peak_is_close_to_its_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert train.x.nbytes == 14_000 * 130 * 8
-    assert valid.shape == test.shape == (3_000, 130)
-    assert peak < 1.6 * train.x.nbytes, peak / train.x.nbytes
+    assert train.shape == (14_000, 130) and valid.shape == test.shape == (3_000, 130)
+    assert peak < 0.35 * 14_000 * 130 * 8, peak / (14_000 * 130 * 8)
 
 
 def test_one_bucket_column_skips_its_zero(tmp_path):
@@ -889,6 +890,32 @@ def test_one_bucket_column_skips_its_zero(tmp_path):
         assert rows.fill(slice(0, 2), np.empty((2, 2)))[:, hot].tolist() == [0.0, 0.0]
         with pytest.raises(DataError, match="x contains non-finite values"):
             data.StandardizedRows(table, mean[::-1].copy(), std[::-1].copy())
+
+
+# Codes a hashed CSV and builds its rows in a fresh interpreter, then
+# prints whether numpy.ma was imported.
+CODE_AND_BUILD = """
+import sys
+import numpy as np
+from reckoner.data import ColumnSpec, Schema, StandardizedRows, code_csv
+schema = Schema(columns=(ColumnSpec("c", "categorical"), ColumnSpec("n", "numeric"),
+                         ColumnSpec("y", "label"), ColumnSpec("s", "sensitive")),
+                hash_buckets=4)
+StandardizedRows(code_csv(sys.argv[1], schema), np.zeros(schema.m), np.ones(schema.m))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_building_hashed_rows_does_not_import_numpy_ma(tmp_path):
+    """A plain ``np.unique`` imports ``numpy.ma``, 14 to 16 ms of every
+    hashed train, sweep and audit launch: coding a hashed CSV and building
+    its rows call none."""
+    path = write_csv(tmp_path / "d.csv", "c,n,y,s\nu,1,0,g\nv,2,1,h\nu,3,1,g\n")
+    proc = subprocess.run([sys.executable, "-c", CODE_AND_BUILD, str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(Path(data.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_codes_are_int32_on_the_benchmark_schema(tmp_path):
@@ -1080,9 +1107,18 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(x=np.zeros((2, 2)), y=[0, 2], s=[0, 1], schema=numeric_schema)
 
-    def test_rejects_nonfinite_features(self, numeric_schema):
-        with pytest.raises(DataError):
-            Dataset(x=np.array([[np.nan, 0.0]]), y=[0], s=[0], schema=numeric_schema)
+    @pytest.mark.parametrize("cells", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, -np.inf],
+                                       [np.inf, np.nan]])
+    def test_rejects_nonfinite_features(self, numeric_schema, cells):
+        with pytest.raises(DataError, match="x contains non-finite values"):
+            Dataset(x=np.array([cells, [1e308, 1e308]]), y=[0, 1], s=[0, 1],
+                    schema=numeric_schema)
+
+    def test_accepts_finite_features_whose_sum_overflows(self, numeric_schema):
+        x = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(x.sum())
+        assert Dataset(x=x, y=[0, 1], s=[0, 1], schema=numeric_schema).x is x
 
     def test_rejects_length_mismatch(self, numeric_schema):
         with pytest.raises(DataError):
