@@ -166,12 +166,7 @@ class Dataset:
             raise DataError("x, y, s row counts differ")
         if y.size and not np.isin(y, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
-        # A finite sum has no NaN or infinity among its terms: only a sum
-        # that is not (an overflow, say) takes the cell-by-cell check and
-        # its bool matrix of x's shape.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = x.sum()
-        if not (np.isfinite(total) or np.isfinite(x).all()):
+        if not np.isfinite((x.min(initial=0.0), x.max(initial=0.0))).all():
             raise DataError("x contains non-finite values")
         clean = self.clean_y
         if clean is not None:

@@ -1120,6 +1120,9 @@ class TestDatasetInvariants:
             assert not np.isfinite(x.sum())
         assert Dataset(x=x, y=[0, 1], s=[0, 1], schema=numeric_schema).x is x
 
+    def test_accepts_an_empty_matrix(self, numeric_schema):
+        assert Dataset(x=np.zeros((0, 2)), y=[], s=[], schema=numeric_schema).n == 0
+
     def test_rejects_length_mismatch(self, numeric_schema):
         with pytest.raises(DataError):
             Dataset(x=np.zeros((2, 2)), y=[0], s=[0, 1], schema=numeric_schema)
