@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .confidence import (
-    Buckets,
     BucketSpec,
     bucket_analysis,
     confidence_of,
@@ -223,12 +222,11 @@ def cmd_audit(args) -> int:
 
     preds, labels, groups = aligned(preds, labels, groups)
     report = fairness_report(preds, labels, groups)
-    bucket = hist = buckets = None
+    bucket = hist = None
     if conf is not None:
-        buckets = Buckets(spec, spec.assign(conf))
-        bucket = bucket_analysis(preds, labels, groups, buckets, spec, *report.pair)
+        bucket = bucket_analysis(preds, labels, groups, conf, spec, *report.pair)
     if args.histogram_feature:
-        hist = feature_histograms(column, groups, buckets, spec, args.histogram_feature,
+        hist = feature_histograms(column, groups, conf, spec, args.histogram_feature,
                                   bins=bins)
 
     out_dir = make_dir(args.out)

@@ -1,9 +1,9 @@
 """Confidence-based data splitting and confidence-stratified bias analysis:
 per-bucket group rate gaps and per-bucket feature histograms.
 
-Both reports take raw columns or columns coded once for several reports:
-``metrics.aligned`` preds, labels and groups, and ``Buckets`` in place of
-the scores.
+Both reports take the confidences as they are and assign them to buckets
+themselves; the preds, labels and groups may be raw or coded once for
+several reports with ``metrics.aligned``.
 """
 
 from __future__ import annotations
@@ -86,29 +86,9 @@ class BucketSpec:
         return idx
 
 
-@dataclass(frozen=True)
-class Buckets:
-    """Confidence scores assigned once to the buckets of ``spec``:
-    ``index[i]`` is row i's bucket, as ``spec.assign`` gives it."""
-
-    spec: BucketSpec
-    index: np.ndarray
-
-
-def _assigned(scores, spec: BucketSpec) -> np.ndarray:
-    """Each row's bucket under ``spec``, from scores or from ``Buckets``."""
-    if not isinstance(scores, Buckets):
-        return spec.assign(scores)
-    if scores.spec != spec:
-        raise ValueError("scores were assigned to the buckets of another spec")
-    return scores.index
-
-
 def _column(a) -> np.ndarray:
     """The array that holds one row per entry of a raw or a coded column."""
-    if isinstance(a, GroupCodes):
-        return a.inverse
-    return a.index if isinstance(a, Buckets) else np.asarray(a)
+    return a.inverse if isinstance(a, GroupCodes) else np.asarray(a)
 
 
 @dataclass(frozen=True)
@@ -170,12 +150,12 @@ def bucket_analysis(preds, labels, groups, scores, spec: BucketSpec,
     that have rows in it. Undefined rates propagate as None gaps rather
     than being zero-filled.
     """
-    preds, labels = np.asarray(preds), np.asarray(labels)
-    if not (preds.shape == labels.shape == _column(groups).shape == _column(scores).shape):
+    preds, labels, scores = np.asarray(preds), np.asarray(labels), np.asarray(scores)
+    if not (preds.shape == labels.shape == _column(groups).shape == scores.shape):
         raise DataError("preds, labels, groups, scores lengths differ")
     if preds.ndim != 1:
         raise DataError("preds must be 1-d")
-    assignment = _assigned(scores, spec)
+    assignment = spec.assign(scores)
     entries = []
     for (lo, hi), counts in zip(spec.edges(),
                                 cell_confusion(preds, labels, groups, assignment, spec.count)):
@@ -230,14 +210,15 @@ def feature_histograms(values, groups, scores, spec: BucketSpec, feature: str,
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DataError("empty dataset")
-    columns = ((values, "values"), (_column(groups), "groups"), (_column(scores), "scores"))
+    scores = np.asarray(scores)
+    columns = ((values, "values"), (_column(groups), "groups"), (scores, "scores"))
     if len({arr.shape[:1] for arr, _ in columns}) > 1:
         raise DataError("scores and dataset lengths differ")
     for arr, name in columns:
         if arr.ndim != 1:
             raise DataError(f"{name} must be 1-d")
     groups = code_groups(groups)
-    assignment = _assigned(scores, spec)
+    assignment = spec.assign(scores)
     if not np.isfinite(values).all():
         raise DataError(f"feature {feature!r} has values that are not finite")
     edges = np.histogram_bin_edges(values, bins=bins, range=(values.min(), values.max()))

@@ -550,7 +550,7 @@ def predict(model: ReckonerModel | ServingModel,
     coded = isinstance(x, StandardizedRows)
     if not coded:
         x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.m:
+    if len(x.shape) != 2 or x.shape[1] != model.m:
         raise DataError(f"expected rows of width {model.m}, got shape {x.shape}")
     n = x.shape[0]
     scores = np.empty(n, dtype=np.float64)

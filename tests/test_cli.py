@@ -341,6 +341,18 @@ class TestAudit:
         assert report["accuracy"] == 1.0
         assert report["group_sizes"] == {"0": 2, "1": 2}
 
+    def test_group_ids_past_2_53_stay_apart(self, tmp_path):
+        """2**53 and 2**53 + 1, one float apart, are two groups."""
+        rows = [(1, 1, 2**53), (0, 0, 2**53), (1, 1, 2**53 + 1), (0, 0, f"{2**53 + 1}.0"),
+                (1, 1, 5), (0, 0, 5)]
+        preds = tmp_path / "p.csv"
+        self.write_predictions(preds, rows)
+        out = tmp_path / "audit"
+        assert main(["audit", "--predictions", str(preds), "--out", str(out)]) == 0
+        report = json.loads((out / "fairness_report.json").read_text())
+        assert report["group_sizes"] == {"5": 2, "9007199254740992": 2,
+                                         "9007199254740993": 2}
+
     def test_hand_confusion_fixture(self, tmp_path):
         # group A rows (1,1),(0,1),(1,0); group B rows (1,1),(0,0),(0,0)
         rows = [(1, 1, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1), (0, 0, 1)]
@@ -525,6 +537,51 @@ def test_audit_artifacts_match_pinned_sha256(rows, hashed_checkpoint, tmp_path):
     assert digests == AUDIT_SHA256[rows]
 
 
+# A ``--predictions`` audit of 3,000 seeded rows over negative and sparse
+# group ids, with scores uniform in [0, 1] but for one row in five, which
+# takes 0.5, a threshold from either side, 0 or 1. SHA-256 of the four
+# files; the manifest records the input path relative to the run.
+PREDICTIONS_GROUPS = (-40, -1, 3, 17, 2**40)
+PREDICTIONS_THRESHOLDS = ("0.5", "0.62", "0.75", "0.9")
+PREDICTIONS_EDGE_SCORES = ("0.5", "0.62", "0.38", "0.75", "0.25", "0.9", "0.1", "0", "1",
+                           "1.0")
+PREDICTIONS_AUDIT_ARGS = ("audit", "--predictions", "predictions.csv", "--out", "out",
+                          "--bucket-thresholds", *PREDICTIONS_THRESHOLDS)
+PREDICTIONS_AUDIT_SHA256 = {
+    "audit_manifest.json": "c5723d107f0021506968cc7ded181cf916bc5e5b42ac30ca992e15dedba73680",
+    "bucket_report.csv": "6bf0d9df6cc479a78b5769ce26533c552ff2f590ac25aabc2db7dd02e73030c9",
+    "bucket_report.json": "cb7e86c05ca26f6e5449252598108f89a675f0bc1ea01bab13bf7e2973b9dddd",
+    "fairness_report.json": "20fffc1a405d7a78611e0020b004b81dbbd472b4795e1de8f6ddcb4b6ab5d02c",
+}
+
+
+def pinned_predictions(n: int = 3000, seed: int = 12) -> str:
+    """``n`` rows of pred, label, group and score from Python's own seeded
+    generator; the label leans on the score and on the group."""
+    rng = random.Random(seed)
+    lines = ["pred,label,group,score"]
+    for _ in range(n):
+        k = int(rng.random() * len(PREDICTIONS_GROUPS))
+        if rng.random() < 0.2:
+            score = PREDICTIONS_EDGE_SCORES[int(rng.random() * len(PREDICTIONS_EDGE_SCORES))]
+        else:
+            score = f"{rng.random():.6f}"
+        pred = int(float(score) >= 0.5)
+        label = int(rng.random() < 0.2 + 0.5 * float(score) + 0.05 * k)
+        lines.append(f"{pred},{label},{PREDICTIONS_GROUPS[k]},{score}")
+    return "\n".join(lines) + "\n"
+
+
+def test_predictions_audit_artifacts_match_pinned_sha256(tmp_path):
+    """A scored predictions file audits to pinned bytes."""
+    _file(tmp_path / "predictions.csv", pinned_predictions())
+    proc = run_cli(*PREDICTIONS_AUDIT_ARGS, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "out").iterdir())}
+    assert digests == PREDICTIONS_AUDIT_SHA256
+
+
 # SHA-256 of the ``checkpoint.json`` that checkpoint format 3 wrote for the
 # pinned hashed train config, which stored the noise wrapper's blobs where
 # format 4 stores the perturbation.
@@ -562,9 +619,10 @@ def test_v3_and_v4_checkpoints_audit_alike(hashed_checkpoints, hashed_checkpoint
         == AUDIT_SHA256[8191]
 
 
-def test_audit_checks_codes_and_assigns_once(hashed_checkpoint, tmp_path, monkeypatch):
-    """The three reports share one check of the preds and labels, one
-    coding of the groups and one bucket assignment."""
+def test_audit_checks_and_codes_once(hashed_checkpoint, tmp_path, monkeypatch):
+    """The three reports share one check of the preds and labels and one
+    coding of the groups; the bucket and histogram reports each assign the
+    confidences to buckets."""
     calls = {"_is_binary": [], "_integer_ids": [], "assign": []}
     for owner, name in ((reckoner.metrics, "_is_binary"), (reckoner.metrics, "_integer_ids"),
                         (BucketSpec, "assign")):
@@ -575,7 +633,7 @@ def test_audit_checks_codes_and_assigns_once(hashed_checkpoint, tmp_path, monkey
     code, err = run_main(*AUDIT_ARGS)
     assert code == 0, err
     assert {k: len(v) for k, v in calls.items()} == \
-        {"_is_binary": 2, "_integer_ids": 1, "assign": 1}
+        {"_is_binary": 2, "_integer_ids": 1, "assign": 2}
 
 
 def test_distinct_values_past_the_limit_exit_2(hashed_checkpoint, tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from reckoner.confidence import (
     GAP_RATES,
     BucketEntry,
     BucketReport,
-    Buckets,
     BucketSpec,
     bucket_analysis,
     confidence_of,
@@ -273,12 +272,6 @@ class TestBucketAnalysis:
             bucket_analysis([1, 0, 1, 0], [1, 0, 0, 1], [0.9, 0.9, 1.9, 1.9], conf,
                             BucketSpec(), 0, 1)
 
-    def test_buckets_of_another_spec_are_refused(self):
-        d, preds, conf = self.fixture()
-        other = Buckets(BucketSpec((0.5,)), BucketSpec((0.5,)).assign(conf))
-        with pytest.raises(ValueError, match="another spec"):
-            bucket_analysis(preds, d.y, d.s, other, BucketSpec(), 0, 1)
-
 
 class TestFeatureHistograms:
     def groups_of(self, values, groups=None):
@@ -508,25 +501,24 @@ class TestSharedPassMatchesStandaloneCalls:
     @settings(max_examples=300, deadline=None)
     def test_reports_from_coded_columns(self, rows, bins, data):
         """The audit's shared pass: preds and labels checked and groups
-        coded once by ``aligned``, scores assigned once to ``Buckets``; all
-        three reports equal the standalone calls and the mask loops."""
+        coded once by ``aligned``; all three reports equal the standalone
+        calls and the mask loops."""
         spec, preds, labels, groups, scores, ids = rows
         values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=preds.size,
                                              max_size=preds.size)))
         g_i, g_j = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
         p, y, g = aligned(preds, labels, groups)
-        buckets = Buckets(spec, spec.assign(scores))
 
         assert confusion(p, y, g) == ref_confusion(preds, labels, groups)
         assert outcome(fairness_report, p, y, g) == outcome(fairness_report, preds, labels,
                                                             groups)
-        got = bucket_analysis(p, y, g, buckets, spec, g_i, g_j)
+        got = bucket_analysis(p, y, g, scores, spec, g_i, g_j)
         assert got == bucket_analysis(preds, labels, groups, scores, spec, g_i, g_j)
         assert got == ref_bucket_analysis(preds, labels, groups, scores, spec, g_i, g_j)
         assert got.to_csv_rows() == ref_bucket_analysis(
             preds, labels, groups, scores, spec, g_i, g_j).to_csv_rows()
 
-        hist = feature_histograms(values, g, buckets, spec, "f", bins)
+        hist = feature_histograms(values, g, scores, spec, "f", bins)
         alone = feature_histograms(values, groups, scores, spec, "f", bins)
         edges, counts = ref_feature_histograms(values, groups, scores, spec, bins)
         assert hist.edges.tobytes() == alone.edges.tobytes() == edges.tobytes()

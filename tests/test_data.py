@@ -617,6 +617,24 @@ def test_read_predictions_reads_past_bom_and_header_spaces(tmp_path, head):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("cell, value", [
+    ("1", 1), ("1.0", 1), ("1e3", 1000), (" -3", -3),
+    (str(2**53 + 1), 2**53 + 1), ("9007199254740993.0", 2**53 + 1),
+    ("9.007199254740993e15", 2**53 + 1), (str(2**63 - 1), 2**63 - 1), (str(-2**63), -2**63),
+])
+def test_integer_cell_is_read_exactly(cell, value):
+    """Integers past 2**53, where floats skip some, keep their value, up to
+    the int64 ends."""
+    assert data._integer_cell(cell) == value
+
+
+@pytest.mark.parametrize("cell", ["0.9", "nan", "inf", "1e19", str(2**63), str(-2**63 - 1),
+                                  "9007199254740993.5", "x", ""])
+def test_integer_cell_refuses_fractions_and_the_outside_of_int64(cell):
+    with pytest.raises(ValueError):
+        data._integer_cell(cell)
+
+
 # Standardization statistics that make (x - mean) / std overflow or divide
 # by zero: a zero, a subnormal and a tiny normal deviation among plain ones.
 STD_VALUES = st.sampled_from([1.0, 1.0, 2.0, 0.5, 0.0, 5e-324, 1e-310, 1e-301, -3.0])
