@@ -174,8 +174,8 @@ def cmd_audit(args) -> int:
 
     A scored table is coded, standardized and checked before ``predict``
     runs, and its feature matrix is never built whole. The reports share
-    one check of the preds and labels, one coding of the groups and one
-    bucket assignment of the confidences."""
+    one check of the preds and labels and one coding of the groups; each
+    bucket report assigns the confidences itself."""
     if args.histogram_feature and not args.checkpoint:
         raise ConfigError("--histogram-feature requires --checkpoint mode")
     if args.checkpoint and args.predictions:

@@ -413,24 +413,22 @@ def _csv_blocks(path: str | Path, what: str, digest):
 
 
 def _integer_cell(cell: str) -> int:
-    """An integral number such as ``1`` or ``1.0`` that fits in int64, read
-    exactly: ``0.9``, ``inf`` or ``1e19`` is a ValueError. A float holds
-    every integer below 2**53 in magnitude; past that, where floats skip
-    integers, the cell is read again as an int or else as a decimal."""
+    """An integral number such as ``1`` or ``1.0`` that fits in int64:
+    ``0.9``, ``inf`` or ``1e19`` is a ValueError. A float holds every
+    integer below 2**53 in magnitude; past that, where floats skip
+    integers, the cell is read again as a decimal, so its exact value is
+    kept."""
     number = float(cell)
     if not number.is_integer():
         raise ValueError(f"non-integral cell {cell!r}")
     if abs(number) < 2.0**53:
         return int(number)
-    try:
-        value = int(cell)
-    except ValueError:
-        from decimal import Decimal  # only here: its import costs 1-2 ms a launch
+    from decimal import Decimal  # only here: its import costs 1-2 ms a launch
 
-        exact = Decimal(cell)
-        if exact != exact.to_integral_value():
-            raise ValueError(f"non-integral cell {cell!r}") from None
-        value = int(exact)
+    exact = Decimal(cell)
+    if exact != exact.to_integral_value():
+        raise ValueError(f"non-integral cell {cell!r}")
+    value = int(exact)
     if not -2**63 <= value < 2**63:
         raise ValueError(f"integer cell {cell!r} outside the int64 range")
     return value
